@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import khatri_rao, reconstruct_cp, unfold
+from .tensorops import Mttkrp, cp_residual_sq, khatri_rao, reconstruct_cp, unfold
 
 __all__ = [
     "CPModel",
@@ -157,10 +157,25 @@ def _init_factors(shape, rank, init, rng, tensor):
 def cpd_als(tensor, rank, opts=None):
     """Rank-`rank` CP decomposition of an order-3 tensor by ALS.
 
-    Each sweep solves the exact least-squares update for A, B, C in turn
-    (``A <- K_(1) Z pinv(Z'Z)`` with ``Z = khatri_rao(C, B)`` and cyclic
-    analogues), so the relative error is non-increasing per sweep.  The
-    best of ``opts.restarts`` runs is returned in normalized form (unit
+    Each sweep solves the exact least-squares update for A, B, C in turn,
+    ``A <- M_A pinv(B'B * C'C)`` and cyclic analogues, where ``M_A`` is
+    the MTTKRP ``unfold(T, 0) @ khatri_rao(C, B)`` and ``*`` the Hadamard
+    product, so the relative error is non-increasing per sweep.  For an
+    I x J x K tensor a sweep costs two ``O(I J K R)`` GEMMs (see
+    :class:`~convfactor.tensorops.Mttkrp`; the contraction with C is
+    shared by the A and B updates) plus ``O((I+J+K) R^2 + R^3)`` for the
+    Grams and pseudo-inverses.  No ``(J*K) x R`` or ``(I*K) x R``
+    Khatri-Rao matrix is built.
+
+    The per-sweep error comes from the Gram form of
+    :func:`~convfactor.tensorops.cp_residual_sq`.  Once a sweep's change
+    is within ``opts.tol`` plus that form's roundoff margin, the restart
+    switches to the dense residual ``||T - [[A, B, C]]||`` (re-evaluating
+    the previous sweep too), so convergence is only ever decided on dense
+    errors; the final error of every restart is dense as well.  A dense
+    evaluation costs one more ``O(I J K R)`` GEMM and builds only the
+    ``(I*J) x R`` Khatri-Rao product of A and B.  The best
+    of ``opts.restarts`` runs is returned in normalized form (unit
     columns, weights sorted descending); ties in final error are broken by
     lower sensitivity.
 
@@ -192,7 +207,11 @@ def cpd_als(tensor, rank, opts=None):
         )
         return AlsResult(zero, 0.0, [0.0], n_iters=0, converged=True)
 
-    unfoldings = [unfold(tensor, m) for m in range(3)]
+    mt = Mttkrp(tensor)
+    norm_t2 = norm_t**2
+
+    def dense_error(a, b, c):
+        return float(np.linalg.norm(mt.t_k - khatri_rao(a, b) @ c.T)) / norm_t
 
     best = None
     for restart in range(opts.restarts):
@@ -201,22 +220,44 @@ def cpd_als(tensor, rank, opts=None):
         if init == "mixed":
             init = "svd" if restart == 0 else "random"
         a, b, c = _init_factors(shape, rank, init, rng, tensor)
+        gb, gc = b.T @ b, c.T @ c
         errors = []
         prev_err = np.inf
+        dense = False
         n_iters = 0
         converged = False
         for sweep in range(opts.max_iters):
-            a = unfoldings[0] @ khatri_rao(c, b) @ _pinv_psd((c.T @ c) * (b.T @ b))
-            b = unfoldings[1] @ khatri_rao(c, a) @ _pinv_psd((c.T @ c) * (a.T @ a))
-            zc = khatri_rao(b, a)
-            c = unfoldings[2] @ zc @ _pinv_psd((b.T @ b) * (a.T @ a))
-            err = np.linalg.norm(unfoldings[2] - c @ zc.T) / norm_t
+            prev = (a, b, c)
+            w = mt.partial_c(c)
+            a = mt.mode0(w, b) @ _pinv_psd(gb * gc)
+            ga = a.T @ a
+            b = mt.mode1(w, a) @ _pinv_psd(ga * gc)
+            gb = b.T @ b
+            m_c = mt.mode2(a, b)
+            c = m_c @ _pinv_psd(ga * gb)
+            gc = c.T @ c
+            if dense:
+                err = dense_error(a, b, c)
+            else:
+                e2, slack = cp_residual_sq(norm_t2, m_c, c, (ga, gb, gc))
+                err = np.sqrt(max(e2, 0.0)) / norm_t
+                margin = (
+                    np.sqrt(max(e2 + slack, 0.0)) - np.sqrt(max(e2 - slack, 0.0))
+                ) / norm_t
+                if e2 <= slack or abs(prev_err - err) <= opts.tol + margin:
+                    # the Gram form cannot resolve this step
+                    dense = True
+                    err = dense_error(a, b, c)
+                    if errors:
+                        prev_err = errors[-1] = dense_error(*prev)
             errors.append(err)
             n_iters = sweep + 1
             if abs(prev_err - err) < opts.tol:
                 converged = True
                 break
             prev_err = err
+        if not dense:
+            errors[-1] = dense_error(a, b, c)
 
         model = normalize(CPModel(a, b, c))
         final = errors[-1]

@@ -14,7 +14,13 @@ import numpy as np
 
 from .cpd import CPModel, balance_components, sensitivity
 from .errors import InfeasibleBoundError
-from .tensorops import khatri_rao, unfold
+from .tensorops import Mttkrp, cp_residual_sq, khatri_rao
+
+# The Gram-form error is used only where its roundoff bound resolves the
+# squared error to this relative accuracy, so a recorded error sits within
+# about 5e-11 relative of the dense one and can be checked against delta.
+_ERROR_RTOL = 1e-10
+_SECULAR_ROUNDOFF = 16 * np.finfo(np.float64).eps
 
 __all__ = [
     "EpcOptions",
@@ -55,7 +61,10 @@ def spherical_qp(y, zt, delta, qp_tol=1e-10, max_iters=200):
 
     Solves ``min ||X||_F^2  s.t.  ||Y - X Zt'||_F^2 <= delta^2``.
 
-    The stationary family is ``X(mu) = mu Y Zt (I + mu Zt'Zt)^{-1}`` with
+    A thin adapter: the solver only needs ``Y Zt``, ``Zt'Zt`` and
+    ``||Y||^2``, which it passes to the secular-equation core that
+    :func:`epc_correct` calls directly with Gram-form inputs.  The
+    stationary family is ``X(mu) = mu Y Zt (I + mu Zt'Zt)^{-1}`` with
     multiplier mu >= 0; the residual is a strictly decreasing rational
     function of mu, evaluated stably in the eigenbasis of Zt'Zt and solved
     by Newton steps safeguarded with bisection.
@@ -75,18 +84,27 @@ def spherical_qp(y, zt, delta, qp_tol=1e-10, max_iters=200):
     """
     y = np.asarray(y, dtype=np.float64)
     zt = np.asarray(zt, dtype=np.float64)
+    return _secular_solve(
+        y @ zt, zt.T @ zt, float(np.sum(y**2)), delta, qp_tol, max_iters
+    )
+
+
+def _secular_solve(yz, gram, norm_y2, delta, qp_tol=1e-10, max_iters=200):
+    """Core of :func:`spherical_qp` on ``Y Zt``, ``Zt'Zt`` and ``||Y||^2``.
+
+    Costs one ``R x R`` eigendecomposition and ``O(n R^2)`` for an
+    ``n x R`` unknown, whatever the length of the rows of Y.
+    """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    norm_y2 = float(np.sum(y**2))
     delta2 = delta**2
 
     if norm_y2 <= delta2 * (1 + 1e-15) or norm_y2 == 0.0:
-        return np.zeros((y.shape[0], zt.shape[1])), 0.0
+        return np.zeros(yz.shape), 0.0
 
-    gram = zt.T @ zt
     lam, q = np.linalg.eigh((gram + gram.T) / 2)
     lam = np.maximum(lam, 0.0)
-    p = y @ zt @ q                      # columns in the eigenbasis
+    p = yz @ q                          # columns in the eigenbasis
     s = np.sum(p**2, axis=0)            # component energies
     # eigenvalues below the relative cutoff carry no usable signal
     cutoff = 1e-12 * (lam[-1] if lam.size else 0.0)
@@ -125,11 +143,20 @@ def spherical_qp(y, zt, delta, qp_tol=1e-10, max_iters=200):
         coef[live] = 1.0 / lam[live]
         return (p * coef) @ q.T, np.inf
 
-    # bracket [lo, hi] with residual(lo) > delta2 > residual(hi)
+    # the secular residual carries roundoff of order eps * ||Y||^2 (it is
+    # r_min plus positive terms, and r_min cancels): aim inside the ball by
+    # that much and accept a root to within half of it, so the bound holds
+    # for the returned X and not just for the computed residual.  The
+    # exact-fit test above keeps target > r_min.
+    roundoff = _SECULAR_ROUNDOFF * norm_y2
+    target = delta2 - roundoff
+    f_tol = qp_tol * max(delta2, qp_tol) + 0.5 * roundoff
+
+    # bracket [lo, hi] with residual(lo) > target > residual(hi)
     lo = 0.0
     hi = 1.0 / max(lam_l[-1], 1e-300)
     for _ in range(400):
-        if residual(hi) < delta2:
+        if residual(hi) < target:
             break
         lo = hi
         hi *= 2.0
@@ -140,8 +167,8 @@ def spherical_qp(y, zt, delta, qp_tol=1e-10, max_iters=200):
 
     mu = lo
     for _ in range(max_iters):
-        f = residual(mu) - delta2
-        if abs(f) <= qp_tol * max(delta2, qp_tol):
+        f = residual(mu) - target
+        if abs(f) <= f_tol:
             return x_of(mu), mu
         if f > 0:
             lo = mu
@@ -149,8 +176,8 @@ def spherical_qp(y, zt, delta, qp_tol=1e-10, max_iters=200):
             hi = mu
         step = mu - f / residual_prime(mu)
         mu = step if lo < step < hi else 0.5 * (lo + hi)
-    f = residual(mu) - delta2
-    if abs(f) <= 1e-6 * max(delta2, 1e-12):
+    f = residual(mu) - target
+    if abs(f) <= 1e-6 * max(delta2, 1e-12) + 0.5 * roundoff:
         return x_of(mu), mu
     raise RuntimeError(
         f"secular root-find did not converge: mu={mu:.6g}, "
@@ -163,16 +190,26 @@ def factor_update_bounded(k1, z, w, delta, qp_tol=1e-10):
 
     Solves ``min ||A diag(w)||_F^2  s.t.  ||K1 - A Z'||_F^2 <= delta^2``
     via the change of variables ``At = A diag(w)``, ``Zt = Z diag(1/w)``,
-    which turns the objective into a plain minimum-norm regression handled
-    by :func:`spherical_qp`.
+    which turns the objective into a plain minimum-norm regression.  A
+    thin adapter: it forms ``K1 Z``, ``Z'Z`` and ``||K1||^2`` and hands
+    them to the same secular-equation core as :func:`spherical_qp`, which
+    is what :func:`epc_correct` does with the MTTKRP and the Hadamard
+    product of the factor Grams in place of ``K1 Z`` and ``Z'Z``.
 
     `w` must be strictly positive.
     """
     w = np.asarray(w, dtype=np.float64)
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
-    zt = np.asarray(z, dtype=np.float64) / w
-    at, _ = spherical_qp(k1, zt, delta, qp_tol=qp_tol)
+    k1 = np.asarray(k1, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    return _weighted_update(k1 @ z, z.T @ z, float(np.sum(k1**2)), w, delta, qp_tol)
+
+
+def _weighted_update(yz, gram, norm_y2, w, delta, qp_tol):
+    """``A`` minimizing ``||A diag(w)||`` within the residual ball, from
+    ``K1 Z``, ``Z'Z`` and ``||K1||^2``."""
+    at, _ = _secular_solve(yz / w, gram / np.outer(w, w), norm_y2, delta, qp_tol)
     return at / w
 
 
@@ -185,6 +222,18 @@ def epc_correct(tensor, model, opts=None):
     error bound and sensitivity monotonicity hold after every accepted
     update.  Components are magnitude-balanced across factors up front
     (free sensitivity reduction, reconstruction unchanged).
+
+    A factor update needs only the factor's MTTKRP (see
+    :class:`~convfactor.tensorops.Mttkrp`), the Hadamard product of the two
+    fixed factors' Grams and ``||T||^2``.  For an I x J x K tensor a sweep
+    therefore costs two ``O(I J K R)`` GEMMs plus ``O((I+J+K) R^2 + R^3)``
+    for the Grams and the three secular solves; no ``(J*K) x R`` or
+    ``(I*K) x R`` Khatri-Rao matrix is built.  The per-sweep error is the
+    Gram form of :func:`~convfactor.tensorops.cp_residual_sq`; where that
+    form cannot resolve the error to ``1e-10`` relative (close fits and
+    large cancelling components), the dense residual, one more GEMM, is
+    used instead, so every recorded error can be checked against the
+    bound.
 
     Returns
     -------
@@ -202,69 +251,74 @@ def epc_correct(tensor, model, opts=None):
         raise ValueError(f"model shape {model.shape} != tensor shape {tensor.shape}")
 
     norm_t = np.linalg.norm(tensor)
+    norm_t2 = norm_t**2
     model = balance_components(model)
     a, b, c = model.A, model.B, model.C
-    dims = tensor.shape
+    mt = Mttkrp(tensor)
 
-    def current_error(a, b, c):
-        return np.linalg.norm(tensor - np.einsum("ir,jr,kr->ijk", a, b, c))
+    def dense_error(a, b, c):
+        return float(np.linalg.norm(mt.t_k - khatri_rao(a, b) @ c.T))
 
-    err0 = current_error(a, b, c)
+    err0 = dense_error(a, b, c)
     delta = err0 if opts.delta is None else float(opts.delta)
+    trace = [{"error": err0, "ss": sensitivity(CPModel(a, b, c))}]
 
-    unfoldings = [unfold(tensor, m) for m in range(3)]
-    trace = [{"error": float(err0), "ss": sensitivity(CPModel(a, b, c))}]
-
-    def update(target, f1, f2, dim1, dim2, name):
-        """Bounded update of one factor; f1, f2 are the two fixed factors."""
+    def update(mttkrp, g1, g2, dim1, dim2, name):
+        """Bounded update of one factor from its MTTKRP; g1, g2 are the
+        Grams of the two fixed factors, of extents dim1, dim2."""
+        d1, d2 = np.diag(g1), np.diag(g2)
         if opts.unweighted_diag:
-            w2 = np.sum(f1**2, axis=0) + np.sum(f2**2, axis=0)
+            w2 = d1 + d2
         else:
-            w2 = dim2 * np.sum(f1**2, axis=0) + dim1 * np.sum(f2**2, axis=0)
-        z = khatri_rao(f2, f1)
-        live = w2 > 1e-300
-        if np.all(live):
-            try:
-                return factor_update_bounded(
-                    target, z, np.sqrt(w2), delta, qp_tol=opts.qp_tol
-                )
-            except InfeasibleBoundError as e:
-                e.factor = name
-                raise
+            w2 = dim2 * d1 + dim1 * d2
         # dead components (zero in both fixed factors) contribute nothing:
-        # solve the reduced problem and zero them out
-        new = np.zeros((target.shape[0], z.shape[1]))
-        if np.any(live):
-            try:
-                new[:, live] = factor_update_bounded(
-                    target, z[:, live], np.sqrt(w2[live]), delta, qp_tol=opts.qp_tol
+        # solve the problem on the live ones and zero the rest
+        live = w2 > 1e-300
+        new = np.zeros(mttkrp.shape)
+        if not np.any(live):
+            if norm_t > delta + opts.qp_tol * max(norm_t, 1.0):
+                raise InfeasibleBoundError(
+                    f"all components vanished while updating {name} and the "
+                    f"remaining residual exceeds the bound",
+                    min_residual=norm_t2,
+                    bound=delta**2,
+                    factor=name,
                 )
-            except InfeasibleBoundError as e:
-                e.factor = name
-                raise
-        elif np.linalg.norm(target) > delta + opts.qp_tol * max(norm_t, 1.0):
-            raise InfeasibleBoundError(
-                f"all components vanished while updating {name} and the "
-                f"remaining residual exceeds the bound",
-                min_residual=float(np.sum(target**2)),
-                bound=delta**2,
-                factor=name,
+            return new
+        try:
+            new[:, live] = _weighted_update(
+                mttkrp[:, live], (g1 * g2)[np.ix_(live, live)], norm_t2,
+                np.sqrt(w2[live]), delta, opts.qp_tol,
             )
+        except InfeasibleBoundError as e:
+            e.factor = name
+            raise
         return new
 
-    i, j, k = dims
+    i, j, k = tensor.shape
+    gb, gc = b.T @ b, c.T @ c
     prev_ss = trace[0]["ss"]
     for _ in range(opts.max_sweeps):
-        a = update(unfoldings[0], b, c, j, k, "A")
-        b = update(unfoldings[1], a, c, i, k, "B")
-        c = update(unfoldings[2], a, b, i, j, "C")
+        w = mt.partial_c(c)
+        a = update(mt.mode0(w, b), gb, gc, j, k, "A")
+        ga = a.T @ a
+        b = update(mt.mode1(w, a), ga, gc, i, k, "B")
+        gb = b.T @ b
+        m_c = mt.mode2(a, b)
+        c = update(m_c, ga, gb, i, j, "C")
+        gc = c.T @ c
+        e2, slack = cp_residual_sq(norm_t2, m_c, c, (ga, gb, gc))
         # single-factor updates cannot move magnitude between factors;
         # rebalancing is free (reconstruction unchanged, ss non-increasing)
         balanced = balance_components(CPModel(a, b, c))
         a, b, c = balanced.A, balanced.B, balanced.C
+        gb, gc = b.T @ b, c.T @ c
         ss = sensitivity(balanced)
-        err = current_error(a, b, c)
-        trace.append({"error": float(err), "ss": float(ss)})
+        if slack <= _ERROR_RTOL * e2:
+            err = float(np.sqrt(e2))
+        else:
+            err = dense_error(a, b, c)
+        trace.append({"error": err, "ss": float(ss)})
         if prev_ss <= 0 or abs(prev_ss - ss) <= opts.ss_tol * max(prev_ss, 1e-300):
             break
         prev_ss = ss

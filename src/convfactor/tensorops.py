@@ -5,6 +5,15 @@ follow the first-remaining-mode-fastest convention, so that the mode-1
 unfolding of a Kruskal tensor ``[[A, B, C]]`` equals ``A @ khatri_rao(C, B).T``.
 All decomposition work is done in float64; float32 is accepted at the
 boundaries and promoted.
+
+The CP solvers work on an I x J x K tensor (a ``D^2 x S x T`` kernel)
+through :class:`Mttkrp` and :func:`cp_residual_sq`.  One sweep over the
+three factors costs two GEMMs, ``(IJ x K) @ (K x R)`` and
+``(IK x J) @ (J x R)``, i.e. O(D^2 S T R), plus O((I+J+K) R^2) of Gram
+algebra; the ``(JK) x R`` and ``(IK) x R`` Khatri-Rao matrices of the
+textbook MTTKRP are never built, and the residual norm is evaluated from
+the factor Grams instead of a dense reconstruction (Kolda & Bader, SIAM
+Rev. 2009, sec. 3.4).
 """
 
 import numpy as np
@@ -14,6 +23,8 @@ __all__ = [
     "fold",
     "khatri_rao",
     "reconstruct_cp",
+    "Mttkrp",
+    "cp_residual_sq",
     "mode_product",
     "reshape_kernel",
     "restore_kernel",
@@ -117,7 +128,77 @@ def reconstruct_cp(a, b, c, weights=None):
         if weights.shape != (a.shape[1],):
             raise ValueError("weights length must equal the factor column count")
         a = a * weights
-    return np.einsum("ir,jr,kr->ijk", a, b, c)
+    # one GEMM: the (IJ x K) mode-2 unfolding is the C-order (I, J, K) layout
+    return (khatri_rao(a, b) @ c.T).reshape(a.shape[0], b.shape[0], c.shape[0])
+
+
+# Roundoff allowance, in units of machine epsilon times the magnitude of the
+# terms, for the cancelling sum in :func:`cp_residual_sq`.
+_GRAM_ROUNDOFF = 16 * np.finfo(np.float64).eps
+
+
+class Mttkrp:
+    """Matricized-tensor-times-Khatri-Rao products of one order-3 tensor.
+
+    ``mode0(w, B) == unfold(T, 0) @ khatri_rao(C, B)`` and cyclic analogues,
+    computed as partial contractions.  Two matrix views of the tensor are
+    made once: ``T`` as ``(I*J, K)`` (a view) and as ``(I*K, J)`` (one
+    copy).  The contraction with C, ``W = T x_3 C'`` of shape (I, J, R),
+    serves both modes 0 and 1 as long as C is unchanged (Phan, Tichavsky &
+    Cichocki, IEEE TSP 2013); mode 2 contracts ``T x_2 B'`` with A.  Each
+    product is one ``O(I J K R)`` GEMM plus an ``O(I J R)`` contraction,
+    with no ``(J*K) x R`` or ``(I*K) x R`` Khatri-Rao temporary.
+    """
+
+    def __init__(self, tensor):
+        tensor = _as_f64(tensor)
+        if tensor.ndim != 3:
+            raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
+        self.shape = tensor.shape
+        i, j, k = tensor.shape
+        self.t_k = tensor.reshape(i * j, k)
+        self.t_j = tensor.transpose(0, 2, 1).reshape(i * k, j)
+
+    def partial_c(self, c):
+        """``W[i, j, r] = sum_k T[i, j, k] C[k, r]``, shared by modes 0 and 1."""
+        return (self.t_k @ c).reshape(self.shape[0], self.shape[1], -1)
+
+    @staticmethod
+    def mode0(w, b):
+        """MTTKRP of mode 0 from ``W = partial_c(C)``: ``(I, R)``."""
+        return np.einsum("ijr,jr->ir", w, b)
+
+    @staticmethod
+    def mode1(w, a):
+        """MTTKRP of mode 1 from ``W = partial_c(C)``: ``(J, R)``."""
+        return np.einsum("ijr,ir->jr", w, a)
+
+    def mode2(self, a, b):
+        """MTTKRP of mode 2: ``(K, R)``."""
+        v = (self.t_j @ b).reshape(self.shape[0], self.shape[2], -1)
+        return np.einsum("ikr,ir->kr", v, a)
+
+
+def cp_residual_sq(norm_t2, m_c, c, grams):
+    """Squared residual ``||T - [[A, B, C]]||_F^2`` without reconstruction.
+
+    Evaluates ``||T||^2 - 2<M_C, C> + 1'(A'A * B'B * C'C)1`` from the
+    mode-2 MTTKRP ``M_C`` of the current A and B, the factor C and the
+    three factor Grams.  The sum cancels when the fit is close or the
+    components are large and cancelling, so a roundoff bound on the result
+    is returned with it.
+
+    Returns
+    -------
+    (e2, slack) : (float, float)
+        The estimate and the absolute roundoff allowance on it; the true
+        value lies within ``e2 +- slack``.
+    """
+    inner = float(np.vdot(m_c, c))
+    had = grams[0] * grams[1] * grams[2]
+    e2 = norm_t2 - 2.0 * inner + float(np.sum(had))
+    slack = _GRAM_ROUNDOFF * (norm_t2 + 2.0 * abs(inner) + float(np.sum(np.abs(had))))
+    return e2, slack
 
 
 def mode_product(tensor, matrix, mode):

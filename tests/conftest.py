@@ -1,6 +1,7 @@
 """Shared test helpers: synthetic tensors and degenerate CP starts."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from convfactor import CPModel, mode_product, reconstruct_cp
 
@@ -61,3 +62,22 @@ def degenerate_pair(rng, dims, scale=100.0, noise=0.01):
         np.stack([c, c], axis=1),
     )
     return tensor, model
+
+
+@st.composite
+def well_posed_cp_problems(draw):
+    """(dims, rank) whose exact rank-`rank` tensors have a unique CP.
+
+    Kruskal's condition k_A + k_B + k_C >= 2R + 2 holds for generic
+    factors once two extents are at least R and the third at least 2, so
+    the smallest extent may be below the rank; rank 1 is always unique,
+    which admits 1 x 1 kernels (I = 1).  Fits with more components than
+    the data supports leave the normal equations near-singular; there the
+    float64 ALS trace is not monotone to 1e-12 and the EPC bound is met
+    only to about 1e-7 relative, in the Khatri-Rao formulation as well.
+    """
+    rank = draw(st.integers(1, 4))
+    small = draw(st.integers(1 if rank == 1 else 2, 4))
+    dims = [small, draw(st.integers(rank, 6)), draw(st.integers(rank, 6))]
+    order = draw(st.permutations([0, 1, 2]))
+    return tuple(dims[m] for m in order), rank

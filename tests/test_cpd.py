@@ -1,17 +1,53 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_cp_tensor
+from conftest import random_cp_tensor, well_posed_cp_problems
 from convfactor import (
     AlsOptions,
     CPModel,
     balance_components,
     cpd_als,
     intensity,
+    khatri_rao,
     monte_carlo_sensitivity,
     normalize,
     sensitivity,
+    unfold,
 )
+
+
+def reference_als(tensor, a, b, c, sweeps, tol=0.0):
+    """Textbook ALS on materialized Khatri-Rao matrices (oracle).
+
+    Runs at most `sweeps` sweeps, stopping once the dense relative error
+    changes by less than `tol`; returns the factors and the error after
+    each sweep.
+    """
+    norm_t = np.linalg.norm(tensor)
+    units = [unfold(tensor, m) for m in range(3)]
+    errors = []
+    for _ in range(sweeps):
+        a = units[0] @ khatri_rao(c, b) @ np.linalg.pinv((c.T @ c) * (b.T @ b))
+        b = units[1] @ khatri_rao(c, a) @ np.linalg.pinv((c.T @ c) * (a.T @ a))
+        zc = khatri_rao(b, a)
+        c = units[2] @ zc @ np.linalg.pinv((b.T @ b) * (a.T @ a))
+        errors.append(np.linalg.norm(units[2] - c @ zc.T) / norm_t)
+        if len(errors) > 1 and abs(errors[-2] - errors[-1]) < tol:
+            break
+    return (a, b, c), errors
+
+
+def random_init(dims, rank, seed):
+    """The documented "random" init of restart 0: Gaussian factors drawn
+    from ``default_rng((seed, 0))`` in mode order."""
+    rng = np.random.default_rng((seed, 0))
+    return [rng.standard_normal((n, rank)) for n in dims]
+
+
+def dense_rel_error(tensor, model):
+    return np.linalg.norm(tensor - model.to_tensor()) / np.linalg.norm(tensor)
 
 
 class TestAls:
@@ -86,6 +122,73 @@ class TestAls:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             cpd_als(bad, 1)
+
+
+class TestAlsMatchesKhatriRaoReference:
+    @pytest.mark.parametrize("dims, rank", [((4, 5, 6), 3), ((9, 12, 10), 5),
+                                            ((1, 6, 7), 2)])
+    def test_twenty_sweeps_from_same_init(self, dims, rank):
+        rng = np.random.default_rng(30)
+        t = rng.standard_normal(dims)
+        res = cpd_als(t, rank, AlsOptions(max_iters=20, tol=1e-15, seed=7))
+        (a, b, c), ref_errors = reference_als(t, *random_init(dims, rank, 7), 20)
+        assert res.n_iters == 20 and not res.converged
+        ref = normalize(CPModel(a, b, c))
+        for got, want in ((res.model.A, ref.A), (res.model.B, ref.B),
+                          (res.model.C, ref.C), (res.model.lam, ref.lam)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.max(np.abs(np.array(res.rel_errors) - ref_errors)) <= 1e-12
+
+    @pytest.mark.parametrize("noise, tol", [(0.0, 1e-12), (0.0, 1e-9), (1e-3, 1e-12)])
+    def test_converges_on_the_same_sweep(self, noise, tol):
+        # convergence is decided on dense errors, as in the reference; the
+        # exact fit drives the Gram-form error into cancellation first
+        rng = np.random.default_rng(32)
+        dims, rank = (4, 5, 6), 3
+        t, _ = random_cp_tensor(rng, dims, rank)
+        t = t + noise * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
+        res = cpd_als(t, rank, AlsOptions(max_iters=3000, tol=tol, seed=3))
+        _, ref_errors = reference_als(t, *random_init(dims, rank, 3), 3000, tol)
+        assert res.converged
+        assert res.n_iters == len(ref_errors)
+        assert abs(res.rel_error - ref_errors[-1]) <= 1e-12
+        # before the switch the trace holds Gram-form errors, good to about
+        # eps ||T||^2 / err (cancellation in the squared error); over
+        # hundreds of sweeps the two iterations also drift apart by roundoff
+        ref_errors = np.array(ref_errors)
+        assert np.all(np.abs(np.array(res.rel_errors) - ref_errors)
+                      <= 1e-10 + 1e-14 / ref_errors)
+
+    @pytest.mark.parametrize("dims, true_rank, rank, noise, iters", [
+        ((4, 5, 6), 3, 3, 0.0, 2000),     # exact fit: dense fallback, converges
+        ((4, 5, 6), 3, 3, 1e-2, 2000),    # noisy fit, converges
+        ((9, 16, 16), 6, 4, 0.1, 30),     # capped
+        ((2, 3, 3), 2, 5, 0.0, 300),      # rank above every extent
+    ])
+    def test_reported_error_is_dense(self, dims, true_rank, rank, noise, iters):
+        rng = np.random.default_rng(31)
+        t, _ = random_cp_tensor(rng, dims, true_rank)
+        t = t + noise * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
+        res = cpd_als(t, rank, AlsOptions(max_iters=iters, tol=1e-12, restarts=2))
+        assert res.rel_error == res.rel_errors[-1]
+        assert abs(res.rel_error - dense_rel_error(t, res.model)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problem=well_posed_cp_problems(), exact=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_als_trace_non_increasing(problem, exact, seed):
+    # exact tensors drive the error to roundoff, where the Gram-form error
+    # cancels and the dense fallback must take over
+    dims, rank = problem
+    rng = np.random.default_rng(seed)
+    t, _ = random_cp_tensor(rng, dims, rank)
+    if not exact:
+        t = t + 0.05 * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
+    res = cpd_als(t, rank, AlsOptions(max_iters=300, tol=1e-12, seed=seed))
+    errs = res.rel_errors
+    assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
+    assert abs(res.rel_error - dense_rel_error(t, res.model)) <= 1e-12
 
 
 class TestIntensity:

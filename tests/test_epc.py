@@ -1,18 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import degenerate_pair, random_cp_tensor
+from conftest import degenerate_pair, random_cp_tensor, well_posed_cp_problems
 from convfactor import (
+    AlsOptions,
     CPModel,
     EpcOptions,
     InfeasibleBoundError,
+    balance_components,
+    cpd_als,
     epc_correct,
     factor_update_bounded,
     khatri_rao,
     sensitivity,
     spherical_qp,
+    unfold,
 )
+
+
+def reference_epc(tensor, model, delta, sweeps):
+    """EPC sweeps on materialized Khatri-Rao matrices through the public
+    ``spherical_qp(y, zt, delta)`` adapter (oracle for the Gram-form path)."""
+    m = balance_components(model)
+    a, b, c = m.A, m.B, m.C
+    i, j, k = tensor.shape
+    units = [unfold(tensor, mode) for mode in range(3)]
+
+    def update(y, f1, f2, dim1, dim2):
+        # weighted objective ||X diag(w)||^2 as a plain min-norm problem
+        w = np.sqrt(dim2 * np.sum(f1**2, axis=0) + dim1 * np.sum(f2**2, axis=0))
+        x, _ = spherical_qp(y, khatri_rao(f2, f1) / w, delta)
+        return x / w
+
+    for _ in range(sweeps):
+        a = update(units[0], b, c, j, k)
+        b = update(units[1], a, c, i, k)
+        c = update(units[2], a, b, i, j)
+        m = balance_components(CPModel(a, b, c))
+        a, b, c = m.A, m.B, m.C
+    return m
 
 
 def qp_instance(seed, shape_y=(6, 12), rank=4):
@@ -213,6 +242,61 @@ class TestEpcCorrect:
                 np.zeros((3, 3, 3)),
                 CPModel(np.zeros((4, 1)), np.zeros((3, 1)), np.zeros((3, 1))),
             )
+
+
+class TestGramPathMatchesAdapter:
+    @pytest.mark.parametrize("dims, rank, sweeps", [((4, 5, 6), 2, 1), ((9, 8, 7), 3, 4),
+                                                    ((1, 6, 5), 3, 2)])
+    def test_factor_updates(self, dims, rank, sweeps):
+        rng = np.random.default_rng(40 + rank)
+        t, _ = random_cp_tensor(rng, dims, rank)
+        t = t + 0.1 * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
+        model = cpd_als(t, rank, AlsOptions(max_iters=5)).model
+        delta = 1.2 * np.linalg.norm(t - model.to_tensor())
+        out, trace = epc_correct(t, model, EpcOptions(delta=delta, max_sweeps=sweeps,
+                                                      ss_tol=1e-300))
+        ref = reference_epc(t, model, delta, sweeps)
+        assert len(trace) == sweeps + 1
+        for got, want in ((out.A, ref.A), (out.B, ref.B), (out.C, ref.C)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        # the recorded errors are those of the models
+        assert trace[-1]["error"] == pytest.approx(
+            np.linalg.norm(t - out.to_tensor()), rel=1e-10)
+
+    @pytest.mark.parametrize("perturb", [1e-3, 1e-5])
+    def test_recorded_error_near_exact_fit(self, perturb):
+        # at these errors the Gram form has lost digits to cancellation;
+        # the recorded error must still be the model's own
+        rng = np.random.default_rng(43)
+        t, (a, b, c) = random_cp_tensor(rng, (4, 5, 6), 2)
+        model = CPModel(*(f * (1 + perturb * rng.standard_normal(f.shape))
+                          for f in (a, b, c)))
+        out, trace = epc_correct(t, model, EpcOptions(max_sweeps=1))
+        dense = np.linalg.norm(t - out.to_tensor())
+        assert trace[1]["error"] == pytest.approx(dense, rel=1e-10)
+        assert trace[1]["error"] <= trace[0]["error"] * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    problem=well_posed_cp_problems(),
+    noise=st.sampled_from([0.0, 1e-3, 0.1]),
+    loosen=st.floats(1.0, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_epc_bound_holds_every_sweep(problem, noise, loosen, seed):
+    # noise 0 and 1e-3 put the error where the Gram form cancels and the
+    # dense fallback must decide
+    dims, rank = problem
+    rng = np.random.default_rng(seed)
+    t, _ = random_cp_tensor(rng, dims, rank)
+    t = t + noise * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
+    model = cpd_als(t, rank, AlsOptions(max_iters=50, seed=seed)).model
+    err0 = np.linalg.norm(t - model.to_tensor())
+    delta = loosen * max(err0, 1e-6 * np.linalg.norm(t))
+    out, trace = epc_correct(t, model, EpcOptions(delta=delta, max_sweeps=30))
+    assert all(rec["error"] <= delta * (1 + 1e-9) for rec in trace)
+    assert np.linalg.norm(t - out.to_tensor()) <= delta * (1 + 1e-9)
 
 
 class TestEqIdentity:

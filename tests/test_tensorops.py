@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from convfactor import (
+    CPModel,
     fold,
     khatri_rao,
     mode_product,
@@ -11,6 +12,7 @@ from convfactor import (
     restore_kernel,
     unfold,
 )
+from convfactor.tensorops import Mttkrp, cp_residual_sq
 
 
 def cp_loop(a, b, c):
@@ -125,6 +127,72 @@ class TestReconstructCp:
     def test_rank_mismatch_error(self):
         with pytest.raises(ValueError):
             reconstruct_cp(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dims, rank", [((9, 128, 128), 32), ((1, 5, 7), 4),
+                                            ((3, 1, 2), 6)])
+    def test_gemm_matches_einsum(self, dims, rank):
+        rng = np.random.default_rng(sum(dims) + rank)
+        a, b, c = (rng.standard_normal((n, rank)) for n in dims)
+        w = rng.uniform(0.5, 2.0, rank)
+        ref = np.einsum("ir,jr,kr->ijk", a * w, b, c)
+        got = reconstruct_cp(a, b, c, weights=w)
+        assert got.shape == dims
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestMttkrp:
+    @pytest.mark.parametrize("dims, rank", [((9, 16, 12), 5), ((1, 4, 6), 3),
+                                            ((4, 1, 3), 7), ((3, 5, 1), 2)])
+    def test_matches_khatri_rao_products(self, dims, rank):
+        rng = np.random.default_rng(rank)
+        t = rng.standard_normal(dims)
+        a, b, c = (rng.standard_normal((n, rank)) for n in dims)
+        mt = Mttkrp(t)
+        w = mt.partial_c(c)
+        cases = [
+            (mt.mode0(w, b), unfold(t, 0) @ khatri_rao(c, b)),
+            (mt.mode1(w, a), unfold(t, 1) @ khatri_rao(c, a)),
+            (mt.mode2(a, b), unfold(t, 2) @ khatri_rao(b, a)),
+        ]
+        for got, ref in cases:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_tensor_views(self):
+        t = np.random.default_rng(0).standard_normal((2, 3, 4))
+        mt = Mttkrp(t)
+        assert np.shares_memory(mt.t_k, t)  # (I*J, K) is a view
+        assert mt.t_k[1 * 3 + 2, 3] == t[1, 2, 3]
+        assert mt.t_j[1 * 4 + 3, 2] == t[1, 2, 3]
+
+    def test_order_error(self):
+        with pytest.raises(ValueError):
+            Mttkrp(np.zeros((2, 2)))
+
+
+class TestCpResidualSq:
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_matches_dense_within_slack(self, scale):
+        # scale inflates two factors in opposite directions: large
+        # cancelling terms, the case the roundoff bound must cover
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal((4, 5, 6))
+        a, b, c = (rng.standard_normal((n, 3)) for n in t.shape)
+        a, b = a * scale, b / scale
+        m_c = Mttkrp(t).mode2(a, b)
+        e2, slack = cp_residual_sq(np.sum(t**2), m_c, c,
+                                   (a.T @ a, b.T @ b, c.T @ c))
+        dense = np.sum((t - reconstruct_cp(a, b, c)) ** 2)
+        assert abs(e2 - dense) <= slack
+        assert slack < 1e-12 * np.sum(t**2)
+
+    def test_exact_model_is_within_slack_of_zero(self):
+        rng = np.random.default_rng(4)
+        a, b, c = (rng.standard_normal((n, 2)) for n in (3, 4, 5))
+        t = CPModel(a, b, c).to_tensor()
+        e2, slack = cp_residual_sq(np.sum(t**2), Mttkrp(t).mode2(a, b), c,
+                                   (a.T @ a, b.T @ b, c.T @ c))
+        assert abs(e2) <= slack
 
 
 class TestModeProduct:
