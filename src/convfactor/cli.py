@@ -18,7 +18,7 @@ import numpy as np
 from . import fileio
 from .convblocks import ConvSpec, compose_forward, conv2d_reference, count_params_flops
 from .convblocks import block_to_kernel
-from .errors import InfeasibleBoundError, TensorFileError
+from .errors import TensorFileError
 from .pipeline import METHODS, decompose_to_block
 from .ranksearch import Evaluator, EvaluatorError, binary_search_rank
 from .tensorops import reshape_kernel
@@ -56,17 +56,10 @@ def cmd_decompose(args):
         kernel = _load_kernel(args.input)
     except TensorFileError as e:
         return _fail(EXIT_BADFILE, e)
-    d = kernel.shape[0]
-    if args.method == "svd" and d != 1:
-        return _fail(EXIT_INFEASIBLE, "svd requires 1x1 kernel")
-    if args.method == "tkd-cpd-epc" and args.delta is None and args.ranks is None:
-        return _fail(
-            EXIT_INFEASIBLE, "tkd-cpd-epc needs --delta or --ranks"
-        )
     spec = ConvSpec(
         in_channels=kernel.shape[2],
         out_channels=kernel.shape[3],
-        kernel_size=d,
+        kernel_size=kernel.shape[0],
         stride=args.stride,
         pad=args.pad,
     )
@@ -83,9 +76,7 @@ def cmd_decompose(args):
             delta_rel=args.delta,
             input_hw=args.hw,
         )
-    except InfeasibleBoundError as e:
-        return _fail(EXIT_INFEASIBLE, e)
-    except ValueError as e:
+    except ValueError as e:  # InfeasibleBoundError is one
         return _fail(EXIT_INFEASIBLE, e)
     path = fileio.write_block(args.out, block)
     print(f"wrote {path}")
@@ -144,7 +135,7 @@ def cmd_rank_search(args):
         if e.captured:
             print(f"captured output:\n{e.captured}", file=sys.stderr)
         return EXIT_EVALUATOR
-    except (InfeasibleBoundError, ValueError) as e:
+    except ValueError as e:  # InfeasibleBoundError is one
         return _fail(EXIT_INFEASIBLE, e)
     if args.json:
         print(
@@ -262,8 +253,7 @@ def build_parser():
 
     p = sub.add_parser("rank-search", help="find the smallest acceptable rank")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", required=True,
-                   choices=("cpd", "cpd-epc", "tkd-cpd-epc"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--eps", type=float, required=True,
                    help="score threshold the chosen rank must meet")
     p.add_argument("--evaluator", default=None,

@@ -68,7 +68,6 @@ class LayerDescriptor:
     stride: int = 1
     pad: int = 0
     bias: np.ndarray | None = None
-    kind: str = "conv2d"
 
     def __post_init__(self):
         if self.in_channels % self.groups or self.out_channels % self.groups:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import Mttkrp, cp_residual_sq, khatri_rao, reconstruct_cp, unfold
+from .tensorops import Mttkrp, cp_residual_sq, khatri_rao, reconstruct_cp
 
 __all__ = [
     "CPModel",
@@ -139,12 +139,17 @@ def _pinv_psd(g, rcond=1e-12):
     return (v * inv) @ v.T
 
 
-def _init_factors(shape, rank, init, rng, tensor):
+def _init_factors(shape, rank, init, rng, mt):
     if init == "random":
         return [rng.standard_normal((n, rank)) for n in shape]
+    i, j, k = shape
+    t_i = mt.t_k.reshape(i, j * k)
+    grams = (t_i @ t_i.T, mt.t_j.T @ mt.t_j, mt.t_k.T @ mt.t_k)
     factors = []
-    for mode, n in enumerate(shape):
-        u, _, _ = np.linalg.svd(unfold(tensor, mode), full_matrices=False)
+    for n, other, gram in zip(shape, (j * k, i * k, i * j), grams):
+        # leading left singular vectors of the unfolding, as the eigenvectors
+        # of its Gram: no unfolding copy and no SVD workspace
+        u = np.linalg.eigh(gram)[1][:, ::-1][:, : min(n, other)]
         if u.shape[1] >= rank:
             factors.append(np.ascontiguousarray(u[:, :rank]))
         else:
@@ -219,7 +224,7 @@ def cpd_als(tensor, rank, opts=None):
         init = opts.init
         if init == "mixed":
             init = "svd" if restart == 0 else "random"
-        a, b, c = _init_factors(shape, rank, init, rng, tensor)
+        a, b, c = _init_factors(shape, rank, init, rng, mt)
         gb, gc = b.T @ b, c.T @ c
         errors = []
         prev_err = np.inf

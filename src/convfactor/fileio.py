@@ -11,6 +11,7 @@ an atomic rename.
 """
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -62,18 +63,25 @@ def read_tensor(path):
             header_line = fh.readline()
             try:
                 header = json.loads(header_line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # bad JSON or bad UTF-8
                 raise TensorFileError(f"{path}: unparsable header: {e}") from None
             payload = fh.read()
     except OSError as e:
         raise TensorFileError(f"{path}: {e}") from None
+    if not isinstance(header, dict):
+        raise TensorFileError(f"{path}: header is not a JSON object")
     dtype = header.get("dtype")
     shape = header.get("shape")
-    if dtype not in _DTYPES or not isinstance(shape, list):
+    if (
+        not isinstance(dtype, str)
+        or dtype not in _DTYPES
+        or not isinstance(shape, list)
+        or not all(type(n) is int and n >= 0 for n in shape)
+    ):
         raise TensorFileError(f"{path}: invalid header {header}")
     if header.get("order", "C") != "C":
         raise TensorFileError(f"{path}: unsupported order {header.get('order')!r}")
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)
     itemsize = np.dtype(_DTYPES[dtype]).itemsize
     if len(payload) != count * itemsize:
         raise TensorFileError(
@@ -112,7 +120,6 @@ def write_block(directory, block, name="block.json"):
             write_tensor(os.path.join(directory, bname), layer.bias)
         layer_docs.append(
             {
-                "kind": layer.kind,
                 "in": layer.in_channels,
                 "out": layer.out_channels,
                 "kernel": list(layer.kernel),
@@ -174,7 +181,6 @@ def read_block(path):
                     stride=entry["stride"],
                     pad=entry["pad"],
                     bias=bias,
-                    kind=entry.get("kind", "conv2d"),
                 )
             )
         metrics = doc.get("metrics", {})

@@ -16,7 +16,14 @@ from .epc import EpcOptions, epc_correct
 from .errors import InfeasibleBoundError
 from .tucker2 import tucker2_bounded
 
-__all__ = ["HybridModel", "tkd_cpd_epc", "should_merge", "to_equivalent_cp"]
+__all__ = ["HybridModel", "als_options", "tkd_cpd_epc", "should_merge",
+           "to_equivalent_cp"]
+
+
+def als_options(seed=0):
+    """ALS settings of every fit: the hybrid core's default, each
+    ``decompose`` method and the rank-search score."""
+    return AlsOptions(max_iters=1000, tol=1e-12, restarts=3, init="mixed", seed=seed)
 
 
 @dataclass
@@ -112,7 +119,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, als_opts=None,
     norm_core = np.linalg.norm(core)
     r1, r2 = tkd.ranks
     if als_opts is None:
-        als_opts = AlsOptions(restarts=3, max_iters=1000, tol=1e-12, init="mixed")
+        als_opts = als_options()
     res = cpd_als(core, rank, als_opts)
     err_core = res.rel_error * norm_core
     slack = 1e-9 * max(norm_core, 1.0)

@@ -1,5 +1,8 @@
-"""Method dispatch shared by the CLI and the external rank-search hook:
-turn an order-3 kernel tensor into an emitted block plus a report.
+"""One fit path for every method, shared by ``decompose``, the rank-search
+score and the external rank-search hook.
+
+:func:`fit` decomposes an order-3 tensor; :func:`decompose_to_block` adds
+the emitted layer block and its metrics.
 """
 
 import numpy as np
@@ -10,12 +13,12 @@ from .convblocks import (
     emit_svd_block,
     emit_tkd_cpd_block,
 )
-from .cpd import AlsOptions, CPModel, cpd_als, intensity, sensitivity
+from .cpd import CPModel, cpd_als, intensity, sensitivity
 from .epc import EpcOptions, epc_correct
 from .fileio import Block
-from .hybrid import should_merge, tkd_cpd_epc, to_equivalent_cp
+from .hybrid import als_options, should_merge, tkd_cpd_epc, to_equivalent_cp
 
-__all__ = ["decompose_to_block", "METHODS"]
+__all__ = ["decompose_to_block", "fit", "METHODS"]
 
 METHODS = ("cpd", "cpd-epc", "tkd-cpd-epc", "svd")
 
@@ -32,15 +35,30 @@ def _metrics(layers, rel_error, model, input_hw):
     }
 
 
-def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5,
-                       delta_rel=None, input_hw=(56, 56), restarts=3):
-    """Decompose a (D^2, S, T) tensor and emit the matching layer block.
+def _rel_error(tensor, model, norm_t):
+    return float(np.linalg.norm(tensor - model.to_tensor()) / norm_t) if norm_t else 0.0
 
-    `delta_rel` is the error bound as a fraction of the tensor norm; when
-    omitted, EPC preserves the error the unconstrained fit achieved.
 
-    Returns (Block, report); the report carries before/after diagnostics
-    for the corrected methods.
+def _diagnostics(rel_error, model):
+    return {
+        "rel_error": rel_error,
+        "sensitivity": sensitivity(model),
+        "intensity": intensity(model),
+    }
+
+
+def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
+    """Decompose a (D^2, S, T) tensor with `method` at CP rank `rank`.
+
+    Every ALS fit runs with :func:`convfactor.hybrid.als_options` and
+    `seed`.  `delta_rel` is the error bound as a fraction of the tensor
+    norm; when omitted, EPC preserves the error the unconstrained fit
+    achieved.
+
+    Returns (model, report).  The model is a HybridModel for tkd-cpd-epc
+    and a CPModel otherwise (for svd, the truncated SVD of the 1x1
+    kernel's matrix).  The report carries the model's relative error as
+    "rel_error" and before/after diagnostics for the corrected methods.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if method not in METHODS:
@@ -50,83 +68,70 @@ def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5
     norm_t = np.linalg.norm(tensor)
     delta = None if delta_rel is None else float(delta_rel) * norm_t
     report = {"method": method, "rank": int(rank)}
-    als_opts = AlsOptions(max_iters=1000, tol=1e-12, restarts=restarts, seed=seed)
 
     if method == "svd":
-        if spec.kernel_size != 1 or tensor.shape[0] != 1:
+        if tensor.shape[0] != 1:
             raise ValueError("svd requires a 1x1 kernel")
-        matrix = tensor[0].T  # (T, S)
-        layers = emit_svd_block(matrix, rank, spec)
-        u, s_vals, vt = np.linalg.svd(matrix, full_matrices=False)
+        u, s_vals, vt = np.linalg.svd(tensor[0].T, full_matrices=False)
+        if rank > s_vals.size:
+            raise ValueError(f"rank must lie in [1, {s_vals.size}]")
         rel = float(np.sqrt(np.sum(s_vals[rank:] ** 2)) / norm_t) if norm_t else 0.0
-        view = CPModel(s_vals[None, :rank], vt[:rank].T, u[:, :rank])
-        block = Block("svd", spec, layers, _metrics(layers, rel, view, input_hw))
-        report["rel_error"] = rel
-        return block, report
+        model = CPModel(s_vals[None, :rank], vt[:rank].T, u[:, :rank])
 
-    if method == "cpd":
-        res = cpd_als(tensor, rank, als_opts)
-        model = res.model
-        rel = res.rel_error
-        layers = emit_cpd_block(model, spec)
-        block = Block("cpd", spec, layers, _metrics(layers, rel, model, input_hw))
-        report["rel_error"] = rel
-        return block, report
+    elif method == "cpd":
+        res = cpd_als(tensor, rank, als_options(seed))
+        model, rel = res.model, res.rel_error
 
-    if method == "cpd-epc":
-        res = cpd_als(tensor, rank, als_opts)
-        report["before"] = {
-            "rel_error": res.rel_error,
-            "sensitivity": sensitivity(res.model),
-            "intensity": intensity(res.model),
-        }
-        corrected, trace = epc_correct(tensor, res.model, EpcOptions(delta=delta))
-        rel = float(np.linalg.norm(tensor - corrected.to_tensor()) / norm_t) \
-            if norm_t else 0.0
-        report["after"] = {
-            "rel_error": rel,
-            "sensitivity": sensitivity(corrected),
-            "intensity": intensity(corrected),
-        }
+    elif method == "cpd-epc":
+        res = cpd_als(tensor, rank, als_options(seed))
+        report["before"] = _diagnostics(res.rel_error, res.model)
+        model, trace = epc_correct(tensor, res.model, EpcOptions(delta=delta))
+        rel = _rel_error(tensor, model, norm_t)
+        report["after"] = _diagnostics(rel, model)
         report["epc_sweeps"] = len(trace) - 1
-        layers = emit_cpd_block(corrected, spec)
-        block = Block("cpd", spec, layers, _metrics(layers, rel, corrected, input_hw))
-        report["rel_error"] = rel
-        return block, report
 
-    # tkd-cpd-epc
-    if delta is None and ranks is None:
-        raise ValueError(
-            "tkd-cpd-epc needs an error bound (--delta) or fixed ranks (--ranks)"
+    else:  # tkd-cpd-epc
+        if delta is None and ranks is None:
+            raise ValueError(
+                "tkd-cpd-epc needs an error bound (--delta) or fixed ranks (--ranks)"
+            )
+        model = tkd_cpd_epc(
+            tensor,
+            delta if delta is not None else norm_t,
+            rank,
+            theta=theta,
+            ranks=ranks,
+            als_opts=als_options(seed),
+            epc_opts=EpcOptions() if delta is None else None,
         )
-    epc_opts = EpcOptions() if delta is None else None
-    hybrid = tkd_cpd_epc(
-        tensor,
-        delta if delta is not None else norm_t,
-        rank,
-        theta=theta,
-        ranks=ranks,
-        als_opts=als_opts,
-        epc_opts=epc_opts,
-    )
-    rel = float(np.linalg.norm(tensor - hybrid.to_tensor()) / norm_t) if norm_t else 0.0
-    report["ranks"] = hybrid.ranks
+        rel = _rel_error(tensor, model, norm_t)
+        report["ranks"] = model.ranks
+        report["merged"] = should_merge(model.ranks)
+        report["after"] = _diagnostics(rel, model.core_cp)
+
     report["rel_error"] = rel
-    merged = should_merge(hybrid.ranks)
-    report["merged"] = merged
-    if merged:
-        model = to_equivalent_cp(hybrid)
-        layers = emit_cpd_block(model, spec)
-        block = Block("cpd", spec, layers, _metrics(layers, rel, model, input_hw))
-    else:
+    return model, report
+
+
+def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5,
+                       delta_rel=None, input_hw=(56, 56)):
+    """Decompose a (D^2, S, T) tensor (see :func:`fit`) and emit the
+    matching layer block.
+
+    Returns (Block, report).
+    """
+    model, report = fit(tensor, method, rank, seed=seed, ranks=ranks, theta=theta,
+                        delta_rel=delta_rel)
+    if method == "tkd-cpd-epc":
+        hybrid, model = model, to_equivalent_cp(model)
+    if method == "svd":
+        kind = "svd"
+        layers = emit_svd_block(np.asarray(tensor, dtype=np.float64)[0].T, rank, spec)
+    elif method == "tkd-cpd-epc" and not report["merged"]:
+        kind = "tkd-cpd"
         layers = emit_tkd_cpd_block(hybrid, spec)
-        view = to_equivalent_cp(hybrid)
-        block = Block(
-            "tkd-cpd", spec, layers, _metrics(layers, rel, view, input_hw)
-        )
-    report["after"] = {
-        "rel_error": rel,
-        "sensitivity": sensitivity(hybrid.core_cp),
-        "intensity": intensity(hybrid.core_cp),
-    }
-    return block, report
+    else:
+        kind = "cpd"
+        layers = emit_cpd_block(model, spec)
+    metrics = _metrics(layers, report["rel_error"], model, input_hw)
+    return Block(kind, spec, layers, metrics), report

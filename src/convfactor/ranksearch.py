@@ -1,8 +1,8 @@
 """Binary search for the smallest rank meeting a quality threshold.
 
 The quality score of a candidate rank comes from an evaluator: either the
-built-in approximation-error proxy (relative Frobenius reconstruction
-error of the chosen decomposition, deterministic for a fixed seed) or an
+built-in approximation-error proxy (the relative Frobenius error that
+``decompose`` delivers at that rank, deterministic for a fixed seed) or an
 external command that receives an emitted block descriptor and the
 original kernel file and prints a score.  Scores are assumed
 non-increasing in rank; with a non-monotone evaluator the search still
@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpd import AlsOptions, cpd_als
-from .epc import EpcOptions, epc_correct
-from .hybrid import tkd_cpd_epc
+from . import fileio
+# not used here: the benchmark's span tracer (benchmarks/tracing.py) wraps these names
+from .cpd import cpd_als  # noqa: F401
+from .epc import epc_correct  # noqa: F401
+from .pipeline import decompose_to_block, fit
 
 __all__ = [
     "Evaluator",
@@ -28,8 +30,6 @@ __all__ = [
     "binary_search_rank",
     "approx_error_proxy",
 ]
-
-METHODS = ("cpd", "cpd-epc", "tkd-cpd-epc")
 
 
 class EvaluatorError(RuntimeError):
@@ -74,46 +74,30 @@ class RankSearchResult:
         return iter((self.rank, self.score))
 
 
+def _search_ranks(tensor, method, ranks):
+    """The hybrid's multilinear ranks, held fixed so that the CP rank is the
+    only variable: ``ranks`` if given, else the full (S, T)."""
+    if method == "tkd-cpd-epc" and ranks is None:
+        return tuple(np.shape(tensor)[1:])
+    return ranks
+
+
 def approx_error_proxy(tensor, method, rank, seed=0, ranks=None, theta=0.5):
-    """Relative reconstruction error of `method` at `rank` (fixed seed).
+    """Relative error ``decompose`` delivers for `method` at `rank` (fixed seed).
 
-    A desk-scale stand-in for a task-level quality drop.  For the hybrid
-    method the multilinear ranks are fixed (``ranks``, defaulting to the
-    full (S, T)) so that the CP rank is the only variable.
+    A desk-scale stand-in for a task-level quality drop: the error of
+    :func:`convfactor.pipeline.fit` with the same seed and options, EPC
+    error-preserving.  For the hybrid method the multilinear ranks are
+    fixed (``ranks``, defaulting to the full (S, T)).
     """
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    norm_t = np.linalg.norm(tensor)
-    if norm_t == 0:
-        return 0.0
-    opts = AlsOptions(max_iters=1000, tol=1e-12, restarts=3, seed=seed, init="mixed")
-
-    if method == "cpd":
-        return cpd_als(tensor, rank, opts).rel_error
-    if method == "cpd-epc":
-        model, _ = cpd_als(tensor, rank, opts)
-        corrected, _ = epc_correct(tensor, model, EpcOptions())
-        return float(np.linalg.norm(tensor - corrected.to_tensor()) / norm_t)
-    if ranks is None:
-        ranks = (tensor.shape[1], tensor.shape[2])
-    # EpcOptions() (delta=None) makes the core correction error-preserving,
-    # so the proxy reports the error the fit achieved rather than a budget
-    hybrid = tkd_cpd_epc(
-        tensor, norm_t, rank, theta=theta, ranks=ranks, als_opts=opts,
-        epc_opts=EpcOptions(),
-    )
-    return float(np.linalg.norm(tensor - hybrid.to_tensor()) / norm_t)
+    _, report = fit(tensor, method, rank, seed=seed,
+                    ranks=_search_ranks(tensor, method, ranks), theta=theta)
+    return report["rel_error"]
 
 
 def _external_score(command, rank, tensor, method, seed, ranks, theta, kernel_path,
                     conv_spec):
     """Emit a block for `rank` into a scratch dir and run the command."""
-    from . import fileio
-    from .pipeline import decompose_to_block
-
     workdir = tempfile.mkdtemp(prefix="convfactor-ranksearch-")
     try:
         block, _ = decompose_to_block(
@@ -156,6 +140,7 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max, seed=0, ranks=No
         raise ValueError(
             "external-command evaluation needs kernel_path and conv_spec"
         )
+    ranks = _search_ranks(tensor, method, ranks)
 
     scores = {}
 

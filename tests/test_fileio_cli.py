@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,28 @@ class TestTensorFile:
         with pytest.raises(TensorFileError):
             read_tensor(tmp_path / "absent.kten")
 
+    @pytest.mark.parametrize(
+        "header, payload",
+        [
+            (b"[1, 2]", b""),  # not a JSON object
+            (b'{"dtype": "f64", "shape": [-1, 0]}', b""),
+            (b'{"dtype": "f64", "shape": [1.5, 2]}', bytes(16)),
+            (b'{"dtype": ["f64"], "shape": [1]}', bytes(8)),
+            (b"\xff\xfe{}", b""),
+        ],
+    )
+    def test_malformed_header_exits_2(self, tmp_path, capsys, header, payload):
+        path = tmp_path / "t.kten"
+        path.write_bytes(b"KTEN1\n" + header + b"\n" + payload)
+        with pytest.raises(TensorFileError):
+            read_tensor(path)
+        code = main([
+            "decompose", "--input", str(path), "--method", "cpd",
+            "--rank", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestBlockFile:
     def make_block(self, rng):
@@ -119,6 +142,20 @@ class TestBlockFile:
         (tmp_path / "blk" / "layer_01.kten").unlink()
         with pytest.raises(TensorFileError):
             read_block(path)
+
+    def test_layer_kind_key_ignored(self, tmp_path):
+        # files written before layers lost their "kind" field still load
+        rng = np.random.default_rng(6)
+        block = self.make_block(rng)
+        path = write_block(tmp_path / "blk", block)
+        doc = json.loads(path.read_text())
+        assert all("kind" not in layer for layer in doc["layers"])
+        for layer in doc["layers"]:
+            layer["kind"] = "conv2d"
+        path.write_text(json.dumps(doc))
+        back = read_block(path)
+        for l1, l2 in zip(block.layers, back.layers):
+            assert np.array_equal(l1.weights, l2.weights)
 
     def test_broken_chain_detected(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -310,3 +347,31 @@ class TestCliRankSearch:
             "--eps", "1e-8", "--rmax", "4", "--evaluator", "false",
         ])
         assert code == 3
+
+    def test_external_evaluator_tkd_without_ranks(self, tmp_path, capsys):
+        # the multilinear ranks default to (S, T) for both evaluators
+        rng = np.random.default_rng(20)
+        kpath = make_kernel_file(tmp_path, rng, dims=(9, 6, 6), rank=2)
+        script = tmp_path / "score.py"
+        script.write_text(
+            "import json, sys\n"
+            "print(json.load(open(sys.argv[1]))['metrics']['rel_error'])\n"
+        )
+        code = main([
+            "rank-search", "--input", str(kpath), "--method", "tkd-cpd-epc",
+            "--eps", "1e-6", "--rmax", "4", "--json",
+            "--evaluator", f"{sys.executable} {script}",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rank"] == 2 and doc["met"] is True
+
+    def test_svd_searchable_on_1x1(self, tmp_path, capsys):
+        rng = np.random.default_rng(21)
+        kpath = make_kernel_file(tmp_path, rng, dims=(1, 6, 7), rank=3)
+        code = main([
+            "rank-search", "--input", str(kpath), "--method", "svd",
+            "--eps", "1e-10", "--json",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 3

@@ -7,7 +7,8 @@ import pytest
 import convfactor.ranksearch as rs
 from conftest import random_cp_tensor
 from convfactor import ConvSpec, Evaluator, EvaluatorError, approx_error_proxy
-from convfactor import binary_search_rank, restore_kernel, write_tensor
+from convfactor import binary_search_rank, decompose_to_block, restore_kernel
+from convfactor import write_tensor
 
 
 def patch_scores(monkeypatch, fn):
@@ -110,6 +111,28 @@ class TestApproxErrorProxy:
         rng = np.random.default_rng(4)
         t, _ = random_cp_tensor(rng, (5, 5, 5), 2)
         assert approx_error_proxy(t, method, 3) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "method, d, ranks",
+        [
+            ("cpd", 3, None),
+            ("cpd-epc", 3, None),
+            ("tkd-cpd-epc", 3, (6, 6)),
+            ("svd", 1, None),
+        ],
+    )
+    def test_score_is_the_delivered_error(self, method, d, ranks):
+        # rank 3 plus 2% noise, fitted at rank 6: there the mixed and the
+        # random ALS init reach different errors
+        rng = np.random.default_rng(0)
+        t, _ = random_cp_tensor(rng, (d * d, 8, 8), 3)
+        bump = rng.standard_normal(t.shape)
+        t += 0.02 * np.linalg.norm(t) * bump / np.linalg.norm(bump)
+        score = approx_error_proxy(t, method, 6, seed=3, ranks=ranks)
+        block, _ = decompose_to_block(
+            t, method, 6, ConvSpec(8, 8, d), seed=3, ranks=ranks
+        )
+        assert score == block.metrics["rel_error"]
 
 
 class TestExternalEvaluator:
