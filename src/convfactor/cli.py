@@ -43,11 +43,13 @@ def _parse_pair(text, what):
 
 
 def _load_kernel(path):
-    kernel = fileio.read_tensor(path).astype(np.float64)
+    kernel = fileio.read_tensor(path).astype(np.float64, copy=False)
     if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
         raise TensorFileError(
             f"{path}: expected a D x D x S x T kernel, got shape {kernel.shape}"
         )
+    if not np.isfinite(kernel).all():
+        raise TensorFileError(f"{path}: kernel contains non-finite values")
     return kernel
 
 

@@ -106,24 +106,17 @@ def _out_hw(h, w, kh, kw, stride, pad):
     return ho, wo
 
 
-def _conv_hwc(x, kernel, stride, pad):
-    """Direct convolution; x is (H, W, S), kernel is (kh, kw, S, T)."""
-    h, w, s = x.shape
-    kh, kw, ks, t = kernel.shape
-    if ks != s:
-        raise ValueError(f"kernel expects {ks} input channels, got {s}")
-    ho, wo = _out_hw(h, w, kh, kw, stride, pad)
+def _tap_windows(x, kh, kw, stride, pad):
+    """``((i, j), window)`` per kernel tap: the strided (H', W', C) window
+    of the zero-padded (H, W, C) input that tap (i, j) multiplies."""
+    ho, wo = _out_hw(x.shape[0], x.shape[1], kh, kw, stride, pad)
     xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    out = np.zeros((ho, wo, t))
-    for i in range(kh):
-        for j in range(kw):
-            window = xp[
-                i : i + stride * (ho - 1) + 1 : stride,
-                j : j + stride * (wo - 1) + 1 : stride,
-                :,
-            ]
-            out += window @ kernel[i, j]
-    return out
+    return [
+        ((i, j), xp[i : i + stride * (ho - 1) + 1 : stride,
+                    j : j + stride * (wo - 1) + 1 : stride])
+        for i in range(kh)
+        for j in range(kw)
+    ]
 
 
 def conv2d_reference(x, spec, kernel):
@@ -146,29 +139,36 @@ def conv2d_reference(x, spec, kernel):
         raise ValueError("input-channel mismatch between x, kernel and spec")
     if kernel.shape[3] != spec.out_channels:
         raise ValueError("output-channel mismatch between kernel and spec")
-    out = _conv_hwc(x, kernel, spec.stride, spec.pad)
+    out = 0.0
+    for tap, window in _tap_windows(x, d, d, spec.stride, spec.pad):
+        out += window @ kernel[tap]
     if spec.bias is not None:
         out = out + spec.bias
     return out
 
 
 def layer_forward(x, layer):
-    """Apply one :class:`LayerDescriptor` to an (H, W, C) input."""
+    """Apply one :class:`LayerDescriptor` to an (H, W, C) input.
+
+    Each tap is one batched GEMM over the groups: the (groups, H'W',
+    C/groups) window times the (groups, C/groups, out/groups) weights.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[2] != layer.in_channels:
         raise ValueError(
             f"layer expects {layer.in_channels} channels, got {x.shape[2]}"
         )
     g = layer.groups
-    ing = layer.in_channels // g
-    outg = layer.out_channels // g
-    pieces = []
-    for gi in range(g):
-        xg = x[:, :, gi * ing : (gi + 1) * ing]
-        wg = layer.weights[gi * outg : (gi + 1) * outg]  # (outg, ing, kh, kw)
-        kern = np.transpose(wg, (2, 3, 1, 0))            # (kh, kw, ing, outg)
-        pieces.append(_conv_hwc(xg, kern, layer.stride, layer.pad))
-    out = pieces[0] if g == 1 else np.concatenate(pieces, axis=2)
+    # (out, in/g, kh, kw) -> (kh, kw, g, in/g, out/g)
+    taps = np.transpose(
+        layer.weights.reshape(g, -1, *layer.weights.shape[1:]), (3, 4, 0, 2, 1)
+    )
+    windows = _tap_windows(x, *layer.kernel, layer.stride, layer.pad)
+    ho, wo, _ = windows[0][1].shape
+    out = 0.0
+    for tap, window in windows:
+        out += window.reshape(ho * wo, g, -1).transpose(1, 0, 2) @ taps[tap]
+    out = out.transpose(1, 0, 2).reshape(ho, wo, layer.out_channels)
     if layer.bias is not None:
         out = out + layer.bias
     return out

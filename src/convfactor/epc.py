@@ -21,6 +21,8 @@ from .tensorops import Mttkrp, cp_residual_sq, khatri_rao
 # about 5e-11 relative of the dense one and can be checked against delta.
 _ERROR_RTOL = 1e-10
 _SECULAR_ROUNDOFF = 16 * np.finfo(np.float64).eps
+_QP_TOL = 1e-10  # relative tolerance of the secular root and feasibility tests
+_QP_MAX_ITERS = 200  # Newton/bisection steps of the secular root-find
 
 __all__ = [
     "EpcOptions",
@@ -44,19 +46,18 @@ class EpcOptions:
     delta: float | None = None
     max_sweeps: int = 100
     ss_tol: float = 1e-6
-    qp_tol: float = 1e-10
     unweighted_diag: bool = False
 
     def __post_init__(self):
         if self.delta is not None and self.delta < 0:
             raise ValueError("delta must be >= 0")
-        if self.ss_tol <= 0 or self.qp_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.ss_tol <= 0:
+            raise ValueError("ss_tol must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 
 
-def spherical_qp(y, zt, delta, qp_tol=1e-10, max_iters=200):
+def spherical_qp(y, zt, delta):
     """Minimum-norm matrix regression with a residual-ball constraint.
 
     Solves ``min ||X||_F^2  s.t.  ||Y - X Zt'||_F^2 <= delta^2``.
@@ -80,16 +81,14 @@ def spherical_qp(y, zt, delta, qp_tol=1e-10, max_iters=200):
     InfeasibleBoundError
         If even the unconstrained least-squares residual exceeds delta^2.
     RuntimeError
-        If the scalar root-find does not converge within `max_iters`.
+        If the scalar root-find does not converge within 200 steps.
     """
     y = np.asarray(y, dtype=np.float64)
     zt = np.asarray(zt, dtype=np.float64)
-    return _secular_solve(
-        y @ zt, zt.T @ zt, float(np.sum(y**2)), delta, qp_tol, max_iters
-    )
+    return _secular_solve(y @ zt, zt.T @ zt, float(np.sum(y**2)), delta)
 
 
-def _secular_solve(yz, gram, norm_y2, delta, qp_tol=1e-10, max_iters=200):
+def _secular_solve(yz, gram, norm_y2, delta):
     """Core of :func:`spherical_qp` on ``Y Zt``, ``Zt'Zt`` and ``||Y||^2``.
 
     Costs one ``R x R`` eigendecomposition and ``O(n R^2)`` for an
@@ -114,7 +113,7 @@ def _secular_solve(yz, gram, norm_y2, delta, qp_tol=1e-10, max_iters=200):
     r_min = norm_y2 - float(np.sum(s[live] / lam[live])) if np.any(live) else norm_y2
     r_min = max(r_min, 0.0)
     scale = max(norm_y2, 1.0)
-    if r_min > delta2 + qp_tol * scale:
+    if r_min > delta2 + _QP_TOL * scale:
         raise InfeasibleBoundError(
             f"least-squares residual {r_min:.6g} exceeds bound {delta2:.6g}",
             min_residual=r_min,
@@ -137,7 +136,7 @@ def _secular_solve(yz, gram, norm_y2, delta, qp_tol=1e-10, max_iters=200):
         coef = np.where(live, mu / (1.0 + mu * lam), 0.0)
         return (p * coef) @ q.T
 
-    if delta2 <= r_min + qp_tol * scale:
+    if delta2 <= r_min + _QP_TOL * scale:
         # active bound sits at the exact-fit limit: min-norm LS solution
         coef = np.zeros_like(lam)
         coef[live] = 1.0 / lam[live]
@@ -150,7 +149,7 @@ def _secular_solve(yz, gram, norm_y2, delta, qp_tol=1e-10, max_iters=200):
     # exact-fit test above keeps target > r_min.
     roundoff = _SECULAR_ROUNDOFF * norm_y2
     target = delta2 - roundoff
-    f_tol = qp_tol * max(delta2, qp_tol) + 0.5 * roundoff
+    f_tol = _QP_TOL * max(delta2, _QP_TOL) + 0.5 * roundoff
 
     # bracket [lo, hi] with residual(lo) > target > residual(hi)
     lo = 0.0
@@ -166,7 +165,7 @@ def _secular_solve(yz, gram, norm_y2, delta, qp_tol=1e-10, max_iters=200):
         )
 
     mu = lo
-    for _ in range(max_iters):
+    for _ in range(_QP_MAX_ITERS):
         f = residual(mu) - target
         if abs(f) <= f_tol:
             return x_of(mu), mu
@@ -185,7 +184,7 @@ def _secular_solve(yz, gram, norm_y2, delta, qp_tol=1e-10, max_iters=200):
     )
 
 
-def factor_update_bounded(k1, z, w, delta, qp_tol=1e-10):
+def factor_update_bounded(k1, z, w, delta):
     """One bound-constrained factor update.
 
     Solves ``min ||A diag(w)||_F^2  s.t.  ||K1 - A Z'||_F^2 <= delta^2``
@@ -203,13 +202,13 @@ def factor_update_bounded(k1, z, w, delta, qp_tol=1e-10):
         raise ValueError("weights must be strictly positive")
     k1 = np.asarray(k1, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    return _weighted_update(k1 @ z, z.T @ z, float(np.sum(k1**2)), w, delta, qp_tol)
+    return _weighted_update(k1 @ z, z.T @ z, float(np.sum(k1**2)), w, delta)
 
 
-def _weighted_update(yz, gram, norm_y2, w, delta, qp_tol):
+def _weighted_update(yz, gram, norm_y2, w, delta):
     """``A`` minimizing ``||A diag(w)||`` within the residual ball, from
     ``K1 Z``, ``Z'Z`` and ``||K1||^2``."""
-    at, _ = _secular_solve(yz / w, gram / np.outer(w, w), norm_y2, delta, qp_tol)
+    at, _ = _secular_solve(yz / w, gram / np.outer(w, w), norm_y2, delta)
     return at / w
 
 
@@ -276,7 +275,7 @@ def epc_correct(tensor, model, opts=None):
         live = w2 > 1e-300
         new = np.zeros(mttkrp.shape)
         if not np.any(live):
-            if norm_t > delta + opts.qp_tol * max(norm_t, 1.0):
+            if norm_t > delta + _QP_TOL * max(norm_t, 1.0):
                 raise InfeasibleBoundError(
                     f"all components vanished while updating {name} and the "
                     f"remaining residual exceeds the bound",
@@ -288,7 +287,7 @@ def epc_correct(tensor, model, opts=None):
         try:
             new[:, live] = _weighted_update(
                 mttkrp[:, live], (g1 * g2)[np.ix_(live, live)], norm_t2,
-                np.sqrt(w2[live]), delta, opts.qp_tol,
+                np.sqrt(w2[live]), delta,
             )
         except InfeasibleBoundError as e:
             e.factor = name

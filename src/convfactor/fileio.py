@@ -65,7 +65,7 @@ def read_tensor(path):
                 header = json.loads(header_line)
             except ValueError as e:  # bad JSON or bad UTF-8
                 raise TensorFileError(f"{path}: unparsable header: {e}") from None
-            payload = fh.read()
+            payload = np.fromfile(fh, dtype=np.uint8)
     except OSError as e:
         raise TensorFileError(f"{path}: {e}") from None
     if not isinstance(header, dict):
@@ -83,13 +83,12 @@ def read_tensor(path):
         raise TensorFileError(f"{path}: unsupported order {header.get('order')!r}")
     count = math.prod(shape)
     itemsize = np.dtype(_DTYPES[dtype]).itemsize
-    if len(payload) != count * itemsize:
+    if payload.size != count * itemsize:
         raise TensorFileError(
-            f"{path}: payload is {len(payload)} bytes, expected {count * itemsize}"
+            f"{path}: payload is {payload.size} bytes, expected {count * itemsize}"
         )
-    data = np.frombuffer(payload, dtype=_DTYPES[dtype]).astype(
-        _DTYPES[dtype][1:], copy=True
-    )
+    # read straight into an array: no bytes object, and no copy in native order
+    data = payload.view(_DTYPES[dtype]).astype(_DTYPES[dtype][1:], copy=False)
     return data.reshape(shape)
 
 

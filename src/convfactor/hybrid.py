@@ -105,7 +105,12 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, als_opts=None,
 
     delta_tkd = np.sqrt(theta) * delta_total
     tkd = tucker2_bounded(tensor, delta_tkd, ranks=ranks)
-    err_tkd2 = max(float(np.sum(tensor**2) - np.sum(tkd.G**2)), 0.0)
+    if min(tkd.ranks) == 0:
+        # an empty core (vacuous bound, zero tensor) has no CP: keep one per mode
+        tkd = tucker2_bounded(tensor, delta_tkd, ranks=(1, 1))
+    core = tkd.G
+    norm_core = np.linalg.norm(core)
+    err_tkd2 = max(float(norm_t**2 - norm_core**2), 0.0)
     if err_tkd2 > delta_total**2 * (1 + 1e-9) + 1e-12 * norm_t**2:
         raise InfeasibleBoundError(
             "the Tucker stage alone already exceeds the total budget; "
@@ -115,8 +120,6 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, als_opts=None,
         )
     delta_core = float(np.sqrt(max(delta_total**2 - err_tkd2, 0.0)))
 
-    core = tkd.G
-    norm_core = np.linalg.norm(core)
     r1, r2 = tkd.ranks
     if als_opts is None:
         als_opts = als_options()

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-6
+_TIE_TOL = 1e-12  # relative gap under which eigenvalues tie with the cut
 
 
 @dataclass
@@ -70,38 +71,39 @@ def _check_orthonormal(m, name):
     return m
 
 
+def _projected_gram(tensor, basis, mode):
+    """Gram matrix of the unfolding along the other mode (2 or 1) after
+    projecting `mode` on `basis`: one batched GEMM for the projection and
+    one for the Gram, symmetrized as (Q + Q') / 2."""
+    tensor = np.asarray(tensor, dtype=np.float64)
+    basis = np.asarray(basis, dtype=np.float64)
+    if tensor.ndim != 3:
+        raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
+    if basis.ndim != 2 or basis.shape[0] != tensor.shape[mode]:
+        raise ValueError(
+            f"{'UV'[mode - 1]} shape {basis.shape} does not match mode-{mode} "
+            f"extent {tensor.shape[mode]}"
+        )
+    if mode == 2:
+        tensor = np.swapaxes(tensor, 1, 2)
+    proj = np.matmul(basis.T, tensor).reshape(-1, tensor.shape[2])
+    q = proj.T @ proj
+    return (q + q.T) / 2
+
+
 def build_q1(tensor, v):
     """S x S Gram matrix of the mode-1 slices after projecting mode 2 on V.
 
     ``Q1[i, j] = sum_r <K(:, i, :) v_r, K(:, j, :) v_r>``; with a full
-    orthonormal V, ``tr(Q1) = ||t||_F^2``.  Symmetrized as (Q + Q') / 2.
-    """
-    tensor = np.asarray(tensor, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
-    if v.ndim != 2 or v.shape[0] != tensor.shape[2]:
-        raise ValueError(
-            f"V shape {v.shape} does not match mode-2 extent {tensor.shape[2]}"
-        )
-    proj = np.einsum("dst,tr->dsr", tensor, v)
-    q = np.einsum("dsr,dzr->sz", proj, proj)
-    return (q + q.T) / 2
+    orthonormal V, ``tr(Q1) = ||t||_F^2``.  It is :func:`build_q2` with
+    the last two modes swapped."""
+    return _projected_gram(tensor, v, 2)
 
 
 def build_q2(tensor, u):
-    """T x T analogue of :func:`build_q1` with the roles of U and V swapped."""
-    tensor = np.asarray(tensor, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
-    if u.ndim != 2 or u.shape[0] != tensor.shape[1]:
-        raise ValueError(
-            f"U shape {u.shape} does not match mode-1 extent {tensor.shape[1]}"
-        )
-    proj = np.einsum("dst,sr->drt", tensor, u)
-    q = np.einsum("drt,drz->tz", proj, proj)
-    return (q + q.T) / 2
+    """T x T Gram matrix of the mode-2 slices after projecting mode 1 on U:
+    ``P' P`` with ``P`` the ``(D2 R1) x T`` stack of the slices ``U' K(d)``."""
+    return _projected_gram(tensor, u, 1)
 
 
 def _eigh_desc(q):
@@ -109,35 +111,41 @@ def _eigh_desc(q):
     return w[::-1], vecs[:, ::-1]
 
 
-def minimal_rank_eigvecs(q, energy_bound, tie_tol=0.0):
+def _leading_eigvecs(q, energy_bound, rank=None):
+    """Leading eigenvectors of the symmetric `q` and the sum of their
+    eigenvalues (clipped at 0): `rank` of them, or the fewest whose sum
+    reaches `energy_bound` plus any tied with the last one kept."""
+    w, vecs = _eigh_desc(q)
+    w = np.maximum(w, 0.0)
+    if rank is None:
+        total = float(np.sum(w))
+        slack = 1e-12 * max(total, 1.0)
+        if energy_bound > total * (1 + 1e-10) + slack:
+            raise InfeasibleBoundError(
+                f"energy bound {energy_bound:.6g} exceeds tr(Q) = {total:.6g}",
+                min_residual=total,
+                bound=float(energy_bound),
+            )
+        rank = 0
+        if energy_bound > 0:
+            rank = min(int(np.searchsorted(np.cumsum(w), energy_bound - slack) + 1),
+                       len(w))
+            lam_cut = w[rank - 1]
+            while rank < len(w) and w[rank] >= lam_cut * (1 - _TIE_TOL) and w[rank] > 0:
+                rank += 1
+    return np.ascontiguousarray(vecs[:, :rank]), float(np.sum(w[:rank]))
+
+
+def minimal_rank_eigvecs(q, energy_bound):
     """Fewest principal eigenvectors of a PSD matrix holding an energy bound.
 
     Returns ``(basis, rank)`` where rank is the smallest R with
     ``sum of top-R eigenvalues >= energy_bound``; R = 0 when the bound is
-    <= 0.  With ``tie_tol > 0``, eigenvalues tied with the cut (relative
-    gap below tie_tol) are kept as a cluster to avoid basis ambiguity.
+    <= 0.  Eigenvalues tied with the cut (relative gap below 1e-12) are
+    kept as a cluster, so no basis of a tied eigenspace is split.
     """
-    q = np.asarray(q, dtype=np.float64)
-    w, vecs = _eigh_desc(q)
-    w = np.maximum(w, 0.0)
-    total = float(np.sum(w))
-    slack = 1e-12 * max(total, 1.0)
-    if energy_bound > total * (1 + 1e-10) + slack:
-        raise InfeasibleBoundError(
-            f"energy bound {energy_bound:.6g} exceeds tr(Q) = {total:.6g}",
-            min_residual=total,
-            bound=float(energy_bound),
-        )
-    if energy_bound <= 0:
-        return np.zeros((q.shape[0], 0)), 0
-    csum = np.cumsum(w)
-    rank = int(np.searchsorted(csum, energy_bound - slack) + 1)
-    rank = min(rank, len(w))
-    if tie_tol > 0:
-        lam_cut = w[rank - 1]
-        while rank < len(w) and w[rank] >= lam_cut * (1 - tie_tol) and w[rank] > 0:
-            rank += 1
-    return np.ascontiguousarray(vecs[:, :rank]), rank
+    basis, _ = _leading_eigvecs(np.asarray(q, dtype=np.float64), energy_bound)
+    return basis, basis.shape[1]
 
 
 def core_closed_form(tensor, u, v):
@@ -154,67 +162,52 @@ def core_closed_form(tensor, u, v):
     return mode_product(mode_product(tensor, u.T, 1), v.T, 2)
 
 
-def tucker2_bounded(tensor, delta, ranks=None, max_alternations=2, tie_tol=1e-12):
+def tucker2_bounded(tensor, delta, ranks=None, max_alternations=2):
     """Smallest Tucker-2 model meeting a Frobenius error bound.
 
-    Alternates a U-step and a V-step; each step keeps the minimal number
-    of principal eigenvectors of the projected Gram matrix whose energy
-    reaches ``||t||^2 - delta^2``, so the reconstruction error stays within
-    `delta` after every step.  The first U-step uses the identity-complete
-    V.  With ``ranks=(R1, R2)`` the ranks are fixed instead and each step
-    keeps exactly the top eigenvectors (plain orthogonal iteration).
+    Alternates a U-step and a V-step (HOOI).  Each step takes one
+    eigendecomposition of the projected Gram matrix and keeps its leading
+    eigenvectors: the fewest whose energy reaches ``||t||^2 - delta^2``
+    (plus ties with the last kept one), so the reconstruction error stays
+    within `delta` after every step, or with ``ranks=(R1, R2)`` exactly R1
+    or R2 of them.  Both modes start with a U-step from V = I.
 
     Returns a :class:`Tucker2Model`; ``model.history`` holds per-step
-    records ``{"step", "ranks", "energy", "sq_error"}``.
+    records ``{"step", "ranks", "energy", "sq_error"}``, where energy is
+    the sum of the kept eigenvalues.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    d2, s, t = tensor.shape
-    norm2 = float(np.sum(tensor**2))
+    _, s, t = tensor.shape
+    norm2 = float(np.linalg.norm(tensor)) ** 2
     bound = norm2 - delta**2
 
-    fixed = ranks is not None
-    if fixed:
-        r1_fix, r2_fix = int(ranks[0]), int(ranks[1])
-        if not (0 < r1_fix <= s and 0 < r2_fix <= t):
-            raise ValueError(f"fixed ranks {ranks} out of range for shape {tensor.shape}")
+    fixed = None if ranks is None else {"U": int(ranks[0]), "V": int(ranks[1])}
+    if fixed and not (0 < fixed["U"] <= s and 0 < fixed["V"] <= t):
+        raise ValueError(f"fixed ranks {ranks} out of range for shape {tensor.shape}")
 
     history = []
 
-    def step(q, r_fix, label, other_rank):
-        if fixed:
-            w, vecs = _eigh_desc(q)
-            basis = np.ascontiguousarray(vecs[:, :r_fix])
-            energy = float(np.sum(np.maximum(w[:r_fix], 0.0)))
-        else:
-            basis, _ = minimal_rank_eigvecs(q, bound, tie_tol=tie_tol)
-            energy = float(np.trace(basis.T @ q @ basis))
-        history.append(
-            {
-                "step": label,
-                "ranks": (basis.shape[1], other_rank)
-                if label == "U"
-                else (other_rank, basis.shape[1]),
-                "energy": energy,
-                "sq_error": max(norm2 - energy, 0.0),
-            }
-        )
+    def step(q, label, other_rank):
+        rank = None if fixed is None else fixed[label]
+        basis, energy = _leading_eigvecs(q, bound, rank)
+        rank = basis.shape[1]
+        history.append({
+            "step": label,
+            "ranks": (rank, other_rank) if label == "U" else (other_rank, rank),
+            "energy": energy,
+            "sq_error": max(norm2 - energy, 0.0),
+        })
         return basis
 
-    if fixed:
-        v = step(build_q2(tensor, np.eye(s)), r2_fix, "V", s)
-    else:
-        v = np.eye(t)  # identity-complete start for the first U-step
-    u = None
-
+    v = np.eye(t)
     for _ in range(max_alternations):
-        prev = (u.shape[1] if u is not None else None, v.shape[1])
-        u = step(build_q1(tensor, v), r1_fix if fixed else None, "U", v.shape[1])
-        v = step(build_q2(tensor, u), r2_fix if fixed else None, "V", u.shape[1])
-        if prev == (u.shape[1], v.shape[1]) and len(history) >= 4:
+        u = step(build_q1(tensor, v), "U", v.shape[1])
+        v = step(build_q2(tensor, u), "V", u.shape[1])
+        if len(history) > 2 and history[-3]["ranks"] == history[-1]["ranks"]:
             if abs(history[-1]["energy"] - history[-3]["energy"]) <= 1e-12 * max(
                 norm2, 1.0
             ):

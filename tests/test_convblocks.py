@@ -5,6 +5,7 @@ from convfactor import (
     ConvSpec,
     CPModel,
     HybridModel,
+    LayerDescriptor,
     block_to_kernel,
     compose_forward,
     conv2d_reference,
@@ -12,6 +13,7 @@ from convfactor import (
     emit_cpd_block,
     emit_svd_block,
     emit_tkd_cpd_block,
+    layer_forward,
     normalize,
     restore_kernel,
 )
@@ -46,6 +48,33 @@ def random_model(rng, d, s, t, r, normalized=False):
         rng.standard_normal((t, r)),
     )
     return normalize(m) if normalized else m
+
+
+class TestLayerForward:
+    @pytest.mark.parametrize(
+        "cin,cout,groups,stride,pad",
+        [(6, 9, 1, 1, 1), (6, 9, 3, 1, 1), (6, 6, 6, 2, 1), (4, 8, 2, 3, 2)],
+    )
+    def test_grouped_against_block_diagonal_reference(
+        self, cin, cout, groups, stride, pad
+    ):
+        # a grouped layer is the dense conv with a block-diagonal kernel
+        rng = np.random.default_rng(30)
+        ing, outg = cin // groups, cout // groups
+        layer = LayerDescriptor(
+            cin, cout, (3, 3), rng.standard_normal((cout, ing, 3, 3)),
+            groups=groups, stride=stride, pad=pad, bias=rng.standard_normal(cout),
+        )
+        dense = np.zeros((3, 3, cin, cout))
+        for g in range(groups):
+            block = layer.weights[g * outg : (g + 1) * outg]  # (outg, ing, 3, 3)
+            dense[:, :, g * ing : (g + 1) * ing, g * outg : (g + 1) * outg] = (
+                np.transpose(block, (2, 3, 1, 0))
+            )
+        spec = ConvSpec(cin, cout, 3, stride=stride, pad=pad, bias=layer.bias)
+        x = rng.standard_normal((7, 8, cin))
+        ref = conv2d_reference(x, spec, dense)
+        assert np.max(np.abs(layer_forward(x, layer) - ref)) < 1e-12
 
 
 class TestConv2dReference:

@@ -375,3 +375,57 @@ class TestCliRankSearch:
         ])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["rank"] == 3
+
+
+class TestDegenerateKernels:
+    def decompose_and_verify(self, tmp_path, capsys, kernel, delta, extra=()):
+        kpath = tmp_path / "k.kten"
+        write_tensor(kpath, kernel)
+        out = tmp_path / "blk"
+        assert main([
+            "decompose", "--input", str(kpath), "--method", "tkd-cpd-epc",
+            "--rank", "3", "--delta", str(delta), "--out", str(out), *extra,
+        ]) == 0
+        assert read_block(out / "block.json").metrics["rel_error"] <= delta
+        capsys.readouterr()
+        assert main([
+            "verify", "--block", str(out / "block.json"), "--input", str(kpath),
+            "--trials", "2",
+        ]) == 0
+        assert "verify: OK" in capsys.readouterr().out
+
+    def test_zero_kernel_tkd(self, tmp_path, capsys):
+        # the Tucker bound is vacuous on a zero kernel; the core keeps one
+        # component per mode and gets the zero model
+        self.decompose_and_verify(tmp_path, capsys, np.zeros((3, 3, 5, 6)), 0.1)
+
+    def test_whole_budget_to_tucker_stage(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        kernel = rng.standard_normal((3, 3, 5, 6))
+        self.decompose_and_verify(
+            tmp_path, capsys, kernel, 1.0, extra=("--theta", "1")
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["decompose", "rank-search", "verify"])
+    def test_non_finite_kernel_exits_2(self, tmp_path, capsys, command, bad):
+        rng = np.random.default_rng(23)
+        good = make_kernel_file(tmp_path, rng, name="good.kten")
+        kernel = read_tensor(good)
+        kernel[1, 2, 0, 3] = bad
+        kpath = tmp_path / "bad.kten"
+        write_tensor(kpath, kernel)
+        if command == "decompose":
+            args = ["--method", "tkd-cpd-epc", "--rank", "2", "--delta", "0.1",
+                    "--out", str(tmp_path / "o")]
+        elif command == "rank-search":
+            args = ["--method", "cpd", "--eps", "0.1", "--rmax", "4"]
+        else:
+            out = tmp_path / "blk"
+            assert main([
+                "decompose", "--input", str(good), "--method", "cpd",
+                "--rank", "3", "--out", str(out),
+            ]) == 0
+            args = ["--block", str(out / "block.json")]
+        assert main([command, "--input", str(kpath), *args]) == 2
+        assert "non-finite" in capsys.readouterr().err

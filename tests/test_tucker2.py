@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tucker2_tensor
 from convfactor import (
@@ -10,6 +12,7 @@ from convfactor import (
     minimal_rank_eigvecs,
     mode_product,
     tucker2_bounded,
+    unfold,
 )
 
 
@@ -89,6 +92,35 @@ class TestGramMatrices:
             build_q2(np.zeros((4, 3, 5)), np.zeros((5, 2)))
 
 
+def orthonormal_basis(rng, n, kind):
+    """n x k orthonormal basis with k = 0, 1 or n columns."""
+    k = {"empty": 0, "one": 1, "full": n}[kind]
+    return np.linalg.qr(rng.standard_normal((n, k)))[0] if k else np.zeros((n, 0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)).filter(
+        lambda d: d[1] != d[2]
+    ),
+    kind=st.sampled_from(["empty", "one", "full"]),
+    seed=st.integers(0, 2**16),
+)
+def test_grams_equal_projected_unfolding_grams(dims, kind, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(dims)
+    v = orthonormal_basis(rng, dims[2], kind)
+    u = orthonormal_basis(rng, dims[1], kind)
+    for got, proj, mode in (
+        (build_q1(t, v), mode_product(t, v.T, 2), 1),
+        (build_q2(t, u), mode_product(t, u.T, 1), 2),
+    ):
+        m = unfold(proj, mode)
+        ref = m @ m.T
+        assert got.shape == ref.shape == (dims[mode],) * 2
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestMinimalRankEigvecs:
     def test_forced_arithmetic(self):
         q = np.diag([5.0, 3.0, 2.0])
@@ -114,6 +146,12 @@ class TestMinimalRankEigvecs:
     def test_infeasible(self):
         with pytest.raises(InfeasibleBoundError):
             minimal_rank_eigvecs(np.diag([1.0, 1.0]), 2.5)
+
+    def test_tie_with_cut_is_kept(self):
+        # two eigenvalues reach the bound, but the second is tied with the third
+        basis, rank = minimal_rank_eigvecs(np.diag([3.0, 2.0, 2.0, 1.0]), 4.0)
+        assert rank == 3
+        assert basis.shape == (4, 3)
 
     def test_orthonormal_output(self):
         rng = np.random.default_rng(7)
@@ -228,6 +266,19 @@ class TestTucker2Bounded:
         model = tucker2_bounded(t, 0.0, ranks=(3, 2))
         assert model.ranks == (3, 2)
         assert np.linalg.norm(t - model.to_tensor()) <= 1e-10 * np.linalg.norm(t)
+
+    def test_fixed_partial_ranks_pythagorean(self):
+        rng = np.random.default_rng(18)
+        clean, _ = random_tucker2_tensor(rng, (9, 8, 7), (3, 2))
+        noise = rng.standard_normal(clean.shape)
+        t = clean + 0.1 * np.linalg.norm(clean) * noise / np.linalg.norm(noise)
+        model = tucker2_bounded(t, 0.0, ranks=(2, 2))
+        assert model.ranks == (2, 2)
+        assert [rec["step"] for rec in model.history] == ["U", "V", "U", "V"]
+        sq_error = np.sum((t - model.to_tensor()) ** 2)
+        expect = np.sum(t**2) - np.sum(model.G**2)
+        assert sq_error == pytest.approx(expect, rel=1e-10)
+        assert model.history[-1]["sq_error"] == pytest.approx(expect, rel=1e-10)
 
     def test_param_count_matches_objective(self):
         rng = np.random.default_rng(17)
