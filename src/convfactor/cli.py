@@ -4,9 +4,9 @@ Subcommands: ``decompose`` (factorize a kernel file into a block
 directory), ``rank-search`` (binary search for the smallest acceptable
 rank) and ``verify`` (check a block against its source kernel).
 
-Exit codes: 0 success, 1 infeasible bound or invalid method/shape
-combination, 2 malformed or inconsistent input files, 3 external
-evaluator contract violations.
+Exit codes: 0 success, 1 infeasible bound, invalid argument value or
+invalid method/shape combination, 2 malformed or inconsistent input
+files, 3 external evaluator contract violations.
 """
 
 import argparse
@@ -58,15 +58,15 @@ def cmd_decompose(args):
         kernel = _load_kernel(args.input)
     except TensorFileError as e:
         return _fail(EXIT_BADFILE, e)
-    spec = ConvSpec(
-        in_channels=kernel.shape[2],
-        out_channels=kernel.shape[3],
-        kernel_size=kernel.shape[0],
-        stride=args.stride,
-        pad=args.pad,
-    )
     tensor = reshape_kernel(kernel)
     try:
+        spec = ConvSpec(
+            in_channels=kernel.shape[2],
+            out_channels=kernel.shape[3],
+            kernel_size=kernel.shape[0],
+            stride=args.stride,
+            pad=args.pad,
+        )
         block, report = decompose_to_block(
             tensor,
             args.method,
@@ -114,12 +114,12 @@ def cmd_rank_search(args):
     r_min = args.rmin
     r_max = args.rmax if args.rmax is not None else min(d2 * s, d2 * t, s * t)
     kind = "external-command" if args.evaluator else "approx-error"
-    evaluator = Evaluator(kind=kind, eps=args.eps, command=args.evaluator)
-    spec = ConvSpec(
-        in_channels=s, out_channels=t, kernel_size=kernel.shape[0],
-        stride=args.stride, pad=args.pad,
-    )
     try:
+        evaluator = Evaluator(kind=kind, eps=args.eps, command=args.evaluator)
+        spec = ConvSpec(
+            in_channels=s, out_channels=t, kernel_size=kernel.shape[0],
+            stride=args.stride, pad=args.pad,
+        )
         result = binary_search_rank(
             tensor,
             args.method,
@@ -209,15 +209,18 @@ def cmd_verify(args):
         pad=spec.pad,
         bias=bias,
     )
-    rng = np.random.default_rng(args.seed)
     h, w = args.hw
     max_dev = 0.0
-    for _ in range(args.trials):
-        x = rng.standard_normal((h, w, spec.in_channels))
-        ref = conv2d_reference(x, ref_spec, equivalent)
-        got = compose_forward(block.layers, x)
-        dev = float(np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(x)))
-        max_dev = max(max_dev, dev)
+    try:  # a negative --seed, or an --hw the kernel does not fit
+        rng = np.random.default_rng(args.seed)
+        for _ in range(args.trials):
+            x = rng.standard_normal((h, w, spec.in_channels))
+            ref = conv2d_reference(x, ref_spec, equivalent)
+            got = compose_forward(block.layers, x)
+            dev = float(np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(x)))
+            max_dev = max(max_dev, dev)
+    except ValueError as e:
+        return _fail(EXIT_INFEASIBLE, e)
     print(f"trials: {args.trials}, max forward deviation: {max_dev:.6e}")
     if args.trials and max_dev > 1e-8:
         failures.append(f"forward deviation {max_dev:.3e} exceeds 1e-8")

@@ -15,7 +15,7 @@ and is the ground-truth oracle for the closed-form ``sensitivity``.
 
 from dataclasses import dataclass, field
 
-import numpy as np
+import numpy as np  # numpy only: importing scipy.linalg adds ~0.4 s to CLI start-up
 
 from .tensorops import Mttkrp, cp_residual_sq, khatri_rao, reconstruct_cp
 
@@ -131,12 +131,37 @@ class AlsResult:
         return iter((self.model, self.rel_error))
 
 
+# Largest tr(g) tr(g^-1) (an upper bound on cond(g)) for which _solve_psd
+# uses the inverse; beyond it the eigh pseudo-inverse decides the null space.
+_COND_MAX = 1e10
+
+
 def _pinv_psd(g, rcond=1e-12):
     """Pseudo-inverse of a symmetric PSD matrix via eigendecomposition."""
     w, v = np.linalg.eigh((g + g.T) / 2)
     cutoff = rcond * max(w[-1], 0.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (v * inv) @ v.T
+
+
+def _solve_psd(m, g):
+    """``m @ g^-1`` for a symmetric PSD ``g``: the ALS normal-equation solve.
+
+    A Cholesky factorization certifies that ``g`` is positive definite;
+    the product then uses ``inv(g)`` in one GEMM.  If either factorization
+    fails or ``tr(g) tr(g^-1)`` exceeds ``_COND_MAX``, the result is
+    ``m @ _pinv_psd(g)``, so singular and near-singular systems (dead or
+    duplicated components, rank above an extent) keep the eigh solve.
+    """
+    try:
+        np.linalg.cholesky(g)
+        inv = np.linalg.inv(g)  # LU can still meet an exact zero pivot
+    except np.linalg.LinAlgError:
+        return m @ _pinv_psd(g)
+    # traces as Python floats: an overflow gives inf or nan, never a warning
+    if not sum(g.diagonal().tolist()) * sum(inv.diagonal().tolist()) <= _COND_MAX:
+        return m @ _pinv_psd(g)
+    return m @ inv
 
 
 def _init_factors(shape, rank, init, rng, mt):
@@ -169,8 +194,12 @@ def cpd_als(tensor, rank, opts=None):
     I x J x K tensor a sweep costs two ``O(I J K R)`` GEMMs (see
     :class:`~convfactor.tensorops.Mttkrp`; the contraction with C is
     shared by the A and B updates) plus ``O((I+J+K) R^2 + R^3)`` for the
-    Grams and pseudo-inverses.  No ``(J*K) x R`` or ``(I*K) x R``
-    Khatri-Rao matrix is built.
+    Grams and the three normal-equation solves.  Each solve is a
+    Cholesky-certified inverse (:func:`_solve_psd`: one ``cholesky``, one
+    ``inv``, one GEMM); it falls back to the ``eigh`` pseudo-inverse when
+    the Cholesky or the inverse fails or ``tr(G) tr(G^-1)`` exceeds
+    ``_COND_MAX = 1e10``.  No ``(J*K) x R`` or ``(I*K) x R`` Khatri-Rao
+    matrix is built.
 
     The per-sweep error comes from the Gram form of
     :func:`~convfactor.tensorops.cp_residual_sq`.  Once a sweep's change
@@ -234,12 +263,12 @@ def cpd_als(tensor, rank, opts=None):
         for sweep in range(opts.max_iters):
             prev = (a, b, c)
             w = mt.partial_c(c)
-            a = mt.mode0(w, b) @ _pinv_psd(gb * gc)
+            a = _solve_psd(mt.mode0(w, b), gb * gc)
             ga = a.T @ a
-            b = mt.mode1(w, a) @ _pinv_psd(ga * gc)
+            b = _solve_psd(mt.mode1(w, a), ga * gc)
             gb = b.T @ b
             m_c = mt.mode2(a, b)
-            c = m_c @ _pinv_psd(ga * gb)
+            c = _solve_psd(m_c, ga * gb)
             gc = c.T @ c
             if dense:
                 err = dense_error(a, b, c)

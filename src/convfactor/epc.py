@@ -49,7 +49,7 @@ class EpcOptions:
     unweighted_diag: bool = False
 
     def __post_init__(self):
-        if self.delta is not None and self.delta < 0:
+        if self.delta is not None and not self.delta >= 0:  # rejects NaN
             raise ValueError("delta must be >= 0")
         if self.ss_tol <= 0:
             raise ValueError("ss_tol must be positive")

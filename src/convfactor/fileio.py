@@ -63,7 +63,7 @@ def read_tensor(path):
             header_line = fh.readline()
             try:
                 header = json.loads(header_line)
-            except ValueError as e:  # bad JSON or bad UTF-8
+            except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
                 raise TensorFileError(f"{path}: unparsable header: {e}") from None
             payload = np.fromfile(fh, dtype=np.uint8)
     except OSError as e:
@@ -89,7 +89,10 @@ def read_tensor(path):
         )
     # read straight into an array: no bytes object, and no copy in native order
     data = payload.view(_DTYPES[dtype]).astype(_DTYPES[dtype][1:], copy=False)
-    return data.reshape(shape)
+    try:
+        return data.reshape(shape)
+    except ValueError as e:  # more dimensions or a larger extent than numpy allows
+        raise TensorFileError(f"{path}: unsupported shape: {e}") from None
 
 
 @dataclass

@@ -56,7 +56,7 @@ class Evaluator:
     def __post_init__(self):
         if self.kind not in ("approx-error", "external-command"):
             raise ValueError(f"unknown evaluator kind {self.kind!r}")
-        if self.eps <= 0:
+        if not self.eps > 0:  # rejects NaN
             raise ValueError("eps must be positive")
         if self.kind == "external-command" and not self.command:
             raise ValueError("external-command evaluator needs a command")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from convfactor import (
     sensitivity,
     unfold,
 )
+from convfactor.cpd import _pinv_psd, _solve_psd
 
 
 def reference_als(tensor, a, b, c, sweeps, tol=0.0):
@@ -189,6 +192,82 @@ def test_als_trace_non_increasing(problem, exact, seed):
     errs = res.rel_errors
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
     assert abs(res.rel_error - dense_rel_error(t, res.model)) <= 1e-12
+
+
+def hadamard_gram(*factors):
+    g = np.ones((factors[0].shape[1],) * 2)
+    for f in factors:
+        g = g * (f.T @ f)
+    return g
+
+
+def dead_component(rng):
+    b, c = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
+    b[:, 2] = 0.0
+    return hadamard_gram(b, c)
+
+
+def duplicated_component(rng):
+    b, c = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
+    b[:, 3], c[:, 3] = b[:, 1], c[:, 1]
+    return hadamard_gram(b, c)
+
+
+def rank_above_extents(rng):
+    # factors 2x5 and 2x5: the 4x5 Khatri-Rao product has rank <= 4
+    return hadamard_gram(rng.standard_normal((2, 5)), rng.standard_normal((2, 5)))
+
+
+def cond_1e13(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    g = (q * np.logspace(0, -13, 6)) @ q.T
+    return (g + g.T) / 2
+
+
+class TestSolvePsd:
+    """``_solve_psd`` against the eigh pseudo-inverse it replaces."""
+
+    @staticmethod
+    def solve_counting_fallbacks(monkeypatch, m, g):
+        calls = []
+
+        def pinv(g_):
+            calls.append(1)
+            return _pinv_psd(g_)
+
+        monkeypatch.setattr("convfactor.cpd._pinv_psd", pinv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _solve_psd(m, g), len(calls)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rank, extents", [
+        (1, (1, 3)), (2, (2, 9)), (5, (5, 12)), (16, (16, 20)), (32, (32, 39)),
+        # rank above both extents, yet the Gram of the 6x5 Khatri-Rao
+        # product of generic factors is definite
+        (5, (2, 3)),
+    ])
+    def test_matches_pinv_on_definite_grams(self, monkeypatch, seed, rank, extents):
+        # both solves are accurate to about cond(g) eps, far below the
+        # tolerance for these Grams
+        rng = np.random.default_rng((seed, rank, *extents))
+        g = hadamard_gram(*(rng.standard_normal((n, rank)) for n in extents))
+        m = rng.standard_normal((7, rank))
+        got, fallbacks = self.solve_counting_fallbacks(monkeypatch, m, g)
+        want = m @ _pinv_psd(g)
+        assert fallbacks == 0
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("make_gram", [
+        dead_component, duplicated_component, rank_above_extents, cond_1e13,
+    ], ids=lambda f: f.__name__)
+    def test_singular_and_near_singular_fall_back(self, monkeypatch, make_gram):
+        rng = np.random.default_rng(41)
+        g = make_gram(rng)
+        m = rng.standard_normal((3, g.shape[0]))
+        got, fallbacks = self.solve_counting_fallbacks(monkeypatch, m, g)
+        assert fallbacks == 1
+        assert np.array_equal(got, m @ _pinv_psd(g))
 
 
 class TestIntensity:

@@ -243,6 +243,11 @@ class TestEpcCorrect:
                 CPModel(np.zeros((4, 1)), np.zeros((3, 1)), np.zeros((3, 1))),
             )
 
+    @pytest.mark.parametrize("delta", [-1.0, np.nan])
+    def test_invalid_delta_rejected(self, delta):
+        with pytest.raises(ValueError):
+            EpcOptions(delta=delta)
+
 
 class TestGramPathMatchesAdapter:
     @pytest.mark.parametrize("dims, rank, sweeps", [((4, 5, 6), 2, 1), ((9, 8, 7), 3, 4),

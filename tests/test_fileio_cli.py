@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import degenerate_pair, random_cp_tensor
 from convfactor import (
@@ -19,6 +24,16 @@ from convfactor import (
     write_tensor,
 )
 from convfactor.cli import main
+from convfactor.fileio import MAGIC
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def make_kernel_file(tmp_path, rng, dims=(9, 5, 6), rank=3, name="k.kten"):
@@ -94,6 +109,89 @@ class TestTensorFile:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, payload",
+        [
+            # numpy rejects these shapes only when the array is built
+            (b'{"dtype": "f64", "shape": [0, 9223372036854775808]}', b""),
+            (b'{"dtype": "f64", "shape": [' + b", ".join([b"1"] * 65) + b"]}",
+             bytes(8)),
+            # nested past the JSON decoder's recursion limit
+            (b"[" * 100_000, b""),
+        ],
+        ids=["extent-2**63", "65-dims", "deep-nesting"],
+    )
+    def test_unsupported_shape_or_nesting_exits_2(self, tmp_path, capsys, header,
+                                                  payload):
+        path = tmp_path / "t.kten"
+        path.write_bytes(MAGIC + header + b"\n" + payload)
+        with pytest.raises(TensorFileError):
+            read_tensor(path)
+        code = main([
+            "decompose", "--input", str(path), "--method", "cpd",
+            "--rank", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_extents = st.sampled_from([0, 1, 2, 2**63]) | st.integers(-(2**70), 2**70)
+_headers = st.fixed_dictionaries({
+    "dtype": st.sampled_from(["f32", "f64"]) | _json_values,
+    "shape": st.lists(_extents, max_size=6)
+    | st.lists(st.sampled_from([0, 1]), min_size=65, max_size=70)  # numpy allows 64
+    | _json_values,
+}, optional={"order": st.sampled_from(["C", "F"]) | _json_values}) | _json_values
+
+
+def _claimed_payload(header):
+    """Zero bytes of the size the header claims, when that is small."""
+    if not isinstance(header, dict):
+        return b""
+    itemsize = 4 if header.get("dtype") == "f32" else 8
+    shape = header.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int for n in shape):
+        return b""
+    size = itemsize * int(np.prod([abs(n) for n in shape], dtype=object))
+    return bytes(size) if size <= 4096 else b""
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=_headers, payload=st.none() | st.binary(max_size=64),
+       mutation=st.none() | st.tuples(
+           st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)),
+                    max_size=4),
+           st.none() | st.integers(0, 200)))
+def test_fuzzed_kten_raises_only_tensor_file_error(tmp_path, header, payload,
+                                                    mutation):
+    # payload None: the size the header claims; a mutation flips bytes
+    # anywhere in the file and may truncate it
+    if payload is None:
+        payload = _claimed_payload(header)
+    data = bytearray(MAGIC + json.dumps(header).encode() + b"\n" + payload)
+    if mutation is not None:
+        flips, cut = mutation
+        for pos, byte in flips:
+            if pos < len(data):
+                data[pos] = byte
+        if cut is not None:
+            del data[cut:]
+    path = tmp_path / "fuzz.kten"
+    path.write_bytes(bytes(data))
+    try:
+        arr = read_tensor(path)
+    except TensorFileError:
+        return
+    assert isinstance(arr, np.ndarray)
 
 
 class TestBlockFile:
@@ -429,3 +527,51 @@ class TestDegenerateKernels:
             args = ["--block", str(out / "block.json")]
         assert main([command, "--input", str(kpath), *args]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestCliArgumentValues:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("args")
+        kpath = make_kernel_file(tmp, np.random.default_rng(24))
+        assert main([
+            "decompose", "--input", str(kpath), "--method", "cpd", "--rank", "2",
+            "--out", str(tmp / "blk"),
+        ]) == 0
+        return tmp, kpath, tmp / "blk" / "block.json"
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--method", "cpd", "--rank", "2", "--stride", "0"],
+        ["decompose", "--method", "cpd", "--rank", "2", "--pad", "-1"],
+        ["decompose", "--method", "cpd-epc", "--rank", "2", "--delta", "nan"],
+        ["rank-search", "--method", "cpd", "--eps", "0"],
+        ["rank-search", "--method", "cpd", "--eps", "nan"],
+        ["rank-search", "--method", "cpd", "--eps", "0.1", "--stride", "0"],
+        ["verify", "--hw", "0,0"],
+        ["verify", "--seed", "-1"],
+    ], ids=" ".join)
+    def test_exits_1_without_traceback(self, files, argv):
+        tmp, kpath, block = files
+        extra = {"decompose": ["--out", str(tmp / "o")],
+                 "rank-search": ["--rmax", "3"],
+                 "verify": ["--block", str(block)]}[argv[0]]
+        proc = subprocess.run(
+            [sys.executable, "-m", "convfactor.cli", *argv, "--input", str(kpath),
+             *extra],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.linalg would add about 0.4 s to every CLI start
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, convfactor.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -76,6 +76,12 @@ class TestBinarySearch:
             binary_search_rank(None, "cpd", Evaluator(), 5, 4)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
+def test_evaluator_rejects_non_positive_eps(eps):
+    with pytest.raises(ValueError):
+        Evaluator(eps=eps)
+
+
 class TestApproxErrorProxy:
     def test_exact_rank_reaches_zero(self):
         rng = np.random.default_rng(1)
