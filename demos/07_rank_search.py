@@ -1,9 +1,9 @@
 """Binary search for the smallest acceptable decomposition rank.
 
-The evaluator scores each candidate rank (here: the deterministic
-approximation-error proxy) and the search bisects for the smallest rank
-whose score is within the threshold, using a logarithmic number of
-evaluations.
+The evaluator scores each candidate rank (here, with no command given:
+the deterministic approximation-error proxy) and the search bisects for
+the smallest rank whose score is within the threshold, using a
+logarithmic number of evaluations.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ tensor = reconstruct_cp(
     rng.standard_normal((12, TRUE_RANK)),
 )
 
-evaluator = Evaluator(kind="approx-error", eps=1e-8)
+evaluator = Evaluator(eps=1e-8)
 result = binary_search_rank(tensor, "cpd", evaluator, 1, 16)
 
 print(f"true rank {TRUE_RANK}, search over [1, 16] with eps = {evaluator.eps}")

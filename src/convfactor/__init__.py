@@ -4,59 +4,32 @@ Decompose a conv kernel with CPD, repair degenerate (diverging-component)
 solutions by minimizing sensitivity under an error bound, compress with
 bound-constrained Tucker-2 or the hybrid Tucker+CP pipeline, and emit
 equivalent chains of small convolution layers.
+
+The package namespace holds the names the demos and the README use; the
+rest (file I/O, error types, solver internals) lives in the submodules.
 """
 
 from .convblocks import (
     ConvSpec,
-    LayerDescriptor,
     compose_forward,
     conv2d_reference,
     count_params_flops,
     emit_cpd_block,
     emit_svd_block,
     emit_tkd_cpd_block,
-    block_to_kernel,
-    layer_forward,
 )
 from .cpd import (
     AlsOptions,
-    AlsResult,
     CPModel,
-    balance_components,
     cpd_als,
     intensity,
     monte_carlo_sensitivity,
-    normalize,
     sensitivity,
 )
-from .epc import EpcOptions, epc_correct, factor_update_bounded, spherical_qp
-from .errors import InfeasibleBoundError, TensorFileError
-from .fileio import Block, read_block, read_tensor, write_block, write_tensor
-from .hybrid import HybridModel, should_merge, tkd_cpd_epc, to_equivalent_cp
-from .pipeline import decompose_to_block
-from .ranksearch import (
-    Evaluator,
-    EvaluatorError,
-    RankSearchResult,
-    approx_error_proxy,
-    binary_search_rank,
-)
-from .tensorops import (
-    fold,
-    khatri_rao,
-    mode_product,
-    reconstruct_cp,
-    reshape_kernel,
-    restore_kernel,
-    unfold,
-)
-from .tucker2 import (
-    Tucker2Model,
-    build_q1,
-    build_q2,
-    core_closed_form,
-    minimal_rank_eigvecs,
-    tucker2_bounded,
-)
+from .epc import EpcOptions, epc_correct
+from .hybrid import should_merge, tkd_cpd_epc, to_equivalent_cp
+from .ranksearch import Evaluator, binary_search_rank
+from .tensorops import mode_product, reconstruct_cp, reshape_kernel, restore_kernel
+from .tucker2 import build_q1, build_q2, core_closed_form, tucker2_bounded
 
 __version__ = "0.1.0"

@@ -113,9 +113,8 @@ def cmd_rank_search(args):
     d2, s, t = tensor.shape
     r_min = args.rmin
     r_max = args.rmax if args.rmax is not None else min(d2 * s, d2 * t, s * t)
-    kind = "external-command" if args.evaluator else "approx-error"
     try:
-        evaluator = Evaluator(kind=kind, eps=args.eps, command=args.evaluator)
+        evaluator = Evaluator(eps=args.eps, command=args.evaluator)
         spec = ConvSpec(
             in_channels=s, out_channels=t, kernel_size=kernel.shape[0],
             stride=args.stride, pad=args.pad,
@@ -211,7 +210,9 @@ def cmd_verify(args):
     )
     h, w = args.hw
     max_dev = 0.0
-    try:  # a negative --seed, or an --hw the kernel does not fit
+    try:  # a negative --seed or --trials, or an --hw the kernel does not fit
+        if args.trials < 0:
+            raise ValueError("trials must be >= 0")
         rng = np.random.default_rng(args.seed)
         for _ in range(args.trials):
             x = rng.standard_normal((h, w, spec.in_channels))

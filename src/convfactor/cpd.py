@@ -89,10 +89,10 @@ class CPModel:
 class AlsOptions:
     """Knobs for :func:`cpd_als`.
 
-    init: "random" (seeded Gaussian), "svd" (leading singular vectors of
-    each unfolding), or "mixed" (svd for the first restart, random for the
-    rest; avoids the slow-convergence swamps of over-parameterized fits
-    without losing restart diversity).
+    init: "random" (seeded Gaussian) or "mixed" (the leading singular
+    vectors of each unfolding for the first restart, random for the rest;
+    avoids the slow-convergence swamps of over-parameterized fits without
+    losing restart diversity).
     """
 
     max_iters: int = 1000
@@ -108,7 +108,7 @@ class AlsOptions:
             raise ValueError("tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.init not in ("random", "svd", "mixed"):
+        if self.init not in ("random", "mixed"):
             raise ValueError(f"unknown init {self.init!r}")
 
 
@@ -164,8 +164,8 @@ def _solve_psd(m, g):
     return m @ inv
 
 
-def _init_factors(shape, rank, init, rng, mt):
-    if init == "random":
+def _init_factors(shape, rank, svd, rng, mt):
+    if not svd:
         return [rng.standard_normal((n, rank)) for n in shape]
     i, j, k = shape
     t_i = mt.t_k.reshape(i, j * k)
@@ -189,7 +189,7 @@ def cpd_als(tensor, rank, opts=None):
 
     Each sweep solves the exact least-squares update for A, B, C in turn,
     ``A <- M_A pinv(B'B * C'C)`` and cyclic analogues, where ``M_A`` is
-    the MTTKRP ``unfold(T, 0) @ khatri_rao(C, B)`` and ``*`` the Hadamard
+    the MTTKRP ``T_(0) @ khatri_rao(C, B)`` and ``*`` the Hadamard
     product, so the relative error is non-increasing per sweep.  For an
     I x J x K tensor a sweep costs two ``O(I J K R)`` GEMMs (see
     :class:`~convfactor.tensorops.Mttkrp`; the contraction with C is
@@ -250,10 +250,8 @@ def cpd_als(tensor, rank, opts=None):
     best = None
     for restart in range(opts.restarts):
         rng = np.random.default_rng((opts.seed, restart))
-        init = opts.init
-        if init == "mixed":
-            init = "svd" if restart == 0 else "random"
-        a, b, c = _init_factors(shape, rank, init, rng, mt)
+        svd = opts.init == "mixed" and restart == 0
+        a, b, c = _init_factors(shape, rank, svd, rng, mt)
         gb, gc = b.T @ b, c.T @ c
         errors = []
         prev_err = np.inf

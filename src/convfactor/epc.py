@@ -24,12 +24,7 @@ _SECULAR_ROUNDOFF = 16 * np.finfo(np.float64).eps
 _QP_TOL = 1e-10  # relative tolerance of the secular root and feasibility tests
 _QP_MAX_ITERS = 200  # Newton/bisection steps of the secular root-find
 
-__all__ = [
-    "EpcOptions",
-    "epc_correct",
-    "factor_update_bounded",
-    "spherical_qp",
-]
+__all__ = ["EpcOptions", "epc_correct", "spherical_qp"]
 
 
 @dataclass
@@ -37,16 +32,12 @@ class EpcOptions:
     """Knobs for :func:`epc_correct`.
 
     delta is the absolute Frobenius error bound; None means "preserve the
-    current error of the input model".  ``unweighted_diag`` selects the
-    plain diagonal ``diag(B'B + C'C)`` for the factor subproblems instead
-    of the dimension-weighted diagonal that exactly matches the
-    sensitivity formula.
+    current error of the input model".
     """
 
     delta: float | None = None
     max_sweeps: int = 100
     ss_tol: float = 1e-6
-    unweighted_diag: bool = False
 
     def __post_init__(self):
         if self.delta is not None and not self.delta >= 0:  # rejects NaN
@@ -184,30 +175,14 @@ def _secular_solve(yz, gram, norm_y2, delta):
     )
 
 
-def factor_update_bounded(k1, z, w, delta):
+def _weighted_update(yz, gram, norm_y2, w, delta):
     """One bound-constrained factor update.
 
     Solves ``min ||A diag(w)||_F^2  s.t.  ||K1 - A Z'||_F^2 <= delta^2``
-    via the change of variables ``At = A diag(w)``, ``Zt = Z diag(1/w)``,
-    which turns the objective into a plain minimum-norm regression.  A
-    thin adapter: it forms ``K1 Z``, ``Z'Z`` and ``||K1||^2`` and hands
-    them to the same secular-equation core as :func:`spherical_qp`, which
-    is what :func:`epc_correct` does with the MTTKRP and the Hadamard
-    product of the factor Grams in place of ``K1 Z`` and ``Z'Z``.
-
-    `w` must be strictly positive.
+    (w > 0) from ``K1 Z``, ``Z'Z`` and ``||K1||^2``.  The change of
+    variables ``At = A diag(w)``, ``Zt = Z diag(1/w)`` turns it into the
+    plain minimum-norm regression of :func:`_secular_solve`.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
-    k1 = np.asarray(k1, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    return _weighted_update(k1 @ z, z.T @ z, float(np.sum(k1**2)), w, delta)
-
-
-def _weighted_update(yz, gram, norm_y2, w, delta):
-    """``A`` minimizing ``||A diag(w)||`` within the residual ball, from
-    ``K1 Z``, ``Z'Z`` and ``||K1||^2``."""
     at, _ = _secular_solve(yz / w, gram / np.outer(w, w), norm_y2, delta)
     return at / w
 
@@ -265,11 +240,7 @@ def epc_correct(tensor, model, opts=None):
     def update(mttkrp, g1, g2, dim1, dim2, name):
         """Bounded update of one factor from its MTTKRP; g1, g2 are the
         Grams of the two fixed factors, of extents dim1, dim2."""
-        d1, d2 = np.diag(g1), np.diag(g2)
-        if opts.unweighted_diag:
-            w2 = d1 + d2
-        else:
-            w2 = dim2 * d1 + dim1 * d2
+        w2 = dim2 * np.diag(g1) + dim1 * np.diag(g2)
         # dead components (zero in both fixed factors) contribute nothing:
         # solve the problem on the live ones and zero the rest
         live = w2 > 1e-300

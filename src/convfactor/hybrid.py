@@ -21,8 +21,8 @@ __all__ = ["HybridModel", "als_options", "tkd_cpd_epc", "should_merge",
 
 
 def als_options(seed=0):
-    """ALS settings of every fit: the hybrid core's default, each
-    ``decompose`` method and the rank-search score."""
+    """ALS settings of every fit: the hybrid core, each ``decompose``
+    method and the rank-search score."""
     return AlsOptions(max_iters=1000, tol=1e-12, restarts=3, init="mixed", seed=seed)
 
 
@@ -76,21 +76,24 @@ def _exact_core_model(core, rank):
     return CPModel(a, b, c)
 
 
-def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, als_opts=None,
-                epc_opts=None):
+def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     """Decompose an order-3 kernel tensor as Tucker-2 around a CP core.
 
     Parameters
     ----------
     tensor : ndarray (D2, S, T)
-    delta_total : float
-        Absolute Frobenius error budget for the whole model.
+    delta_total : float or None
+        Absolute Frobenius error budget for the whole model.  None (with
+        fixed `ranks`) makes the core's correction error-preserving: EPC
+        keeps the error of the core's CP fit.
     rank : int
         CP rank of the core.
     theta : float
         Fraction of the squared budget given to the Tucker stage.
     ranks : (R1, R2), optional
         Fix the multilinear ranks instead of deriving them from the bound.
+    seed : int
+        Seed of the core's ALS fit, run with :func:`als_options`.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
@@ -98,36 +101,42 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, als_opts=None,
     if rank < 1:
         raise ValueError("rank must be >= 1")
     norm_t = np.linalg.norm(tensor)
-    if not 0 <= delta_total <= norm_t * (1 + 1e-12) + 1e-300:
+    if delta_total is None:
+        if ranks is None:
+            raise ValueError(
+                "tkd-cpd-epc needs an error bound (--delta) or fixed ranks (--ranks)"
+            )
+    elif not 0 <= delta_total <= norm_t * (1 + 1e-12) + 1e-300:
         raise ValueError(f"delta_total must lie in [0, ||t||] = [0, {norm_t:.6g}]")
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
 
-    delta_tkd = np.sqrt(theta) * delta_total
+    # no budget means fixed ranks, where tucker2_bounded ignores its bound
+    delta_tkd = 0.0 if delta_total is None else np.sqrt(theta) * delta_total
     tkd = tucker2_bounded(tensor, delta_tkd, ranks=ranks)
     if min(tkd.ranks) == 0:
         # an empty core (vacuous bound, zero tensor) has no CP: keep one per mode
         tkd = tucker2_bounded(tensor, delta_tkd, ranks=(1, 1))
     core = tkd.G
     norm_core = np.linalg.norm(core)
-    err_tkd2 = max(float(norm_t**2 - norm_core**2), 0.0)
-    if err_tkd2 > delta_total**2 * (1 + 1e-9) + 1e-12 * norm_t**2:
-        raise InfeasibleBoundError(
-            "the Tucker stage alone already exceeds the total budget; "
-            "increase theta or use fixed larger multilinear ranks",
-            min_residual=err_tkd2,
-            bound=delta_total**2,
-        )
-    delta_core = float(np.sqrt(max(delta_total**2 - err_tkd2, 0.0)))
+    delta_core = None  # no budget: EPC keeps the core fit's error
+    if delta_total is not None:
+        err_tkd2 = max(float(norm_t**2 - norm_core**2), 0.0)
+        if err_tkd2 > delta_total**2 * (1 + 1e-9) + 1e-12 * norm_t**2:
+            raise InfeasibleBoundError(
+                "the Tucker stage alone already exceeds the total budget; "
+                "increase theta or use fixed larger multilinear ranks",
+                min_residual=err_tkd2,
+                bound=delta_total**2,
+            )
+        delta_core = float(np.sqrt(max(delta_total**2 - err_tkd2, 0.0)))
 
     r1, r2 = tkd.ranks
-    if als_opts is None:
-        als_opts = als_options()
-    res = cpd_als(core, rank, als_opts)
+    res = cpd_als(core, rank, als_options(seed))
     err_core = res.rel_error * norm_core
     slack = 1e-9 * max(norm_core, 1.0)
     model = res.model
-    if err_core > delta_core + slack:
+    if delta_core is not None and err_core > delta_core + slack:
         if rank >= r1 * r2:
             model = _exact_core_model(core, rank)
         else:
@@ -139,9 +148,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, als_opts=None,
                 bound=delta_core**2,
             )
 
-    if epc_opts is None:
-        epc_opts = EpcOptions(delta=delta_core)
-    corrected, _ = epc_correct(core, model, epc_opts)
+    corrected, _ = epc_correct(core, model, EpcOptions(delta=delta_core))
     return HybridModel(tkd.U, tkd.V, corrected)
 
 

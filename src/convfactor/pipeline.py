@@ -91,19 +91,7 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         report["epc_sweeps"] = len(trace) - 1
 
     else:  # tkd-cpd-epc
-        if delta is None and ranks is None:
-            raise ValueError(
-                "tkd-cpd-epc needs an error bound (--delta) or fixed ranks (--ranks)"
-            )
-        model = tkd_cpd_epc(
-            tensor,
-            delta if delta is not None else norm_t,
-            rank,
-            theta=theta,
-            ranks=ranks,
-            als_opts=als_options(seed),
-            epc_opts=EpcOptions() if delta is None else None,
-        )
+        model = tkd_cpd_epc(tensor, delta, rank, theta=theta, ranks=ranks, seed=seed)
         rel = _rel_error(tensor, model, norm_t)
         report["ranks"] = model.ranks
         report["merged"] = should_merge(model.ranks)

@@ -44,22 +44,18 @@ class EvaluatorError(RuntimeError):
 class Evaluator:
     """Scoring hook for the rank search.
 
-    kind is "approx-error" (internal proxy) or "external-command";
-    `command` is required for the latter and is invoked as
-    ``command <block.json> <kernel.kten>``, printing one decimal score.
+    A rank qualifies when its score is at most `eps`.  Without a `command`
+    (None or "") the score is :func:`approx_error_proxy`; otherwise
+    `command` is invoked as ``command <block.json> <kernel.kten>`` and
+    prints one decimal score.
     """
 
-    kind: str = "approx-error"
     eps: float = 1e-3
     command: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("approx-error", "external-command"):
-            raise ValueError(f"unknown evaluator kind {self.kind!r}")
         if not self.eps > 0:  # rejects NaN
             raise ValueError("eps must be positive")
-        if self.kind == "external-command" and not self.command:
-            raise ValueError("external-command evaluator needs a command")
 
 
 @dataclass
@@ -134,26 +130,22 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max, seed=0, ranks=No
     """
     if r_min < 1 or r_min > r_max:
         raise ValueError(f"need 1 <= r_min <= r_max, got [{r_min}, {r_max}]")
-    if evaluator.kind == "external-command" and (
-        kernel_path is None or conv_spec is None
-    ):
-        raise ValueError(
-            "external-command evaluation needs kernel_path and conv_spec"
-        )
+    if evaluator.command and (kernel_path is None or conv_spec is None):
+        raise ValueError("an evaluator command needs kernel_path and conv_spec")
     ranks = _search_ranks(tensor, method, ranks)
 
     scores = {}
 
     def score(rank):
         if rank not in scores:
-            if evaluator.kind == "approx-error":
-                scores[rank] = approx_error_proxy(
-                    tensor, method, rank, seed=seed, ranks=ranks, theta=theta
-                )
-            else:
+            if evaluator.command:
                 scores[rank] = _external_score(
                     evaluator.command, rank, tensor, method, seed, ranks, theta,
                     kernel_path, conv_spec,
+                )
+            else:
+                scores[rank] = approx_error_proxy(
+                    tensor, method, rank, seed=seed, ranks=ranks, theta=theta
                 )
         return scores[rank]
 

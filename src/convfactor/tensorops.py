@@ -1,8 +1,11 @@
 """Dense tensor primitives: unfolding, Khatri-Rao, Kruskal and Tucker algebra.
 
-Tensors are plain numpy arrays in C (row-major) memory order.  Unfoldings
-follow the first-remaining-mode-fastest convention, so that the mode-1
-unfolding of a Kruskal tensor ``[[A, B, C]]`` equals ``A @ khatri_rao(C, B).T``.
+Tensors are plain numpy arrays in C (row-major) memory order.  The mode-n
+unfolding ``T_(n)`` has one row per index of mode n and enumerates the other
+modes with the first remaining mode fastest: element (i, j, k) of an
+I x J x K tensor sits in column ``j + k*J`` of ``T_(0)``.  With this
+convention ``T_(0)`` of a Kruskal tensor ``[[A, B, C]]`` equals
+``A @ khatri_rao(C, B).T``.
 All decomposition work is done in float64; float32 is accepted at the
 boundaries and promoted.
 
@@ -19,8 +22,6 @@ Rev. 2009, sec. 3.4).
 import numpy as np
 
 __all__ = [
-    "unfold",
-    "fold",
     "khatri_rao",
     "reconstruct_cp",
     "Mttkrp",
@@ -38,55 +39,12 @@ def _as_f64(a):
     return np.ascontiguousarray(a, dtype=np.float64) if a.dtype != np.float64 else a
 
 
-def unfold(tensor, mode):
-    """Mode-`mode` unfolding (matricization) of `tensor`.
-
-    Parameters
-    ----------
-    tensor : ndarray
-    mode : int
-        0-based mode index in ``range(tensor.ndim)``.
-
-    Returns
-    -------
-    ndarray of shape ``(tensor.shape[mode], prod(other extents))``
-        Columns enumerate the remaining modes with the first remaining
-        mode fastest: for an I x J x K tensor and mode 0, the column of
-        element (i, j, k) is ``j + k*J``.
-    """
-    tensor = np.asarray(tensor)
-    if not 0 <= mode < tensor.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
-    return np.reshape(
-        np.moveaxis(tensor, mode, 0), (tensor.shape[mode], -1), order="F"
-    )
-
-
-def fold(matrix, mode, shape):
-    """Inverse of :func:`unfold`: rebuild a tensor of `shape` from its unfolding.
-
-    ``fold(unfold(t, mode), mode, t.shape)`` restores `t` bitwise.
-    """
-    matrix = np.asarray(matrix)
-    shape = tuple(int(s) for s in shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    other = shape[:mode] + shape[mode + 1 :]
-    expected = (shape[mode], int(np.prod(other, dtype=np.int64)))
-    if matrix.shape != expected:
-        raise ValueError(
-            f"matrix shape {matrix.shape} inconsistent with shape {shape}, "
-            f"mode {mode} (expected {expected})"
-        )
-    moved = np.reshape(matrix, (shape[mode],) + other, order="F")
-    return np.ascontiguousarray(np.moveaxis(moved, 0, mode))
-
-
 def khatri_rao(a, b):
     """Column-wise Kronecker (Khatri-Rao) product of two matrices.
 
     Column r of the result is ``kron(a[:, r], b[:, r])``; with this
-    convention ``unfold(reconstruct_cp(A, B, C), 0) == A @ khatri_rao(C, B).T``.
+    convention the mode-0 unfolding of ``reconstruct_cp(A, B, C)`` is
+    ``A @ khatri_rao(C, B).T``.
 
     Parameters
     ----------
@@ -140,7 +98,7 @@ _GRAM_ROUNDOFF = 16 * np.finfo(np.float64).eps
 class Mttkrp:
     """Matricized-tensor-times-Khatri-Rao products of one order-3 tensor.
 
-    ``mode0(w, B) == unfold(T, 0) @ khatri_rao(C, B)`` and cyclic analogues,
+    ``mode0(w, B) == T_(0) @ khatri_rao(C, B)`` and cyclic analogues,
     computed as partial contractions.  Two matrix views of the tensor are
     made once: ``T`` as ``(I*J, K)`` (a view) and as ``(I*K, J)`` (one
     copy).  The contraction with C, ``W = T x_3 C'`` of shape (I, J, R),

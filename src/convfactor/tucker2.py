@@ -26,6 +26,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-6
 _TIE_TOL = 1e-12  # relative gap under which eigenvalues tie with the cut
+_ALTERNATIONS = 2  # U-step/V-step pairs of the bounded solver
 
 
 @dataclass
@@ -162,15 +163,16 @@ def core_closed_form(tensor, u, v):
     return mode_product(mode_product(tensor, u.T, 1), v.T, 2)
 
 
-def tucker2_bounded(tensor, delta, ranks=None, max_alternations=2):
+def tucker2_bounded(tensor, delta, ranks=None):
     """Smallest Tucker-2 model meeting a Frobenius error bound.
 
-    Alternates a U-step and a V-step (HOOI).  Each step takes one
-    eigendecomposition of the projected Gram matrix and keeps its leading
-    eigenvectors: the fewest whose energy reaches ``||t||^2 - delta^2``
-    (plus ties with the last kept one), so the reconstruction error stays
-    within `delta` after every step, or with ``ranks=(R1, R2)`` exactly R1
-    or R2 of them.  Both modes start with a U-step from V = I.
+    Alternates a U-step and a V-step (HOOI), at most twice.  Each step
+    takes one eigendecomposition of the projected Gram matrix and keeps its
+    leading eigenvectors: the fewest whose energy reaches
+    ``||t||^2 - delta^2`` (plus ties with the last kept one), so the
+    reconstruction error stays within `delta` after every step, or with
+    ``ranks=(R1, R2)`` exactly R1 or R2 of them.  Both modes start with a
+    U-step from V = I.
 
     Returns a :class:`Tucker2Model`; ``model.history`` holds per-step
     records ``{"step", "ranks", "energy", "sq_error"}``, where energy is
@@ -204,7 +206,7 @@ def tucker2_bounded(tensor, delta, ranks=None, max_alternations=2):
         return basis
 
     v = np.eye(t)
-    for _ in range(max_alternations):
+    for _ in range(_ALTERNATIONS):
         u = step(build_q1(tensor, v), "U", v.shape[1])
         v = step(build_q2(tensor, u), "V", u.shape[1])
         if len(history) > 2 and history[-3]["ranks"] == history[-1]["ranks"]:

@@ -1,9 +1,54 @@
-"""Shared test helpers: synthetic tensors and degenerate CP starts."""
+"""Shared test helpers: unfolding oracles, synthetic tensors and degenerate
+CP starts."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from convfactor import CPModel, mode_product, reconstruct_cp
+
+
+def unfold(tensor, mode):
+    """Mode-`mode` unfolding (matricization) of `tensor`.
+
+    Parameters
+    ----------
+    tensor : ndarray
+    mode : int
+        0-based mode index in ``range(tensor.ndim)``.
+
+    Returns
+    -------
+    ndarray of shape ``(tensor.shape[mode], prod(other extents))``
+        Columns enumerate the remaining modes with the first remaining
+        mode fastest: for an I x J x K tensor and mode 0, the column of
+        element (i, j, k) is ``j + k*J``.
+    """
+    tensor = np.asarray(tensor)
+    if not 0 <= mode < tensor.ndim:
+        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
+    return np.reshape(
+        np.moveaxis(tensor, mode, 0), (tensor.shape[mode], -1), order="F"
+    )
+
+
+def fold(matrix, mode, shape):
+    """Inverse of :func:`unfold`: rebuild a tensor of `shape` from its unfolding.
+
+    ``fold(unfold(t, mode), mode, t.shape)`` restores `t` bitwise.
+    """
+    matrix = np.asarray(matrix)
+    shape = tuple(int(s) for s in shape)
+    if not 0 <= mode < len(shape):
+        raise ValueError(f"mode {mode} out of range for shape {shape}")
+    other = shape[:mode] + shape[mode + 1 :]
+    expected = (shape[mode], int(np.prod(other, dtype=np.int64)))
+    if matrix.shape != expected:
+        raise ValueError(
+            f"matrix shape {matrix.shape} inconsistent with shape {shape}, "
+            f"mode {mode} (expected {expected})"
+        )
+    moved = np.reshape(matrix, (shape[mode],) + other, order="F")
+    return np.ascontiguousarray(np.moveaxis(moved, 0, mode))
 
 
 def random_cp_tensor(rng, dims, rank):

@@ -21,9 +21,7 @@ from convfactor import (
     CPModel,
     EpcOptions,
     Evaluator,
-    HybridModel,
     binary_search_rank,
-    block_to_kernel,
     build_q1,
     build_q2,
     compose_forward,
@@ -36,13 +34,15 @@ from convfactor import (
     epc_correct,
     mode_product,
     monte_carlo_sensitivity,
-    normalize,
     restore_kernel,
     sensitivity,
-    spherical_qp,
     tkd_cpd_epc,
     tucker2_bounded,
 )
+from convfactor.convblocks import block_to_kernel
+from convfactor.cpd import normalize
+from convfactor.epc import spherical_qp
+from convfactor.hybrid import HybridModel
 
 
 def report(num, name, passed):

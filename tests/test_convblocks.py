@@ -4,19 +4,17 @@ import pytest
 from convfactor import (
     ConvSpec,
     CPModel,
-    HybridModel,
-    LayerDescriptor,
-    block_to_kernel,
     compose_forward,
     conv2d_reference,
     count_params_flops,
     emit_cpd_block,
     emit_svd_block,
     emit_tkd_cpd_block,
-    layer_forward,
-    normalize,
     restore_kernel,
 )
+from convfactor.convblocks import LayerDescriptor, block_to_kernel, layer_forward
+from convfactor.cpd import normalize
+from convfactor.hybrid import HybridModel
 
 
 def conv_loop(x, kernel, stride, pad):

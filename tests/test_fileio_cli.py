@@ -11,20 +11,22 @@ from hypothesis import strategies as st
 
 from conftest import degenerate_pair, random_cp_tensor
 from convfactor import (
-    Block,
     ConvSpec,
     CPModel,
-    TensorFileError,
     count_params_flops,
     emit_cpd_block,
+    restore_kernel,
+)
+from convfactor.cli import main
+from convfactor.errors import TensorFileError
+from convfactor.fileio import (
+    MAGIC,
+    Block,
     read_block,
     read_tensor,
-    restore_kernel,
     write_block,
     write_tensor,
 )
-from convfactor.cli import main
-from convfactor.fileio import MAGIC
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -549,6 +551,7 @@ class TestCliArgumentValues:
         ["rank-search", "--method", "cpd", "--eps", "0.1", "--stride", "0"],
         ["verify", "--hw", "0,0"],
         ["verify", "--seed", "-1"],
+        ["verify", "--trials", "-1"],
     ], ids=" ".join)
     def test_exits_1_without_traceback(self, files, argv):
         tmp, kpath, block = files

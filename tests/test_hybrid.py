@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hybrid_structured_tensor, random_tucker2_tensor
 from convfactor import (
     AlsOptions,
     CPModel,
-    HybridModel,
-    InfeasibleBoundError,
     core_closed_form,
     cpd_als,
     mode_product,
@@ -15,6 +15,8 @@ from convfactor import (
     tkd_cpd_epc,
     to_equivalent_cp,
 )
+from convfactor.errors import InfeasibleBoundError
+from convfactor.hybrid import HybridModel, als_options
 
 
 def stage_errors(tensor, model):
@@ -69,6 +71,19 @@ class TestTkdCpdEpc:
         assert abs(err_total**2 - err_tkd**2 - err_core**2) <= 1e-8 * norm**2
         assert err_total <= 0.3 * norm * (1 + 1e-9)
 
+    def test_error_preserving_with_fixed_ranks(self):
+        # no budget: the core's EPC keeps the error of the core's own CP fit
+        rng = np.random.default_rng(5)
+        t = hybrid_structured_tensor(rng, (4, 7, 6), (3, 3), 4, noise=0.1)
+        model = tkd_cpd_epc(t, None, rank=3, ranks=(3, 3), seed=2)
+        g = core_closed_form(t, model.U, model.V)
+        fit = cpd_als(g, 3, als_options(2))
+        err_core = np.linalg.norm(g - model.core_cp.to_tensor())
+        assert err_core <= fit.rel_error * np.linalg.norm(g) * (1 + 1e-8)
+        assert sensitivity(model.core_cp) <= sensitivity(fit.model) * (1 + 1e-9)
+        with pytest.raises(ValueError):
+            tkd_cpd_epc(t, None, rank=3)
+
     def test_fixed_ranks_mode(self):
         rng = np.random.default_rng(3)
         t = rng.standard_normal((4, 8, 6))
@@ -94,6 +109,31 @@ class TestTkdCpdEpc:
             tkd_cpd_epc(t, -0.5, 1)
         with pytest.raises(ValueError):
             tkd_cpd_epc(t, 0.0, 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 7), st.integers(1, 7)),
+    cp_rank=st.integers(1, 5),
+    core_scale=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**16),
+)
+def test_hybrid_pythagorean_identity(dims, cp_rank, core_scale, seed):
+    # any CP core inside orthonormal U, V: total^2 = tkd^2 + core^2
+    rng = np.random.default_rng(seed)
+    d2, s, t = dims
+    r1, r2 = int(rng.integers(1, s + 1)), int(rng.integers(1, t + 1))
+    u, _ = np.linalg.qr(rng.standard_normal((s, r1)))
+    v, _ = np.linalg.qr(rng.standard_normal((t, r2)))
+    core_cp = CPModel(
+        core_scale * rng.standard_normal((d2, cp_rank)),
+        rng.standard_normal((r1, cp_rank)),
+        rng.standard_normal((r2, cp_rank)),
+    )
+    tensor = rng.standard_normal(dims)
+    err_total, err_tkd, err_core = stage_errors(tensor, HybridModel(u, v, core_cp))
+    scale = np.sum(tensor**2) + err_core**2
+    assert abs(err_total**2 - err_tkd**2 - err_core**2) <= 1e-10 * scale
 
 
 class TestShouldMerge:

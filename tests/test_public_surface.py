@@ -1,0 +1,42 @@
+"""Names that code outside the package relies on must keep resolving."""
+
+import ast
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import convfactor
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_trace_targets_resolve():
+    # the span tracer wraps these names with setattr(getattr(...)); a
+    # missing one makes `benchmarks/run.py --trace 1` fail at install time
+    spec = importlib.util.spec_from_file_location(
+        "convfactor_bench_tracing", ROOT / "benchmarks" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in tracing.TARGETS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
+
+
+def test_readme_quick_start_imports_resolve():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "convfactor"
+        for alias in node.names
+    ]
+    assert names
+    assert [n for n in names if not hasattr(convfactor, n)] == []

@@ -6,9 +6,10 @@ import pytest
 
 import convfactor.ranksearch as rs
 from conftest import random_cp_tensor
-from convfactor import ConvSpec, Evaluator, EvaluatorError, approx_error_proxy
-from convfactor import binary_search_rank, decompose_to_block, restore_kernel
-from convfactor import write_tensor
+from convfactor import ConvSpec, Evaluator, binary_search_rank, restore_kernel
+from convfactor.fileio import write_tensor
+from convfactor.pipeline import decompose_to_block
+from convfactor.ranksearch import EvaluatorError, approx_error_proxy
 
 
 def patch_scores(monkeypatch, fn):
@@ -80,6 +81,13 @@ class TestBinarySearch:
 def test_evaluator_rejects_non_positive_eps(eps):
     with pytest.raises(ValueError):
         Evaluator(eps=eps)
+
+
+def test_empty_command_selects_the_proxy(monkeypatch):
+    # rank-search --evaluator '' scores with the proxy, as with no command
+    calls = patch_scores(monkeypatch, lambda r: 0.0 if r >= 3 else 1.0)
+    result = binary_search_rank(None, "cpd", Evaluator(eps=0.5, command=""), 1, 4)
+    assert result.rank == 3 and calls
 
 
 class TestApproxErrorProxy:
@@ -166,7 +174,7 @@ class TestExternalEvaluator:
         result = binary_search_rank(
             t,
             "cpd",
-            Evaluator(kind="external-command", eps=1e-8, command=cmd),
+            Evaluator(eps=1e-8, command=cmd),
             1,
             8,
             kernel_path=kpath,
@@ -185,7 +193,7 @@ class TestExternalEvaluator:
             binary_search_rank(
                 t,
                 "cpd",
-                Evaluator(kind="external-command", eps=1e-8, command=cmd),
+                Evaluator(eps=1e-8, command=cmd),
                 1,
                 4,
                 kernel_path=kpath,
@@ -201,7 +209,7 @@ class TestExternalEvaluator:
             binary_search_rank(
                 t,
                 "cpd",
-                Evaluator(kind="external-command", eps=1e-8, command=cmd),
+                Evaluator(eps=1e-8, command=cmd),
                 1,
                 4,
                 kernel_path=kpath,
@@ -213,7 +221,7 @@ class TestExternalEvaluator:
             binary_search_rank(
                 np.zeros((2, 2, 2)),
                 "cpd",
-                Evaluator(kind="external-command", eps=1.0, command="true"),
+                Evaluator(eps=1.0, command="true"),
                 1,
                 2,
             )

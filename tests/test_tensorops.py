@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fold, unfold
 from convfactor import (
     CPModel,
-    fold,
-    khatri_rao,
     mode_product,
     reconstruct_cp,
     reshape_kernel,
     restore_kernel,
-    unfold,
 )
-from convfactor.tensorops import Mttkrp, cp_residual_sq
+from convfactor.tensorops import Mttkrp, cp_residual_sq, khatri_rao
 
 
 def cp_loop(a, b, c):
@@ -42,9 +42,19 @@ class TestUnfoldFold:
         assert np.array_equal(m[1], np.full(4, 2.0))
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_roundtrip_exact(self, mode):
-        t = np.random.default_rng(3).standard_normal((3, 4, 5))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=st.lists(st.integers(1, 4), min_size=3, max_size=5),
+           kernel=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_exact(self, mode, shape, kernel, seed):
+        # extents of 1 included: unfolding and the kernel reshape must not
+        # lose or reorder a single bit in the degenerate layouts either
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal(shape)
         assert np.array_equal(fold(unfold(t, mode), mode, t.shape), t)
+        d, s, tt = kernel
+        k = rng.standard_normal((d, d, s, tt))
+        assert np.array_equal(restore_kernel(reshape_kernel(k), d), k)
 
     def test_column_order_first_remaining_fastest(self):
         t = np.random.default_rng(0).standard_normal((3, 4, 5))

@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tucker2_tensor
+from conftest import random_tucker2_tensor, unfold
 from convfactor import (
-    InfeasibleBoundError,
     build_q1,
     build_q2,
     core_closed_form,
-    minimal_rank_eigvecs,
     mode_product,
     tucker2_bounded,
-    unfold,
 )
+from convfactor.errors import InfeasibleBoundError
+from convfactor.tucker2 import minimal_rank_eigvecs
 
 
 def q1_loop(tensor, v):
@@ -243,7 +242,7 @@ class TestTucker2Bounded:
         rng = np.random.default_rng(15)
         t = rng.standard_normal((9, 14, 12))
         delta = 0.15 * np.linalg.norm(t)
-        model = tucker2_bounded(t, delta, max_alternations=4)
+        model = tucker2_bounded(t, delta)
         d2, s, tt = t.shape
         params = []
         stable_errors = []
@@ -292,3 +291,24 @@ class TestTucker2Bounded:
             tucker2_bounded(np.zeros((2, 2, 2)), -1.0)
         with pytest.raises(ValueError):
             tucker2_bounded(np.zeros((2, 2)), 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8)),
+    structure=st.floats(0.0, 1.0),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_bounded_pythagorean_identity(dims, structure, frac, seed):
+    # low multilinear rank plus noise, so the bound selects varied ranks
+    rng = np.random.default_rng(seed)
+    ranks = (int(rng.integers(1, dims[1] + 1)), int(rng.integers(1, dims[2] + 1)))
+    clean, _ = random_tucker2_tensor(rng, dims, ranks)
+    t = structure * clean + (1 - structure) * rng.standard_normal(dims)
+    norm2 = np.sum(t**2)
+    delta = frac * np.sqrt(norm2)
+    model = tucker2_bounded(t, delta)
+    sq_error = np.sum((t - model.to_tensor()) ** 2)
+    assert abs(sq_error - (norm2 - np.sum(model.G**2))) <= 1e-10 * max(norm2, 1e-300)
+    assert sq_error <= delta**2 + 1e-10 * norm2
