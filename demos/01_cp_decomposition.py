@@ -30,8 +30,9 @@ for rank in (2, 3, 4, 5, 6):
 
 res = cpd_als(kernel3, TRUE_RANK, opts)
 model = res.model
-print(f"\nat the true rank the factors come back normalized:")
-print(f"  column norms of A: {np.linalg.norm(model.A, axis=0).round(12)}")
-print(f"  weights (sorted):  {model.lam.round(3)}")
+magnitudes = np.prod([np.linalg.norm(f, axis=0) for f in (model.A, model.B, model.C)],
+                     axis=0)
+print(f"\nat the true rank the components come back balanced and sorted:")
+print(f"  magnitudes ||a|| ||b|| ||c||: {magnitudes.round(3)}")
 print(f"  per-sweep error is non-increasing: "
       f"{all(np.diff(res.rel_errors) <= 1e-12)}")

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import fileio
 from .convblocks import ConvSpec, compose_forward, conv2d_reference, count_params_flops
-from .convblocks import block_to_kernel
+from .convblocks import block_factors, block_to_kernel
+from .cpd import sensitivity
 from .errors import TensorFileError
 from .pipeline import METHODS, decompose_to_block
 from .ranksearch import Evaluator, EvaluatorError, binary_search_rank
@@ -40,6 +41,12 @@ def _parse_pair(text, what):
     except ValueError:
         raise argparse.ArgumentTypeError(f"{what} must be two comma-separated ints")
     return a, b
+
+
+def _differs(value, recorded):
+    """True when a recomputed metric disagrees with its recorded value
+    (a NaN never agrees)."""
+    return not abs(value - recorded) <= 1e-8 + 1e-6 * max(recorded, 1e-30)
 
 
 def _load_kernel(path):
@@ -111,8 +118,12 @@ def cmd_rank_search(args):
         return _fail(EXIT_BADFILE, e)
     tensor = reshape_kernel(kernel)
     d2, s, t = tensor.shape
+    # the largest CP rank the searched (D^2, R1, R2) core can need; only
+    # the hybrid fixes R1, R2 below (S, T)
+    fixed = args.method == "tkd-cpd-epc" and args.ranks is not None
+    r1, r2 = args.ranks if fixed else (s, t)
     r_min = args.rmin
-    r_max = args.rmax if args.rmax is not None else min(d2 * s, d2 * t, s * t)
+    r_max = args.rmax if args.rmax is not None else min(d2 * r1, d2 * r2, r1 * r2)
     try:
         evaluator = Evaluator(eps=args.eps, command=args.evaluator)
         spec = ConvSpec(
@@ -195,8 +206,15 @@ def cmd_verify(args):
     rel = float(np.linalg.norm(equivalent - kernel) / norm_k) if norm_k else 0.0
     recorded = block.metrics.get("rel_error", 0.0)
     print(f"rel_error: recomputed {rel:.6e}, recorded {recorded:.6e}")
-    if abs(rel - recorded) > 1e-8 + 1e-6 * max(recorded, 1e-30):
+    if _differs(rel, recorded):
         failures.append("reconstruction error inconsistent with recorded rel_error")
+    # from the small factors, after the kernel-sized arrays above
+    ss = sensitivity(block_factors(block.layers, block.kind))
+    recorded_ss = block.metrics.get("sensitivity")
+    if not isinstance(recorded_ss, (int, float)) or _differs(ss, recorded_ss):
+        failures.append(
+            f"sensitivity mismatch: recomputed {ss:.6e}, recorded {recorded_ss}"
+        )
 
     spec = block.spec
     bias = block.layers[-1].bias

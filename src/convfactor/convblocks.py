@@ -9,15 +9,18 @@ chain of cheap layers:
 * SVD block (1x1 kernels only): 1x1 (S->R), 1x1 (R->T).
 
 The chain computes exactly the convolution with the kernel the model
-reconstructs, which is what the equivalence tests assert.  The reference
-forward pass is a direct evaluation of the convolution sum with zero
-padding, intended for verification, not speed.
+reconstructs, which is what the equivalence tests assert, and
+:func:`block_factors` reads the CP factors back from the layers.  The
+reference forward pass is a direct evaluation of the convolution sum with
+zero padding, intended for verification, not speed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cpd import CPModel
 from .tensorops import reconstruct_cp, restore_kernel
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "emit_cpd_block",
     "emit_tkd_cpd_block",
     "emit_svd_block",
+    "block_factors",
     "block_to_kernel",
     "count_params_flops",
 ]
@@ -219,8 +223,8 @@ def emit_cpd_block(model, spec):
     """Three-layer CP realization of a conv layer.
 
     Layer order: 1x1 S->R from B, depthwise DxD (groups=R, stride and pad
-    of the original layer) from A, 1x1 R->T from C with the component
-    weights folded in; the original bias rides on the last layer.
+    of the original layer) from A, 1x1 R->T from C; the original bias
+    rides on the last layer.
     """
     d = spec.kernel_size
     if model.shape != (d * d, spec.in_channels, spec.out_channels):
@@ -229,7 +233,6 @@ def emit_cpd_block(model, spec):
             f"({d * d}, {spec.in_channels}, {spec.out_channels})"
         )
     a, b, c = model.A, model.B, model.C
-    c_scaled = c if model.lam is None else c * model.lam
     r = model.rank
     depthwise = LayerDescriptor(
         in_channels=r,
@@ -243,7 +246,7 @@ def emit_cpd_block(model, spec):
     return [
         _pointwise(b.T, spec.in_channels, r),
         depthwise,
-        _pointwise(c_scaled, r, spec.out_channels, bias=spec.bias),
+        _pointwise(c, r, spec.out_channels, bias=spec.bias),
     ]
 
 
@@ -269,7 +272,6 @@ def emit_tkd_cpd_block(model, spec):
             "merge to a CP block via to_equivalent_cp instead"
         )
     core = model.core_cp
-    c_scaled = core.C if core.lam is None else core.C * core.lam
     depthwise = LayerDescriptor(
         in_channels=r,
         out_channels=r,
@@ -283,7 +285,7 @@ def emit_tkd_cpd_block(model, spec):
         _pointwise(model.U.T, spec.in_channels, r1),
         _pointwise(core.B.T, r1, r),
         depthwise,
-        _pointwise(c_scaled, r, r2),
+        _pointwise(core.C, r, r2),
         _pointwise(model.V, r2, spec.out_channels, bias=spec.bias),
     ]
 
@@ -313,31 +315,36 @@ def emit_svd_block(matrix, rank, spec):
     ]
 
 
-def block_to_kernel(layers, kind):
-    """Dense (D, D, S, T) kernel equivalent to an emitted block."""
+def block_factors(layers, kind):
+    """CP factors of an emitted block, the inverse of the three emitters.
+
+    ``cpd``: (A, B, C) from the depthwise and the two 1x1 layers;
+    ``tkd-cpd``: the equivalent CP ``(A, U B, V C)`` of the hybrid;
+    ``svd``: ``(ones((1, R)), W1', W2)`` from the two 1x1 weight matrices.
+    """
+    def matrix(layer):
+        return layer.weights[:, :, 0, 0]
+
     if kind == "cpd":
         w1, wd, w3 = layers
-        b = w1.weights[:, :, 0, 0].T
-        a = _filters_to_spatial(wd.weights)
-        c = w3.weights[:, :, 0, 0]
-        d = wd.kernel[0]
-        return restore_kernel(reconstruct_cp(a, b, c), d)
+        return CPModel(_filters_to_spatial(wd.weights), matrix(w1).T, matrix(w3))
     if kind == "tkd-cpd":
         w1, w2, wd, w4, w5 = layers
-        u = w1.weights[:, :, 0, 0].T
-        b_core = w2.weights[:, :, 0, 0].T
-        a_core = _filters_to_spatial(wd.weights)
-        c_core = w4.weights[:, :, 0, 0]
-        v = w5.weights[:, :, 0, 0]
-        d = wd.kernel[0]
-        return restore_kernel(
-            reconstruct_cp(a_core, u @ b_core, v @ c_core), d
+        return CPModel(
+            _filters_to_spatial(wd.weights),
+            matrix(w1).T @ matrix(w2).T,
+            matrix(w5) @ matrix(w4),
         )
     if kind == "svd":
         w1, w2 = layers
-        m = w2.weights[:, :, 0, 0] @ w1.weights[:, :, 0, 0]  # (T, S)
-        return np.ascontiguousarray(m.T[None, None, :, :])
+        return CPModel(np.ones((1, w1.out_channels)), matrix(w1).T, matrix(w2))
     raise ValueError(f"unknown block kind {kind!r}")
+
+
+def block_to_kernel(layers, kind):
+    """Dense (D, D, S, T) kernel equivalent to an emitted block."""
+    m = block_factors(layers, kind)
+    return restore_kernel(reconstruct_cp(m.A, m.B, m.C), math.isqrt(m.shape[0]))
 
 
 def count_params_flops(layers, input_hw):

@@ -1,9 +1,8 @@
 """CP decomposition by ALS plus degeneracy diagnostics.
 
 A rank-R CP model of an order-3 tensor is held as three factor matrices
-(A, B, C) with an optional nonnegative weight vector ``lam`` used when the
-columns are normalized to unit length.  Degeneracy of a model is measured
-by two scalars:
+(A, B, C); each component's magnitude lives in its three columns.
+Degeneracy of a model is measured by two scalars:
 
 * intensity: the sum of squared Frobenius norms of the rank-1 components;
 * sensitivity: the expected squared reconstruction perturbation per unit
@@ -24,7 +23,6 @@ __all__ = [
     "AlsOptions",
     "AlsResult",
     "cpd_als",
-    "normalize",
     "balance_components",
     "intensity",
     "sensitivity",
@@ -34,16 +32,11 @@ __all__ = [
 
 @dataclass
 class CPModel:
-    """Kruskal-format CP model: factors A (I x R), B (J x R), C (K x R).
-
-    ``lam`` holds per-component magnitudes when the factor columns are
-    unit-normalized; ``lam=None`` means magnitudes live in the factors.
-    """
+    """Kruskal-format CP model: factors A (I x R), B (J x R), C (K x R)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    lam: np.ndarray | None = None
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
@@ -56,16 +49,6 @@ class CPModel:
                 "factor column counts differ: "
                 f"{self.A.shape[1]}, {self.B.shape[1]}, {self.C.shape[1]}"
             )
-        if self.lam is not None:
-            self.lam = np.asarray(self.lam, dtype=np.float64)
-            if self.lam.shape != (self.rank,):
-                raise ValueError("lam must have one weight per component")
-            for f in (self.A, self.B, self.C):
-                norms = np.linalg.norm(f, axis=0)
-                if np.any(np.abs(norms - 1.0) > 1e-8):
-                    raise ValueError(
-                        "factor columns must be unit-norm when lam is present"
-                    )
 
     @property
     def rank(self):
@@ -75,14 +58,8 @@ class CPModel:
     def shape(self):
         return (self.A.shape[0], self.B.shape[0], self.C.shape[0])
 
-    def factors_folded(self):
-        """Return (A, B, C) with ``lam`` folded into A."""
-        if self.lam is None:
-            return self.A, self.B, self.C
-        return self.A * self.lam, self.B, self.C
-
     def to_tensor(self):
-        return reconstruct_cp(self.A, self.B, self.C, weights=self.lam)
+        return reconstruct_cp(self.A, self.B, self.C)
 
 
 @dataclass
@@ -209,9 +186,11 @@ def cpd_als(tensor, rank, opts=None):
     errors; the final error of every restart is dense as well.  A dense
     evaluation costs one more ``O(I J K R)`` GEMM and builds only the
     ``(I*J) x R`` Khatri-Rao product of A and B.  The best
-    of ``opts.restarts`` runs is returned in normalized form (unit
-    columns, weights sorted descending); ties in final error are broken by
-    lower sensitivity.
+    of ``opts.restarts`` runs is returned balanced
+    (:func:`balance_components`, the minimum-sensitivity scaling of the
+    same reconstruction) with components sorted by descending magnitude
+    ``||a_r|| ||b_r|| ||c_r||``; ties in final error are broken by lower
+    sensitivity.
 
     Returns
     -------
@@ -232,13 +211,7 @@ def cpd_als(tensor, rank, opts=None):
     shape = tensor.shape
     if norm_t == 0.0:
         # Zero-tensor convention: rel_error 0, zero model.
-        zero = normalize(
-            CPModel(
-                np.zeros((shape[0], rank)),
-                np.zeros((shape[1], rank)),
-                np.zeros((shape[2], rank)),
-            )
-        )
+        zero = CPModel(*(np.zeros((n, rank)) for n in shape))
         return AlsResult(zero, 0.0, [0.0], n_iters=0, converged=True)
 
     mt = Mttkrp(tensor)
@@ -291,7 +264,9 @@ def cpd_als(tensor, rank, opts=None):
         if not dense:
             errors[-1] = dense_error(a, b, c)
 
-        model = normalize(CPModel(a, b, c))
+        magnitude = np.prod([np.linalg.norm(f, axis=0) for f in (a, b, c)], axis=0)
+        order = np.argsort(-magnitude, kind="stable")
+        model = balance_components(CPModel(a[:, order], b[:, order], c[:, order]))
         final = errors[-1]
         if (
             best is None
@@ -306,35 +281,6 @@ def cpd_als(tensor, rank, opts=None):
     return best
 
 
-def normalize(model):
-    """Rescale factor columns to unit norm, collecting magnitudes in ``lam``.
-
-    Components are sorted by descending weight.  An exactly zero column
-    gets weight 0 and is replaced by the first standard basis vector, so
-    the unit-norm invariant holds for every component.  Reconstruction is
-    unchanged.
-    """
-    factors = []
-    lam = np.ones(model.rank)
-    if model.lam is not None:
-        lam = lam * model.lam
-    for f in (model.A, model.B, model.C):
-        norms = np.linalg.norm(f, axis=0)
-        unit = np.array(f, dtype=np.float64)
-        zero = norms == 0.0
-        nz = ~zero
-        unit[:, nz] = unit[:, nz] / norms[nz]
-        if np.any(zero):
-            unit[:, zero] = 0.0
-            unit[0, zero] = 1.0
-        lam = lam * norms
-        factors.append(unit)
-    order = np.argsort(-lam, kind="stable")
-    return CPModel(
-        factors[0][:, order], factors[1][:, order], factors[2][:, order], lam[order]
-    )
-
-
 def balance_components(model):
     """Distribute each component's magnitude across the three factors so the
     component's sensitivity contribution is minimal.
@@ -342,10 +288,10 @@ def balance_components(model):
     For fixed rank-1 directions and magnitude p, the contribution
     ``K x^2 y^2 + I y^2 z^2 + J x^2 z^2`` with ``xyz = p`` is minimized at
     ``x^2 = cbrt(p^2 I^2 / (J K))`` and cyclic analogues.  Reconstruction
-    is unchanged; weights are absorbed into the factors (``lam=None``).
+    is unchanged.
     """
     i, j, k = model.shape
-    a, b, c = (np.array(f, dtype=np.float64) for f in model.factors_folded())
+    a, b, c = model.A.copy(), model.B.copy(), model.C.copy()
     na = np.linalg.norm(a, axis=0)
     nb = np.linalg.norm(b, axis=0)
     nc = np.linalg.norm(c, axis=0)
@@ -363,7 +309,7 @@ def balance_components(model):
 
 def intensity(model):
     """Sum of squared Frobenius norms of the rank-1 components."""
-    a, b, c = model.factors_folded()
+    a, b, c = model.A, model.B, model.C
     return float(
         np.sum(
             np.sum(a**2, axis=0) * np.sum(b**2, axis=0) * np.sum(c**2, axis=0)
@@ -374,14 +320,14 @@ def intensity(model):
 def sensitivity(model):
     """Closed-form sensitivity of a CP model.
 
-    With mode extents (I, J, K) and weights folded into A::
+    With mode extents (I, J, K)::
 
         ss = K tr{(A'A) * (B'B)} + I tr{(B'B) * (C'C)} + J tr{(A'A) * (C'C)}
 
     where ``*`` is the Hadamard product.  Equals the Gaussian-perturbation
     expectation estimated by :func:`monte_carlo_sensitivity`.
     """
-    a, b, c = model.factors_folded()
+    a, b, c = model.A, model.B, model.C
     i, j, k = model.shape
     sa = np.sum(a**2, axis=0)
     sb = np.sum(b**2, axis=0)
@@ -396,13 +342,13 @@ def monte_carlo_sensitivity(model, sigma=1e-4, n_samples=2000, seed=0):
     averages ``||T - [[A+dA, B+dB, C+dC]]||_F^2 / sigma^2`` over
     `n_samples` draws.  The estimate converges to :func:`sensitivity` as
     sigma -> 0 (the sigma^2 normalization is pinned so the closed form and
-    the estimate agree; see the package notes on the weight convention).
+    the estimate agree).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    a, b, c = model.factors_folded()
+    a, b, c = model.A, model.B, model.C
     base = reconstruct_cp(a, b, c)
     rng = np.random.default_rng(seed)
     acc = 0.0

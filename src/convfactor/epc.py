@@ -92,16 +92,16 @@ def _secular_solve(yz, gram, norm_y2, delta):
     if norm_y2 <= delta2 * (1 + 1e-15) or norm_y2 == 0.0:
         return np.zeros(yz.shape), 0.0
 
-    lam, q = np.linalg.eigh((gram + gram.T) / 2)
-    lam = np.maximum(lam, 0.0)
+    ev, q = np.linalg.eigh((gram + gram.T) / 2)
+    ev = np.maximum(ev, 0.0)
     p = yz @ q                          # columns in the eigenbasis
     s = np.sum(p**2, axis=0)            # component energies
     # eigenvalues below the relative cutoff carry no usable signal
-    cutoff = 1e-12 * (lam[-1] if lam.size else 0.0)
-    live = lam > cutoff
+    cutoff = 1e-12 * (ev[-1] if ev.size else 0.0)
+    live = ev > cutoff
 
     # least-squares residual: energy outside the reachable subspace
-    r_min = norm_y2 - float(np.sum(s[live] / lam[live])) if np.any(live) else norm_y2
+    r_min = norm_y2 - float(np.sum(s[live] / ev[live])) if np.any(live) else norm_y2
     r_min = max(r_min, 0.0)
     scale = max(norm_y2, 1.0)
     if r_min > delta2 + _QP_TOL * scale:
@@ -111,26 +111,26 @@ def _secular_solve(yz, gram, norm_y2, delta):
             bound=delta2,
         )
 
-    lam_l = lam[live]
+    ev_l = ev[live]
     s_l = s[live]
 
     def residual(mu):
-        num = s_l * (2.0 * mu + mu**2 * lam_l)
-        return norm_y2 - float(np.sum(num / (1.0 + mu * lam_l) ** 2))
+        num = s_l * (2.0 * mu + mu**2 * ev_l)
+        return norm_y2 - float(np.sum(num / (1.0 + mu * ev_l) ** 2))
 
     def residual_prime(mu):
-        return -2.0 * float(np.sum(s_l / (1.0 + mu * lam_l) ** 3))
+        return -2.0 * float(np.sum(s_l / (1.0 + mu * ev_l) ** 3))
 
     def x_of(mu):
         # dead directions carry no residual signal; the min-norm solution
         # (and the secular residual above) puts exactly zero there
-        coef = np.where(live, mu / (1.0 + mu * lam), 0.0)
+        coef = np.where(live, mu / (1.0 + mu * ev), 0.0)
         return (p * coef) @ q.T
 
     if delta2 <= r_min + _QP_TOL * scale:
         # active bound sits at the exact-fit limit: min-norm LS solution
-        coef = np.zeros_like(lam)
-        coef[live] = 1.0 / lam[live]
+        coef = np.zeros_like(ev)
+        coef[live] = 1.0 / ev[live]
         return (p * coef) @ q.T, np.inf
 
     # the secular residual carries roundoff of order eps * ||Y||^2 (it is
@@ -144,7 +144,7 @@ def _secular_solve(yz, gram, norm_y2, delta):
 
     # bracket [lo, hi] with residual(lo) > target > residual(hi)
     lo = 0.0
-    hi = 1.0 / max(lam_l[-1], 1e-300)
+    hi = 1.0 / max(ev_l[-1], 1e-300)
     for _ in range(400):
         if residual(hi) < target:
             break
@@ -194,7 +194,9 @@ def epc_correct(tensor, model, opts=None):
     Sweeps A -> B -> C cyclically; each update is the exact constrained
     minimizer of the sensitivity terms involving that factor, so both the
     error bound and sensitivity monotonicity hold after every accepted
-    update.  Components are magnitude-balanced across factors up front
+    update.  A sweep that would raise the sensitivity, which only the
+    solver's margin at the bound can cause, is rejected and ends the
+    correction.  Components are magnitude-balanced across factors up front
     (free sensitivity reduction, reconstruction unchanged).
 
     A factor update needs only the factor's MTTKRP (see
@@ -212,9 +214,9 @@ def epc_correct(tensor, model, opts=None):
     Returns
     -------
     (CPModel, trace)
-        The corrected model (weights absorbed into the factors) and a list
-        of per-sweep records ``{"error": float, "ss": float}``, starting
-        with the balanced input state.
+        The corrected model, balanced (:func:`balance_components`), and a
+        list of per-sweep records ``{"error": float, "ss": float}``,
+        starting with the balanced input state.
     """
     if opts is None:
         opts = EpcOptions()
@@ -269,6 +271,7 @@ def epc_correct(tensor, model, opts=None):
     gb, gc = b.T @ b, c.T @ c
     prev_ss = trace[0]["ss"]
     for _ in range(opts.max_sweeps):
+        start = (a, b, c)
         w = mt.partial_c(c)
         a = update(mt.mode0(w, b), gb, gc, j, k, "A")
         ga = a.T @ a
@@ -281,9 +284,14 @@ def epc_correct(tensor, model, opts=None):
         # single-factor updates cannot move magnitude between factors;
         # rebalancing is free (reconstruction unchanged, ss non-increasing)
         balanced = balance_components(CPModel(a, b, c))
+        ss = sensitivity(balanced)
+        if ss > prev_ss:
+            # an error-preserving start at an ALS optimum leaves no room in
+            # the bound: keep the previous sweep
+            a, b, c = start
+            break
         a, b, c = balanced.A, balanced.B, balanced.C
         gb, gc = b.T @ b, c.T @ c
-        ss = sensitivity(balanced)
         if slack <= _ERROR_RTOL * e2:
             err = float(np.sqrt(e2))
         else:

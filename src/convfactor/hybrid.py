@@ -168,8 +168,8 @@ def to_equivalent_cp(model):
     """Absorb the Tucker factors into the core CP factors.
 
     Returns a CP model of the full tensor with ``B' = U @ B`` and
-    ``C' = V @ C``; orthonormality of U and V preserves column norms, so
-    normalized weights stay valid and the reconstruction is identical.
+    ``C' = V @ C``; orthonormality of U and V preserves column norms, and
+    the reconstruction is identical.
     """
     core = model.core_cp
-    return CPModel(core.A, model.U @ core.B, model.V @ core.C, core.lam)
+    return CPModel(core.A, model.U @ core.B, model.V @ core.C)

@@ -8,6 +8,7 @@ the emitted layer block and its metrics.
 import numpy as np
 
 from .convblocks import (
+    block_factors,
     count_params_flops,
     emit_cpd_block,
     emit_svd_block,
@@ -23,12 +24,13 @@ __all__ = ["decompose_to_block", "fit", "METHODS"]
 METHODS = ("cpd", "cpd-epc", "tkd-cpd-epc", "svd")
 
 
-def _metrics(layers, rel_error, model, input_hw):
+def _metrics(layers, kind, rel_error, input_hw):
     params, flops = count_params_flops(layers, input_hw)
+    shipped = block_factors(layers, kind)
     return {
         "rel_error": float(rel_error),
-        "sensitivity": float(sensitivity(model)),
-        "intensity": float(intensity(model)),
+        "sensitivity": float(sensitivity(shipped)),
+        "intensity": float(intensity(shipped)),
         "params": int(params),
         "flops": int(flops),
         "input_hw": list(input_hw),
@@ -106,20 +108,21 @@ def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5
     """Decompose a (D^2, S, T) tensor (see :func:`fit`) and emit the
     matching layer block.
 
-    Returns (Block, report).
+    Returns (Block, report).  The block's sensitivity and intensity are
+    those of its layers' :func:`~convfactor.convblocks.block_factors`.
     """
     model, report = fit(tensor, method, rank, seed=seed, ranks=ranks, theta=theta,
                         delta_rel=delta_rel)
-    if method == "tkd-cpd-epc":
-        hybrid, model = model, to_equivalent_cp(model)
     if method == "svd":
         kind = "svd"
         layers = emit_svd_block(np.asarray(tensor, dtype=np.float64)[0].T, rank, spec)
     elif method == "tkd-cpd-epc" and not report["merged"]:
         kind = "tkd-cpd"
-        layers = emit_tkd_cpd_block(hybrid, spec)
+        layers = emit_tkd_cpd_block(model, spec)
     else:
         kind = "cpd"
+        if method == "tkd-cpd-epc":
+            model = to_equivalent_cp(model)
         layers = emit_cpd_block(model, spec)
-    metrics = _metrics(layers, report["rel_error"], model, input_hw)
+    metrics = _metrics(layers, kind, report["rel_error"], input_hw)
     return Block(kind, spec, layers, metrics), report

@@ -66,11 +66,9 @@ def khatri_rao(a, b):
     return np.einsum("ir,jr->ijr", a, b).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
-def reconstruct_cp(a, b, c, weights=None):
-    """Rebuild the dense tensor of the Kruskal model ``[[A, B, C]]``.
-
-    ``t[i, j, k] = sum_r w_r * A[i, r] * B[j, r] * C[k, r]`` with ``w = 1``
-    when `weights` is None.
+def reconstruct_cp(a, b, c):
+    """Rebuild the dense tensor of the Kruskal model ``[[A, B, C]]``:
+    ``t[i, j, k] = sum_r A[i, r] * B[j, r] * C[k, r]``.
     """
     a = _as_f64(a)
     b = _as_f64(b)
@@ -81,11 +79,6 @@ def reconstruct_cp(a, b, c, weights=None):
         raise ValueError(
             f"factor column counts differ: {a.shape[1]}, {b.shape[1]}, {c.shape[1]}"
         )
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (a.shape[1],):
-            raise ValueError("weights length must equal the factor column count")
-        a = a * weights
     # one GEMM: the (IJ x K) mode-2 unfolding is the C-order (I, J, K) layout
     return (khatri_rao(a, b) @ c.T).reshape(a.shape[0], b.shape[0], c.shape[0])
 

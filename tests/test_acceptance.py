@@ -40,7 +40,6 @@ from convfactor import (
     tucker2_bounded,
 )
 from convfactor.convblocks import block_to_kernel
-from convfactor.cpd import normalize
 from convfactor.epc import spherical_qp
 from convfactor.hybrid import HybridModel
 
@@ -174,12 +173,10 @@ def test_07_block_forward_equivalence():
     d, s, t = 3, 6, 5
     spec = ConvSpec(s, t, d, stride=2, pad=1, bias=rng.standard_normal(t))
 
-    cp = normalize(
-        CPModel(
-            rng.standard_normal((d * d, 4)),
-            rng.standard_normal((s, 4)),
-            rng.standard_normal((t, 4)),
-        )
+    cp = CPModel(
+        rng.standard_normal((d * d, 4)),
+        rng.standard_normal((s, 4)),
+        rng.standard_normal((t, 4)),
     )
     u, _ = np.linalg.qr(rng.standard_normal((s, 3)))
     v, _ = np.linalg.qr(rng.standard_normal((t, 2)))

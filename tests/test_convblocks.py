@@ -12,9 +12,13 @@ from convfactor import (
     emit_tkd_cpd_block,
     restore_kernel,
 )
-from convfactor.convblocks import LayerDescriptor, block_to_kernel, layer_forward
-from convfactor.cpd import normalize
-from convfactor.hybrid import HybridModel
+from convfactor.convblocks import (
+    LayerDescriptor,
+    block_factors,
+    block_to_kernel,
+    layer_forward,
+)
+from convfactor.hybrid import HybridModel, to_equivalent_cp
 
 
 def conv_loop(x, kernel, stride, pad):
@@ -39,13 +43,12 @@ def conv_loop(x, kernel, stride, pad):
     return out
 
 
-def random_model(rng, d, s, t, r, normalized=False):
-    m = CPModel(
+def random_model(rng, d, s, t, r):
+    return CPModel(
         rng.standard_normal((d * d, r)),
         rng.standard_normal((s, r)),
         rng.standard_normal((t, r)),
     )
-    return normalize(m) if normalized else m
 
 
 class TestLayerForward:
@@ -128,7 +131,7 @@ class TestCpdBlock:
 
     def test_exact_forward_equivalence(self):
         rng = np.random.default_rng(4)
-        m = random_model(rng, 3, 6, 5, 4, normalized=True)
+        m = random_model(rng, 3, 6, 5, 4)
         spec = ConvSpec(6, 5, 3, stride=2, pad=1, bias=rng.standard_normal(5))
         k4 = restore_kernel(m.to_tensor(), 3)
         layers = emit_cpd_block(m, spec)
@@ -314,7 +317,7 @@ class TestCountParamsFlops:
 class TestBlockToKernel:
     def test_cpd_roundtrip(self):
         rng = np.random.default_rng(20)
-        m = random_model(rng, 3, 5, 6, 3, normalized=True)
+        m = random_model(rng, 3, 5, 6, 3)
         spec = ConvSpec(5, 6, 3)
         k = block_to_kernel(emit_cpd_block(m, spec), "cpd")
         assert np.max(np.abs(k - restore_kernel(m.to_tensor(), 3))) < 1e-12
@@ -322,3 +325,35 @@ class TestBlockToKernel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             block_to_kernel([], "nope")
+
+
+class TestBlockFactors:
+    """``block_factors`` inverts each emitter."""
+
+    def test_cpd(self):
+        rng = np.random.default_rng(21)
+        m = random_model(rng, 3, 5, 6, 4)
+        got = block_factors(emit_cpd_block(m, ConvSpec(5, 6, 3)), "cpd")
+        for f, g in ((m.A, got.A), (m.B, got.B), (m.C, got.C)):
+            assert np.array_equal(f, g)
+
+    def test_tkd_cpd_is_equivalent_cp(self):
+        rng = np.random.default_rng(22)
+        h = TestTkdCpdBlock().make_hybrid(rng, 3, 6, 7, 2, 3, 4)
+        got = block_factors(emit_tkd_cpd_block(h, ConvSpec(6, 7, 3)), "tkd-cpd")
+        want = to_equivalent_cp(h)
+        for f, g in ((want.A, got.A), (want.B, got.B), (want.C, got.C)):
+            assert np.allclose(f, g, rtol=0, atol=1e-12)
+
+    def test_svd(self):
+        rng = np.random.default_rng(23)
+        m = rng.standard_normal((5, 7))
+        layers = emit_svd_block(m, 3, ConvSpec(7, 5, 1))
+        got = block_factors(layers, "svd")
+        assert np.array_equal(got.A, np.ones((1, 3)))
+        assert np.array_equal(got.B, layers[0].weights[:, :, 0, 0].T)
+        assert np.array_equal(got.C, layers[1].weights[:, :, 0, 0])
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            block_factors([], "nope")

@@ -14,7 +14,7 @@ from convfactor import (
     monte_carlo_sensitivity,
     sensitivity,
 )
-from convfactor.cpd import _pinv_psd, _solve_psd, balance_components, normalize
+from convfactor.cpd import _pinv_psd, _solve_psd, balance_components
 from convfactor.tensorops import khatri_rao
 
 
@@ -46,6 +46,19 @@ def random_init(dims, rank, seed):
     return [rng.standard_normal((n, rank)) for n in dims]
 
 
+def magnitudes(model):
+    """Per-component ``||a_r|| ||b_r|| ||c_r||``."""
+    return np.prod([np.linalg.norm(f, axis=0) for f in (model.A, model.B, model.C)],
+                   axis=0)
+
+
+def balanced_sorted(a, b, c):
+    """The output form of :func:`cpd_als`: components sorted by descending
+    magnitude, then balanced."""
+    order = np.argsort(-magnitudes(CPModel(a, b, c)), kind="stable")
+    return balance_components(CPModel(a[:, order], b[:, order], c[:, order]))
+
+
 def dense_rel_error(tensor, model):
     return np.linalg.norm(tensor - model.to_tensor()) / np.linalg.norm(tensor)
 
@@ -66,7 +79,7 @@ class TestAls:
     def test_zero_tensor_convention(self):
         res = cpd_als(np.zeros((3, 4, 5)), 2)
         assert res.rel_error == 0.0
-        assert np.all(res.model.lam == 0.0)
+        assert all(np.all(f == 0.0) for f in (res.model.A, res.model.B, res.model.C))
         assert np.all(res.model.to_tensor() == 0.0)
 
     def test_per_sweep_monotone(self):
@@ -80,9 +93,12 @@ class TestAls:
         rng = np.random.default_rng(3)
         t, _ = random_cp_tensor(rng, (4, 5, 6), 2)
         model, _ = cpd_als(t, 2, AlsOptions(max_iters=300))
-        for f in (model.A, model.B, model.C):
-            assert np.allclose(np.linalg.norm(f, axis=0), 1.0, atol=1e-8)
-        assert np.all(np.diff(model.lam) <= 0)
+        # balanced: ||a_r||^2 / I = ||b_r||^2 / J = ||c_r||^2 / K per component
+        per_extent = [np.linalg.norm(f, axis=0) ** 2 / f.shape[0]
+                      for f in (model.A, model.B, model.C)]
+        assert np.allclose(per_extent[0], per_extent[1], rtol=1e-12)
+        assert np.allclose(per_extent[0], per_extent[2], rtol=1e-12)
+        assert np.all(np.diff(magnitudes(model)) <= 0)
 
     def test_svd_init(self):
         rng = np.random.default_rng(4)
@@ -134,9 +150,9 @@ class TestAlsMatchesKhatriRaoReference:
         res = cpd_als(t, rank, AlsOptions(max_iters=20, tol=1e-15, seed=7))
         (a, b, c), ref_errors = reference_als(t, *random_init(dims, rank, 7), 20)
         assert res.n_iters == 20 and not res.converged
-        ref = normalize(CPModel(a, b, c))
+        ref = balanced_sorted(a, b, c)
         for got, want in ((res.model.A, ref.A), (res.model.B, ref.B),
-                          (res.model.C, ref.C), (res.model.lam, ref.lam)):
+                          (res.model.C, ref.C)):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         assert np.max(np.abs(np.array(res.rel_errors) - ref_errors)) <= 1e-12
 
@@ -274,11 +290,6 @@ class TestIntensity:
         e = np.array([[1.0], [0.0]])
         assert intensity(CPModel(a, e, e)) == pytest.approx(4.0)
 
-    def test_normalized_with_lambda(self):
-        e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        m = CPModel(e, e, e, lam=np.array([3.0, 4.0]))
-        assert intensity(m) == pytest.approx(25.0)
-
     def test_against_componentwise_oracle(self):
         rng = np.random.default_rng(6)
         m = CPModel(
@@ -370,41 +381,6 @@ class TestMonteCarlo:
         m = CPModel(e, e, e)
         est = monte_carlo_sensitivity(m, sigma=1e-4, n_samples=4000, seed=12)
         assert est == pytest.approx(6.0, rel=0.05)
-
-
-class TestNormalize:
-    def test_already_normalized(self):
-        e = np.eye(3)[:, :2]
-        m = CPModel(e, e, e, lam=np.array([2.0, 1.0]))
-        out = normalize(m)
-        assert np.array_equal(out.lam, m.lam)
-        assert np.array_equal(out.A, e)
-
-    def test_scale_covariance(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((4, 2))
-        b = rng.standard_normal((5, 2))
-        c = rng.standard_normal((6, 2))
-        n1 = normalize(CPModel(a, b, c))
-        n2 = normalize(CPModel(10 * a, b, c))
-        assert np.allclose(n2.lam, 10 * n1.lam)
-        assert np.max(np.abs(n2.to_tensor() - 10 * n1.to_tensor())) < 1e-10
-
-    def test_reconstruction_invariant(self):
-        rng = np.random.default_rng(12)
-        m = CPModel(
-            rng.standard_normal((4, 3)),
-            rng.standard_normal((5, 3)),
-            rng.standard_normal((6, 3)),
-        )
-        assert np.max(np.abs(normalize(m).to_tensor() - m.to_tensor())) < 1e-12
-
-    def test_zero_column_convention(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        m = CPModel(a, a, a)
-        out = normalize(m)
-        assert out.lam[1] == 0.0
-        assert np.allclose(np.linalg.norm(out.A, axis=0), 1.0)
 
 
 class TestBalance:

@@ -22,6 +22,7 @@ from convfactor import (
 from convfactor.cpd import balance_components
 from convfactor.epc import spherical_qp
 from convfactor.errors import InfeasibleBoundError
+from convfactor.hybrid import als_options
 from convfactor.tensorops import khatri_rao
 
 
@@ -221,6 +222,19 @@ class TestEpcCorrect:
             epc_correct(t, model, EpcOptions(delta=rel * np.linalg.norm(t) * 0.2))
         assert e.value.factor == "A"
         assert e.value.min_residual is not None
+
+    @pytest.mark.parametrize("seed", [5, 22])
+    def test_sweep_raising_sensitivity_rejected(self, seed):
+        # at a converged ALS fit the error-preserving bound leaves no room:
+        # the sweeps only trade the solver's margin at the bound for a higher
+        # sensitivity, so the balanced start is kept
+        t = np.random.default_rng(seed).standard_normal((4, 3, 3))
+        fit = cpd_als(t, 3, als_options(0))
+        out, trace = epc_correct(t, fit.model, EpcOptions())
+        ss_seq = [rec["ss"] for rec in trace]
+        assert all(b <= a for a, b in zip(ss_seq, ss_seq[1:]))
+        assert sensitivity(out) <= ss_seq[0]
+        assert np.linalg.norm(t - out.to_tensor()) <= trace[0]["error"] * (1 + 1e-12)
 
     def test_shape_mismatch_error(self):
         with pytest.raises(ValueError):

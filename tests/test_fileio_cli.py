@@ -15,9 +15,14 @@ from convfactor import (
     CPModel,
     count_params_flops,
     emit_cpd_block,
+    monte_carlo_sensitivity,
+    reshape_kernel,
     restore_kernel,
+    sensitivity,
 )
 from convfactor.cli import main
+from convfactor.convblocks import block_factors
+from convfactor.cpd import balance_components
 from convfactor.errors import TensorFileError
 from convfactor.fileio import (
     MAGIC,
@@ -27,6 +32,7 @@ from convfactor.fileio import (
     write_block,
     write_tensor,
 )
+from convfactor.pipeline import fit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -404,6 +410,26 @@ class TestCliVerify:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("edit", ["raise", "nan", "text", "remove"])
+    def test_recorded_sensitivity_checked(self, tmp_path, capsys, edit):
+        rng = np.random.default_rng(25)
+        kpath, bpath = self.decompose(tmp_path, rng)
+        doc = json.loads(bpath.read_text())
+        if edit == "remove":
+            del doc["metrics"]["sensitivity"]
+        else:
+            recorded = doc["metrics"]["sensitivity"]
+            doc["metrics"]["sensitivity"] = {
+                "raise": recorded * 1.001, "nan": float("nan"), "text": "low",
+            }[edit]
+        bpath.write_text(json.dumps(doc))
+        code = main([
+            "verify", "--block", str(bpath), "--input", str(kpath),
+            "--trials", "1",
+        ])
+        assert code == 1
+        assert "sensitivity mismatch" in capsys.readouterr().err
+
     def test_hybrid_block_verifies(self, tmp_path, capsys):
         rng = np.random.default_rng(15)
         kpath, bpath = self.decompose(
@@ -466,6 +492,19 @@ class TestCliRankSearch:
         doc = json.loads(capsys.readouterr().out)
         assert doc["rank"] == 2 and doc["met"] is True
 
+    def test_default_rmax_follows_fixed_ranks(self, tmp_path, capsys):
+        # a 9 x 6 x 5 core has an exact CP of rank 30, so no larger rank
+        # needs scoring when none meets eps
+        kpath = tmp_path / "k.kten"
+        write_tensor(kpath, np.random.default_rng(0).standard_normal((3, 3, 12, 10)))
+        code = main([
+            "rank-search", "--input", str(kpath), "--method", "tkd-cpd-epc",
+            "--ranks", "6,5", "--eps", "0.1", "--json",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rank"] <= 30 and doc["evaluations"] <= 6
+
     def test_svd_searchable_on_1x1(self, tmp_path, capsys):
         rng = np.random.default_rng(21)
         kpath = make_kernel_file(tmp_path, rng, dims=(1, 6, 7), rank=3)
@@ -475,6 +514,37 @@ class TestCliRankSearch:
         ])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["rank"] == 3
+
+
+@pytest.mark.parametrize("method, shape, rank, extra, kind, n_layers", [
+    ("cpd", (3, 3, 6, 5), 3, (), "cpd", 3),
+    ("cpd-epc", (3, 3, 6, 5), 3, (), "cpd", 3),
+    ("tkd-cpd-epc", (3, 3, 6, 5), 3, ("--ranks", "4,4"), "cpd", 3),
+    ("tkd-cpd-epc", (3, 3, 6, 5), 4, ("--ranks", "3,3"), "tkd-cpd", 5),
+    ("svd", (1, 1, 6, 5), 3, (), "svd", 2),
+], ids=["cpd", "cpd-epc", "tkd-cpd-epc-merged", "tkd-cpd-epc-5-layer", "svd"])
+def test_recorded_sensitivity_is_that_of_the_shipped_layers(
+    tmp_path, capsys, method, shape, rank, extra, kind, n_layers
+):
+    kpath = tmp_path / "k.kten"
+    write_tensor(kpath, np.random.default_rng(26).standard_normal(shape))
+    out = tmp_path / "blk"
+    assert main([
+        "decompose", "--input", str(kpath), "--method", method,
+        "--rank", str(rank), "--out", str(out), *extra,
+    ]) == 0
+    block = read_block(out / "block.json")
+    assert block.kind == kind and len(block.layers) == n_layers
+    shipped = block_factors(block.layers, kind)
+    recorded = block.metrics["sensitivity"]
+    assert recorded == pytest.approx(sensitivity(shipped), rel=1e-12)
+    assert monte_carlo_sensitivity(shipped) == pytest.approx(recorded, rel=0.02)
+    if method == "cpd":
+        # the fit's own model, at its minimum-sensitivity scaling
+        model, _ = fit(reshape_kernel(read_tensor(kpath)), "cpd", rank)
+        assert recorded == pytest.approx(
+            sensitivity(balance_components(model)), rel=1e-12
+        )
 
 
 class TestDegenerateKernels:
