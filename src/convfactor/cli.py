@@ -10,15 +10,16 @@ files, 3 external evaluator contract violations.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import fileio
-from .convblocks import ConvSpec, compose_forward, conv2d_reference, count_params_flops
-from .convblocks import block_factors, block_to_kernel
-from .cpd import sensitivity
+from .convblocks import ConvSpec, block_metrics, block_to_kernel, compose_forward
+from .convblocks import conv2d_reference
 from .errors import TensorFileError
 from .pipeline import METHODS, decompose_to_block
 from .ranksearch import Evaluator, EvaluatorError, binary_search_rank
@@ -44,9 +45,21 @@ def _parse_pair(text, what):
 
 
 def _differs(value, recorded):
-    """True when a recomputed metric disagrees with its recorded value
-    (a NaN never agrees)."""
-    return not abs(value - recorded) <= 1e-8 + 1e-6 * max(recorded, 1e-30)
+    """True when a recomputed metric disagrees with its recorded value.
+
+    Integers must match exactly and floats within 1e-8 + 1e-6 relative; a
+    missing, non-numeric or non-finite recorded value never agrees.
+    """
+    if type(recorded) not in (int, float):
+        return True
+    if type(value) is int:
+        return value != recorded
+    try:
+        recorded = float(recorded)
+    except OverflowError:  # an integer beyond the float range
+        return True
+    return not (math.isfinite(recorded)
+                and abs(value - recorded) <= 1e-8 + 1e-6 * max(recorded, 1e-30))
 
 
 def _load_kernel(path):
@@ -117,13 +130,7 @@ def cmd_rank_search(args):
     except TensorFileError as e:
         return _fail(EXIT_BADFILE, e)
     tensor = reshape_kernel(kernel)
-    d2, s, t = tensor.shape
-    # the largest CP rank the searched (D^2, R1, R2) core can need; only
-    # the hybrid fixes R1, R2 below (S, T)
-    fixed = args.method == "tkd-cpd-epc" and args.ranks is not None
-    r1, r2 = args.ranks if fixed else (s, t)
-    r_min = args.rmin
-    r_max = args.rmax if args.rmax is not None else min(d2 * r1, d2 * r2, r1 * r2)
+    _, s, t = tensor.shape
     try:
         evaluator = Evaluator(eps=args.eps, command=args.evaluator)
         spec = ConvSpec(
@@ -134,8 +141,8 @@ def cmd_rank_search(args):
             tensor,
             args.method,
             evaluator,
-            r_min,
-            r_max,
+            args.rmin,
+            args.rmax,
             seed=args.seed,
             ranks=args.ranks,
             theta=args.theta,
@@ -176,11 +183,15 @@ def cmd_verify(args):
     except TensorFileError as e:
         return _fail(EXIT_BADFILE, e)
 
+    hw = block.metrics.get("input_hw", [56, 56])
+    if not (isinstance(hw, list) and len(hw) == 2
+            and all(type(n) is int and n > 0 for n in hw)):
+        return _fail(EXIT_BADFILE, f"input_hw {hw!r} is not two positive integers")
     try:
-        params, flops = count_params_flops(
-            block.layers, block.metrics.get("input_hw", (56, 56))
-        )
+        # from the small factors, before the kernel-sized arrays
+        metrics = block_metrics(block.layers, block.kind, hw)
         equivalent = block_to_kernel(block.layers, block.kind)
+        spec = dataclasses.replace(block.spec, bias=block.layers[-1].bias)
     except ValueError as e:
         return _fail(EXIT_BADFILE, e)
     if equivalent.shape != kernel.shape:
@@ -190,42 +201,17 @@ def cmd_verify(args):
             f"input has {kernel.shape}",
         )
 
-    failures = []
-    if params != block.metrics.get("params"):
-        failures.append(
-            f"params mismatch: recomputed {params}, recorded "
-            f"{block.metrics.get('params')}"
-        )
-    if flops != block.metrics.get("flops"):
-        failures.append(
-            f"flops mismatch: recomputed {flops}, recorded "
-            f"{block.metrics.get('flops')}"
-        )
-
     norm_k = np.linalg.norm(kernel)
     rel = float(np.linalg.norm(equivalent - kernel) / norm_k) if norm_k else 0.0
-    recorded = block.metrics.get("rel_error", 0.0)
-    print(f"rel_error: recomputed {rel:.6e}, recorded {recorded:.6e}")
-    if _differs(rel, recorded):
-        failures.append("reconstruction error inconsistent with recorded rel_error")
-    # from the small factors, after the kernel-sized arrays above
-    ss = sensitivity(block_factors(block.layers, block.kind))
-    recorded_ss = block.metrics.get("sensitivity")
-    if not isinstance(recorded_ss, (int, float)) or _differs(ss, recorded_ss):
-        failures.append(
-            f"sensitivity mismatch: recomputed {ss:.6e}, recorded {recorded_ss}"
-        )
+    recorded = block.metrics.get("rel_error")
+    shown = f"{recorded:.6e}" if type(recorded) is float else recorded
+    print(f"rel_error: recomputed {rel:.6e}, recorded {shown}")
+    failures = [
+        f"{key} mismatch: recomputed {value}, recorded {block.metrics.get(key)}"
+        for key, value in {"rel_error": rel, **metrics}.items()
+        if key != "input_hw" and _differs(value, block.metrics.get(key))
+    ]
 
-    spec = block.spec
-    bias = block.layers[-1].bias
-    ref_spec = ConvSpec(
-        in_channels=spec.in_channels,
-        out_channels=spec.out_channels,
-        kernel_size=spec.kernel_size,
-        stride=spec.stride,
-        pad=spec.pad,
-        bias=bias,
-    )
     h, w = args.hw
     max_dev = 0.0
     try:  # a negative --seed or --trials, or an --hw the kernel does not fit
@@ -234,7 +220,7 @@ def cmd_verify(args):
         rng = np.random.default_rng(args.seed)
         for _ in range(args.trials):
             x = rng.standard_normal((h, w, spec.in_channels))
-            ref = conv2d_reference(x, ref_spec, equivalent)
+            ref = conv2d_reference(x, spec, equivalent)
             got = compose_forward(block.layers, x)
             dev = float(np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(x)))
             max_dev = max(max_dev, dev)

@@ -4,13 +4,14 @@ A decomposition of a reshaped kernel turns one dense conv2d into a short
 chain of cheap layers:
 
 * CP block: 1x1 (S->R), depthwise DxD with R groups, 1x1 (R->T);
-* hybrid block: 1x1 (S->R1), 1x1 (R1->R), depthwise DxD, 1x1 (R->R2),
-  1x1 (R2->T);
+* hybrid block: 1x1 (S->R1), the CP block of the core (R1->R2), 1x1
+  (R2->T);
 * SVD block (1x1 kernels only): 1x1 (S->R), 1x1 (R->T).
 
 The chain computes exactly the convolution with the kernel the model
-reconstructs, which is what the equivalence tests assert, and
-:func:`block_factors` reads the CP factors back from the layers.  The
+reconstructs, which is what the equivalence tests assert.
+:func:`block_factors` reads the CP factors back from the layers and
+:func:`block_metrics` derives the metrics a block file records.  The
 reference forward pass is a direct evaluation of the convolution sum with
 zero padding, intended for verification, not speed.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpd import CPModel
+from .cpd import CPModel, intensity, sensitivity
 from .tensorops import reconstruct_cp, restore_kernel
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "emit_svd_block",
     "block_factors",
     "block_to_kernel",
+    "block_metrics",
     "count_params_flops",
 ]
 
@@ -251,41 +253,18 @@ def emit_cpd_block(model, spec):
 
 
 def emit_tkd_cpd_block(model, spec):
-    """Five-layer hybrid realization: U, core-B, depthwise core-A, core-C, V.
+    """Five-layer hybrid realization: 1x1 S->R1 from U, the CP block of the
+    core (R1->R2), 1x1 R2->T from V with the original bias.
 
-    Only meaningful when the CP rank is not below both multilinear ranks;
-    otherwise the adjacent 1x1 layers should be merged first
-    (:func:`convfactor.hybrid.to_equivalent_cp`) and a CP block emitted.
+    Exact at any ranks; when the CP rank is below both multilinear ranks
+    the merged CP block (:func:`convfactor.hybrid.to_equivalent_cp`) is
+    smaller.
     """
-    from .hybrid import should_merge
-
-    d = spec.kernel_size
-    r1, r2, r = model.ranks
-    if model.shape != (d * d, spec.in_channels, spec.out_channels):
-        raise ValueError(
-            f"model shape {model.shape} does not match spec "
-            f"({d * d}, {spec.in_channels}, {spec.out_channels})"
-        )
-    if should_merge(model.ranks):
-        raise ValueError(
-            f"CP rank {r} is below both multilinear ranks ({r1}, {r2}); "
-            "merge to a CP block via to_equivalent_cp instead"
-        )
-    core = model.core_cp
-    depthwise = LayerDescriptor(
-        in_channels=r,
-        out_channels=r,
-        kernel=(d, d),
-        weights=_spatial_to_filters(core.A, d),
-        groups=r,
-        stride=spec.stride,
-        pad=spec.pad,
-    )
+    r1, r2, _ = model.ranks
+    core = ConvSpec(r1, r2, spec.kernel_size, stride=spec.stride, pad=spec.pad)
     return [
         _pointwise(model.U.T, spec.in_channels, r1),
-        _pointwise(core.B.T, r1, r),
-        depthwise,
-        _pointwise(core.C, r, r2),
+        *emit_cpd_block(model.core_cp, core),
         _pointwise(model.V, r2, spec.out_channels, bias=spec.bias),
     ]
 
@@ -329,12 +308,9 @@ def block_factors(layers, kind):
         w1, wd, w3 = layers
         return CPModel(_filters_to_spatial(wd.weights), matrix(w1).T, matrix(w3))
     if kind == "tkd-cpd":
-        w1, w2, wd, w4, w5 = layers
-        return CPModel(
-            _filters_to_spatial(wd.weights),
-            matrix(w1).T @ matrix(w2).T,
-            matrix(w5) @ matrix(w4),
-        )
+        u, *core, v = layers
+        m = block_factors(core, "cpd")
+        return CPModel(m.A, matrix(u).T @ m.B, matrix(v) @ m.C)
     if kind == "svd":
         w1, w2 = layers
         return CPModel(np.ones((1, w1.out_channels)), matrix(w1).T, matrix(w2))
@@ -345,6 +321,21 @@ def block_to_kernel(layers, kind):
     """Dense (D, D, S, T) kernel equivalent to an emitted block."""
     m = block_factors(layers, kind)
     return restore_kernel(reconstruct_cp(m.A, m.B, m.C), math.isqrt(m.shape[0]))
+
+
+def block_metrics(layers, kind, input_hw):
+    """The metrics ``block.json`` records next to ``rel_error``: the
+    sensitivity and intensity of the block's :func:`block_factors`, and its
+    parameters and FLOPs on an `input_hw` input."""
+    params, flops = count_params_flops(layers, input_hw)
+    shipped = block_factors(layers, kind)
+    return {
+        "sensitivity": float(sensitivity(shipped)),
+        "intensity": float(intensity(shipped)),
+        "params": int(params),
+        "flops": int(flops),
+        "input_hw": list(input_hw),
+    }
 
 
 def count_params_flops(layers, input_hw):

@@ -186,6 +186,8 @@ def read_block(path):
                 )
             )
         metrics = doc.get("metrics", {})
+        if not isinstance(metrics, dict):
+            raise TypeError("metrics is not a JSON object")
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, TensorFileError):
             raise

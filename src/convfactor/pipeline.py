@@ -8,8 +8,7 @@ the emitted layer block and its metrics.
 import numpy as np
 
 from .convblocks import (
-    block_factors,
-    count_params_flops,
+    block_metrics,
     emit_cpd_block,
     emit_svd_block,
     emit_tkd_cpd_block,
@@ -22,19 +21,6 @@ from .hybrid import als_options, should_merge, tkd_cpd_epc, to_equivalent_cp
 __all__ = ["decompose_to_block", "fit", "METHODS"]
 
 METHODS = ("cpd", "cpd-epc", "tkd-cpd-epc", "svd")
-
-
-def _metrics(layers, kind, rel_error, input_hw):
-    params, flops = count_params_flops(layers, input_hw)
-    shipped = block_factors(layers, kind)
-    return {
-        "rel_error": float(rel_error),
-        "sensitivity": float(sensitivity(shipped)),
-        "intensity": float(intensity(shipped)),
-        "params": int(params),
-        "flops": int(flops),
-        "input_hw": list(input_hw),
-    }
 
 
 def _rel_error(tensor, model, norm_t):
@@ -108,8 +94,9 @@ def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5
     """Decompose a (D^2, S, T) tensor (see :func:`fit`) and emit the
     matching layer block.
 
-    Returns (Block, report).  The block's sensitivity and intensity are
-    those of its layers' :func:`~convfactor.convblocks.block_factors`.
+    Returns (Block, report).  The block's metrics are the fit's
+    ``rel_error`` and the :func:`~convfactor.convblocks.block_metrics` of
+    its layers.
     """
     model, report = fit(tensor, method, rank, seed=seed, ranks=ranks, theta=theta,
                         delta_rel=delta_rel)
@@ -124,5 +111,6 @@ def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5
         if method == "tkd-cpd-epc":
             model = to_equivalent_cp(model)
         layers = emit_cpd_block(model, spec)
-    metrics = _metrics(layers, kind, report["rel_error"], input_hw)
+    metrics = {"rel_error": float(report["rel_error"]),
+               **block_metrics(layers, kind, input_hw)}
     return Block(kind, spec, layers, metrics), report

@@ -120,19 +120,26 @@ def _external_score(command, rank, tensor, method, seed, ranks, theta, kernel_pa
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def binary_search_rank(tensor, method, evaluator, r_min, r_max, seed=0, ranks=None,
-                       theta=0.5, kernel_path=None, conv_spec=None):
+def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
+                       ranks=None, theta=0.5, kernel_path=None, conv_spec=None):
     """Smallest rank in [r_min, r_max] whose score is <= evaluator.eps.
 
-    Uses bisection with memoized scores, so the evaluator runs at most
+    `r_max` defaults to the largest CP rank the searched (D^2, R1, R2)
+    tensor can need, ``min(D^2 R1, D^2 R2, R1 R2)``, with (R1, R2) the
+    hybrid's fixed multilinear ranks, else (S, T).  Uses bisection with
+    memoized scores, so the evaluator runs at most
     ``ceil(log2(r_max - r_min + 1)) + 1`` times.  If no rank qualifies the
     result carries ``met=False`` and ``rank=r_max``.
     """
+    ranks = _search_ranks(tensor, method, ranks)
+    if r_max is None:
+        d2, s, t = np.shape(tensor)
+        r1, r2 = ranks if method == "tkd-cpd-epc" else (s, t)
+        r_max = min(d2 * r1, d2 * r2, r1 * r2)
     if r_min < 1 or r_min > r_max:
         raise ValueError(f"need 1 <= r_min <= r_max, got [{r_min}, {r_max}]")
     if evaluator.command and (kernel_path is None or conv_spec is None):
         raise ValueError("an evaluator command needs kernel_path and conv_spec")
-    ranks = _search_ranks(tensor, method, ranks)
 
     scores = {}
 

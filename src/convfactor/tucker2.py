@@ -166,7 +166,7 @@ def core_closed_form(tensor, u, v):
 def tucker2_bounded(tensor, delta, ranks=None):
     """Smallest Tucker-2 model meeting a Frobenius error bound.
 
-    Alternates a U-step and a V-step (HOOI), at most twice.  Each step
+    Alternates a U-step and a V-step (HOOI), twice.  Each step
     takes one eigendecomposition of the projected Gram matrix and keeps its
     leading eigenvectors: the fewest whose energy reaches
     ``||t||^2 - delta^2`` (plus ties with the last kept one), so the
@@ -209,11 +209,6 @@ def tucker2_bounded(tensor, delta, ranks=None):
     for _ in range(_ALTERNATIONS):
         u = step(build_q1(tensor, v), "U", v.shape[1])
         v = step(build_q2(tensor, u), "V", u.shape[1])
-        if len(history) > 2 and history[-3]["ranks"] == history[-1]["ranks"]:
-            if abs(history[-1]["energy"] - history[-3]["energy"]) <= 1e-12 * max(
-                norm2, 1.0
-            ):
-                break
 
     g = core_closed_form(tensor, u, v)
     return Tucker2Model(g, u, v, history=history)

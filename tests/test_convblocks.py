@@ -235,11 +235,36 @@ class TestTkdCpdBlock:
         out3 = compose_forward(emit_cpd_block(core, spec), x)
         assert np.max(np.abs(out5 - out3)) < 1e-12
 
-    def test_merge_condition_violation(self):
+    def test_rank_below_both_multilinear_ranks_still_exact(self):
+        # merging would give a smaller block, but the 5-layer one is exact
         rng = np.random.default_rng(12)
         h = self.make_hybrid(rng, 3, 8, 8, 4, 4, 2)  # R below both
-        with pytest.raises(ValueError, match="merge"):
-            emit_tkd_cpd_block(h, ConvSpec(8, 8, 3))
+        spec = ConvSpec(8, 8, 3, pad=1)
+        layers = emit_tkd_cpd_block(h, spec)
+        x = rng.standard_normal((5, 6, 8))
+        k4 = restore_kernel(h.to_tensor(), 3)
+        assert np.max(
+            np.abs(conv2d_reference(x, spec, k4) - compose_forward(layers, x))
+        ) < 1e-10
+        got = block_factors(layers, "tkd-cpd")
+        want = to_equivalent_cp(h)
+        for f, g in ((want.A, got.A), (want.B, got.B), (want.C, got.C)):
+            assert np.allclose(f, g, rtol=0, atol=1e-12)
+
+    def test_inner_layers_are_the_cpd_block_of_the_core(self):
+        rng = np.random.default_rng(24)
+        h = self.make_hybrid(rng, 3, 6, 7, 2, 3, 4)
+        spec = ConvSpec(6, 7, 3, stride=2, pad=1, bias=rng.standard_normal(7))
+        inner = emit_tkd_cpd_block(h, spec)[1:4]
+        core = emit_cpd_block(h.core_cp, ConvSpec(2, 3, 3, stride=2, pad=1))
+        for got, want in zip(inner, core, strict=True):
+            assert got.weights.shape == want.weights.shape
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.bias is None and want.bias is None
+            assert (got.in_channels, got.out_channels, got.kernel, got.groups,
+                    got.stride, got.pad) == (want.in_channels, want.out_channels,
+                                             want.kernel, want.groups,
+                                             want.stride, want.pad)
 
 
 class TestSvdBlock:

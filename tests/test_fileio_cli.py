@@ -410,25 +410,61 @@ class TestCliVerify:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("edit", ["raise", "nan", "text", "remove"])
-    def test_recorded_sensitivity_checked(self, tmp_path, capsys, edit):
+    # one rule checks every recorded metric; the sensitivity cases keep
+    # their bare ids
+    @pytest.mark.parametrize("key, edit", [
+        pytest.param("sensitivity", "raise", id="raise"),
+        pytest.param("sensitivity", "nan", id="nan"),
+        pytest.param("sensitivity", "text", id="text"),
+        pytest.param("sensitivity", "remove", id="remove"),
+        pytest.param("rel_error", "x", id="rel_error-x"),
+        pytest.param("rel_error", "inf", id="rel_error-inf"),
+        pytest.param("rel_error", 10**400, id="rel_error-beyond-float"),
+        pytest.param("intensity", "raise", id="intensity-raise"),
+        pytest.param("intensity", "remove", id="intensity-remove"),
+        pytest.param("params", "x", id="params-x"),
+        pytest.param("flops", "raise", id="flops-raise"),
+    ])
+    def test_recorded_sensitivity_checked(self, tmp_path, capsys, key, edit):
         rng = np.random.default_rng(25)
         kpath, bpath = self.decompose(tmp_path, rng)
         doc = json.loads(bpath.read_text())
         if edit == "remove":
-            del doc["metrics"]["sensitivity"]
+            del doc["metrics"][key]
         else:
-            recorded = doc["metrics"]["sensitivity"]
-            doc["metrics"]["sensitivity"] = {
+            recorded = doc["metrics"][key]
+            doc["metrics"][key] = {
                 "raise": recorded * 1.001, "nan": float("nan"), "text": "low",
-            }[edit]
+                "inf": float("inf"),
+            }.get(edit, edit)
         bpath.write_text(json.dumps(doc))
         code = main([
             "verify", "--block", str(bpath), "--input", str(kpath),
             "--trials", "1",
         ])
         assert code == 1
-        assert "sensitivity mismatch" in capsys.readouterr().err
+        assert f"{key} mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hw", ["ab", [16], [16, 0], [16.0, 16], None])
+    def test_malformed_input_hw_exits_2(self, tmp_path, capsys, hw):
+        rng = np.random.default_rng(27)
+        kpath, bpath = self.decompose(tmp_path, rng)
+        doc = json.loads(bpath.read_text())
+        doc["metrics"]["input_hw"] = hw
+        bpath.write_text(json.dumps(doc))
+        code = main(["verify", "--block", str(bpath), "--input", str(kpath)])
+        assert code == 2
+        assert "input_hw" in capsys.readouterr().err
+
+    def test_metrics_not_an_object_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(28)
+        kpath, bpath = self.decompose(tmp_path, rng)
+        doc = json.loads(bpath.read_text())
+        doc["metrics"] = 5
+        bpath.write_text(json.dumps(doc))
+        code = main(["verify", "--block", str(bpath), "--input", str(kpath)])
+        assert code == 2
+        assert "metrics" in capsys.readouterr().err
 
     def test_hybrid_block_verifies(self, tmp_path, capsys):
         rng = np.random.default_rng(15)

@@ -40,3 +40,20 @@ def test_readme_quick_start_imports_resolve():
     ]
     assert names
     assert [n for n in names if not hasattr(convfactor, n)] == []
+
+
+def test_block_format_layers_import_no_pipeline_module():
+    # the block format, the CP model and the tensor kernels sit below the
+    # pipelines that use them; imports inside function bodies count too
+    upper = {"hybrid", "pipeline", "ranksearch", "cli"}
+    for name in ("convblocks", "cpd", "tensorops"):
+        tree = ast.parse((ROOT / "src" / "convfactor" / f"{name}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported.update(alias.name.split("."))
+        assert imported & upper == set(), name

@@ -6,7 +6,13 @@ import pytest
 
 import convfactor.ranksearch as rs
 from conftest import random_cp_tensor
-from convfactor import ConvSpec, Evaluator, binary_search_rank, restore_kernel
+from convfactor import (
+    ConvSpec,
+    Evaluator,
+    binary_search_rank,
+    reshape_kernel,
+    restore_kernel,
+)
 from convfactor.fileio import write_tensor
 from convfactor.pipeline import decompose_to_block
 from convfactor.ranksearch import EvaluatorError, approx_error_proxy
@@ -75,6 +81,22 @@ class TestBinarySearch:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             binary_search_rank(None, "cpd", Evaluator(), 5, 4)
+
+    def test_default_r_max_follows_fixed_ranks(self):
+        # the 9 x 6 x 5 core has an exact CP of rank 30 = R1 R2, the default
+        # r_max, as in `rank-search --ranks 6,5` without --rmax
+        kernel = np.random.default_rng(0).standard_normal((3, 3, 12, 10))
+        t = reshape_kernel(kernel)
+        result = binary_search_rank(t, "tkd-cpd-epc", Evaluator(eps=0.1), 1,
+                                    ranks=(6, 5))
+        assert (result.rank, result.n_evals) == (30, 5)
+        assert max(result.scores) == 30
+
+    def test_default_r_max_is_the_full_cp_rank_bound(self, monkeypatch):
+        # min(D^2 S, D^2 T, S T) of a 1 x 6 x 5 tensor is 5
+        patch_scores(monkeypatch, lambda r: 1.0)
+        result = binary_search_rank(np.zeros((1, 6, 5)), "cpd", Evaluator(), 1)
+        assert not result.met and result.rank == 5
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
