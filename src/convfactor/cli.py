@@ -4,9 +4,11 @@ Subcommands: ``decompose`` (factorize a kernel file into a block
 directory), ``rank-search`` (binary search for the smallest acceptable
 rank) and ``verify`` (check a block against its source kernel).
 
-Exit codes: 0 success, 1 infeasible bound, invalid argument value or
-invalid method/shape combination, 2 malformed or inconsistent input
-files, 3 external evaluator contract violations.
+Exit codes: 0 success, 1 infeasible bound, invalid argument value,
+invalid method/shape combination or an output that cannot be written,
+2 malformed or inconsistent input files, 3 external evaluator contract
+violations.  The commands raise; :func:`main` alone maps an exception to
+its exit code.
 """
 
 import argparse
@@ -73,33 +75,28 @@ def _load_kernel(path):
     return kernel
 
 
+def _load_tensor_and_spec(args):
+    """The ``--input`` kernel as a (D^2, S, T) tensor and its ConvSpec."""
+    kernel = _load_kernel(args.input)
+    d, _, s, t = kernel.shape
+    spec = ConvSpec(in_channels=s, out_channels=t, kernel_size=d,
+                    stride=args.stride, pad=args.pad)
+    return reshape_kernel(kernel), spec
+
+
 def cmd_decompose(args):
-    try:
-        kernel = _load_kernel(args.input)
-    except TensorFileError as e:
-        return _fail(EXIT_BADFILE, e)
-    tensor = reshape_kernel(kernel)
-    try:
-        spec = ConvSpec(
-            in_channels=kernel.shape[2],
-            out_channels=kernel.shape[3],
-            kernel_size=kernel.shape[0],
-            stride=args.stride,
-            pad=args.pad,
-        )
-        block, report = decompose_to_block(
-            tensor,
-            args.method,
-            args.rank,
-            spec,
-            seed=args.seed,
-            ranks=args.ranks,
-            theta=args.theta,
-            delta_rel=args.delta,
-            input_hw=args.hw,
-        )
-    except ValueError as e:  # InfeasibleBoundError is one
-        return _fail(EXIT_INFEASIBLE, e)
+    tensor, spec = _load_tensor_and_spec(args)
+    block, report = decompose_to_block(
+        tensor,
+        args.method,
+        args.rank,
+        spec,
+        seed=args.seed,
+        ranks=args.ranks,
+        theta=args.theta,
+        delta_rel=args.delta,
+        input_hw=args.hw,
+    )
     path = fileio.write_block(args.out, block)
     print(f"wrote {path}")
     print(f"method={report['method']} rank={report['rank']}", end="")
@@ -125,37 +122,19 @@ def cmd_decompose(args):
 
 
 def cmd_rank_search(args):
-    try:
-        kernel = _load_kernel(args.input)
-    except TensorFileError as e:
-        return _fail(EXIT_BADFILE, e)
-    tensor = reshape_kernel(kernel)
-    _, s, t = tensor.shape
-    try:
-        evaluator = Evaluator(eps=args.eps, command=args.evaluator)
-        spec = ConvSpec(
-            in_channels=s, out_channels=t, kernel_size=kernel.shape[0],
-            stride=args.stride, pad=args.pad,
-        )
-        result = binary_search_rank(
-            tensor,
-            args.method,
-            evaluator,
-            args.rmin,
-            args.rmax,
-            seed=args.seed,
-            ranks=args.ranks,
-            theta=args.theta,
-            kernel_path=args.input,
-            conv_spec=spec,
-        )
-    except EvaluatorError as e:
-        print(f"error: {e}", file=sys.stderr)
-        if e.captured:
-            print(f"captured output:\n{e.captured}", file=sys.stderr)
-        return EXIT_EVALUATOR
-    except ValueError as e:  # InfeasibleBoundError is one
-        return _fail(EXIT_INFEASIBLE, e)
+    tensor, spec = _load_tensor_and_spec(args)
+    result = binary_search_rank(
+        tensor,
+        args.method,
+        Evaluator(eps=args.eps, command=args.evaluator),
+        args.rmin,
+        args.rmax,
+        seed=args.seed,
+        ranks=args.ranks,
+        theta=args.theta,
+        kernel_path=args.input,
+        conv_spec=spec,
+    )
     if args.json:
         print(
             json.dumps(
@@ -177,29 +156,17 @@ def cmd_rank_search(args):
 
 
 def cmd_verify(args):
-    try:
-        block = fileio.read_block(args.block)
-        kernel = _load_kernel(args.input)
-    except TensorFileError as e:
-        return _fail(EXIT_BADFILE, e)
-
-    hw = block.metrics.get("input_hw", [56, 56])
-    if not (isinstance(hw, list) and len(hw) == 2
-            and all(type(n) is int and n > 0 for n in hw)):
-        return _fail(EXIT_BADFILE, f"input_hw {hw!r} is not two positive integers")
-    try:
-        # from the small factors, before the kernel-sized arrays
-        metrics = block_metrics(block.layers, block.kind, hw)
-        equivalent = block_to_kernel(block.layers, block.kind)
-        spec = dataclasses.replace(block.spec, bias=block.layers[-1].bias)
-    except ValueError as e:
-        return _fail(EXIT_BADFILE, e)
+    block = fileio.read_block(args.block)
+    kernel = _load_kernel(args.input)
+    # from the small factors, before the kernel-sized arrays
+    metrics = block_metrics(block.layers, block.kind, block.metrics["input_hw"])
+    equivalent = block_to_kernel(block.layers, block.kind)
     if equivalent.shape != kernel.shape:
-        return _fail(
-            EXIT_BADFILE,
+        raise TensorFileError(
             f"block realizes kernel shape {equivalent.shape}, "
-            f"input has {kernel.shape}",
+            f"input has {kernel.shape}"
         )
+    spec = dataclasses.replace(block.spec, bias=block.layers[-1].bias)
 
     norm_k = np.linalg.norm(kernel)
     rel = float(np.linalg.norm(equivalent - kernel) / norm_k) if norm_k else 0.0
@@ -212,20 +179,18 @@ def cmd_verify(args):
         if key != "input_hw" and _differs(value, block.metrics.get(key))
     ]
 
+    # ValueError for a negative --seed or --trials or an --hw the kernel misses
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0")
     h, w = args.hw
     max_dev = 0.0
-    try:  # a negative --seed or --trials, or an --hw the kernel does not fit
-        if args.trials < 0:
-            raise ValueError("trials must be >= 0")
-        rng = np.random.default_rng(args.seed)
-        for _ in range(args.trials):
-            x = rng.standard_normal((h, w, spec.in_channels))
-            ref = conv2d_reference(x, spec, equivalent)
-            got = compose_forward(block.layers, x)
-            dev = float(np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(x)))
-            max_dev = max(max_dev, dev)
-    except ValueError as e:
-        return _fail(EXIT_INFEASIBLE, e)
+    rng = np.random.default_rng(args.seed)
+    for _ in range(args.trials):
+        x = rng.standard_normal((h, w, spec.in_channels))
+        ref = conv2d_reference(x, spec, equivalent)
+        got = compose_forward(block.layers, x)
+        dev = float(np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(x)))
+        max_dev = max(max_dev, dev)
     print(f"trials: {args.trials}, max forward deviation: {max_dev:.6e}")
     if args.trials and max_dev > 1e-8:
         failures.append(f"forward deviation {max_dev:.3e} exceeds 1e-8")
@@ -243,38 +208,37 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="factorize a kernel file into a block")
-    p.add_argument("--input", required=True, help="kernel tensor file (D x D x S x T)")
-    p.add_argument("--method", required=True, choices=METHODS)
+    # the arguments decompose and rank-search share
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--input", required=True,
+                     help="kernel tensor file (D x D x S x T)")
+    fit.add_argument("--method", required=True, choices=METHODS)
+    fit.add_argument("--ranks", type=lambda s: _parse_pair(s, "--ranks"),
+                     default=None, help="fixed multilinear ranks R1,R2")
+    fit.add_argument("--theta", type=float, default=0.5,
+                     help="share of the squared budget for the Tucker stage")
+    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--stride", type=int, default=1)
+    fit.add_argument("--pad", type=int, default=0)
+
+    p = sub.add_parser("decompose", parents=[fit],
+                       help="factorize a kernel file into a block")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--ranks", type=lambda s: _parse_pair(s, "--ranks"),
-                   default=None, help="fixed multilinear ranks R1,R2")
     p.add_argument("--delta", type=float, default=None,
                    help="error bound as a fraction of the kernel norm")
-    p.add_argument("--theta", type=float, default=0.5,
-                   help="share of the squared budget for the Tucker stage")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--pad", type=int, default=0)
     p.add_argument("--hw", type=lambda s: _parse_pair(s, "--hw"), default=(56, 56),
                    help="input H,W used for the FLOPs metric")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("rank-search", help="find the smallest acceptable rank")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", required=True, choices=METHODS)
+    p = sub.add_parser("rank-search", parents=[fit],
+                       help="find the smallest acceptable rank")
     p.add_argument("--eps", type=float, required=True,
                    help="score threshold the chosen rank must meet")
     p.add_argument("--evaluator", default=None,
                    help="external command scoring (block.json, kernel.kten)")
     p.add_argument("--rmin", type=int, default=1)
     p.add_argument("--rmax", type=int, default=None)
-    p.add_argument("--ranks", type=lambda s: _parse_pair(s, "--ranks"), default=None)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--pad", type=int, default=0)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_rank_search)
 
@@ -292,7 +256,17 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EvaluatorError as e:
+        code = _fail(EXIT_EVALUATOR, e)
+        if e.captured:
+            print(f"captured output:\n{e.captured}", file=sys.stderr)
+        return code
+    except TensorFileError as e:
+        return _fail(EXIT_BADFILE, e)
+    except (ValueError, OSError) as e:  # InfeasibleBoundError is a ValueError
+        return _fail(EXIT_INFEASIBLE, e)
 
 
 if __name__ == "__main__":

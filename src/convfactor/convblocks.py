@@ -210,13 +210,15 @@ def _filters_to_spatial(w):
     )
 
 
-def _pointwise(matrix, in_channels, out_channels, bias=None):
+def _pointwise(matrix, in_channels, out_channels, bias=None, stride=1, pad=0):
     """1x1 layer with weights[o, i] = matrix[o, i]."""
     return LayerDescriptor(
         in_channels=in_channels,
         out_channels=out_channels,
         kernel=(1, 1),
         weights=np.asarray(matrix, dtype=np.float64)[:, :, None, None],
+        stride=stride,
+        pad=pad,
         bias=bias,
     )
 
@@ -274,7 +276,7 @@ def emit_svd_block(matrix, rank, spec):
 
     The square roots of the singular values are split between the two
     layers; the truncation is the best rank-R approximant in Frobenius
-    norm.
+    norm.  The stride and pad go on the first layer, the bias on the last.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if spec.kernel_size != 1:
@@ -289,7 +291,8 @@ def emit_svd_block(matrix, rank, spec):
     u, sing, vt = np.linalg.svd(matrix, full_matrices=False)
     root = np.sqrt(sing[:rank])
     return [
-        _pointwise(vt[:rank] * root[:, None], spec.in_channels, rank),
+        _pointwise(vt[:rank] * root[:, None], spec.in_channels, rank,
+                   stride=spec.stride, pad=spec.pad),
         _pointwise(u[:, :rank] * root, rank, spec.out_channels, bias=spec.bias),
     ]
 

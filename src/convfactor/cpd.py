@@ -113,10 +113,10 @@ class AlsResult:
 _COND_MAX = 1e10
 
 
-def _pinv_psd(g, rcond=1e-12):
+def _pinv_psd(g):
     """Pseudo-inverse of a symmetric PSD matrix via eigendecomposition."""
     w, v = np.linalg.eigh((g + g.T) / 2)
-    cutoff = rcond * max(w[-1], 0.0)
+    cutoff = 1e-12 * max(w[-1], 0.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (v * inv) @ v.T
 

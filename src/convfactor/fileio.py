@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convblocks import ConvSpec, LayerDescriptor
+from .convblocks import ConvSpec, LayerDescriptor, block_factors, count_params_flops
 from .errors import TensorFileError
 
 __all__ = ["Block", "read_tensor", "write_tensor", "read_block", "write_block"]
@@ -105,10 +105,10 @@ class Block:
     metrics: dict
 
 
-def write_block(directory, block, name="block.json"):
+def write_block(directory, block):
     """Write a block descriptor plus its weight tensors into `directory`.
 
-    Returns the path of the JSON document; weights are stored next to it
+    Returns the path of the JSON document, ``block.json``; weights are stored next to it
     as relative tensor-file paths.
     """
     os.makedirs(directory, exist_ok=True)
@@ -144,13 +144,18 @@ def write_block(directory, block, name="block.json"):
         "layers": layer_docs,
         "metrics": block.metrics,
     }
-    path = os.path.join(directory, name)
+    path = os.path.join(directory, "block.json")
     _atomic_write(path, json.dumps(doc, indent=2).encode() + b"\n")
     return Path(path)
 
 
 def read_block(path):
-    """Load a block descriptor, resolving and validating its tensor files."""
+    """Load a block descriptor, resolving and validating its tensor files.
+
+    The layer chain must fit ``metrics["input_hw"]`` (56x56 when absent)
+    and realize the block's kind and its spec: the (D^2, S, T) shape, the
+    product of the strides and the sum of the pads.
+    """
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)
@@ -162,39 +167,39 @@ def read_block(path):
     try:
         kind = doc["block"]
         spec = ConvSpec(**doc["spec"])
-        layers = []
-        for entry in doc["layers"]:
-            wpath = os.path.join(base, entry["weights"])
-            if not os.path.exists(wpath):
-                raise TensorFileError(f"missing weights file {wpath}")
-            bias = None
-            if entry.get("bias"):
-                bpath = os.path.join(base, entry["bias"])
-                if not os.path.exists(bpath):
-                    raise TensorFileError(f"missing bias file {bpath}")
-                bias = read_tensor(bpath).astype(np.float64)
-            layers.append(
-                LayerDescriptor(
-                    in_channels=entry["in"],
-                    out_channels=entry["out"],
-                    kernel=tuple(entry["kernel"]),
-                    weights=read_tensor(wpath).astype(np.float64),
-                    groups=entry["groups"],
-                    stride=entry["stride"],
-                    pad=entry["pad"],
-                    bias=bias,
-                )
+        layers = [
+            LayerDescriptor(
+                in_channels=entry["in"],
+                out_channels=entry["out"],
+                kernel=tuple(entry["kernel"]),
+                weights=read_tensor(os.path.join(base, entry["weights"])),
+                groups=entry["groups"],
+                stride=entry["stride"],
+                pad=entry["pad"],
+                bias=read_tensor(os.path.join(base, entry["bias"]))
+                if entry.get("bias") else None,
             )
+            for entry in doc["layers"]
+        ]
         metrics = doc.get("metrics", {})
         if not isinstance(metrics, dict):
             raise TypeError("metrics is not a JSON object")
+        hw = metrics.setdefault("input_hw", [56, 56])
+        if not (isinstance(hw, list) and len(hw) == 2
+                and all(type(n) is int and n > 0 for n in hw)):
+            raise ValueError(f"input_hw {hw!r} is not two positive integers")
+        count_params_flops(layers, hw)
+        d = spec.kernel_size
+        found = (block_factors(layers, kind).shape,
+                 math.prod(layer.stride for layer in layers),
+                 sum(layer.pad for layer in layers))
+        if found != ((d * d, spec.in_channels, spec.out_channels), spec.stride, spec.pad):
+            raise ValueError(
+                f"spec {doc['spec']} disagrees with its layers: (D^2, S, T), "
+                f"stride and pad {found}"
+            )
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, TensorFileError):
             raise
         raise TensorFileError(f"{path}: invalid block document: {e}") from None
-    for i in range(len(layers) - 1):
-        if layers[i].out_channels != layers[i + 1].in_channels:
-            raise TensorFileError(
-                f"{path}: broken chain between layers {i} and {i + 1}"
-            )
     return Block(kind, spec, layers, metrics)

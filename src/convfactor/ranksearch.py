@@ -66,9 +66,6 @@ class RankSearchResult:
     n_evals: int
     scores: dict = field(repr=False, default_factory=dict)
 
-    def __iter__(self):
-        return iter((self.rank, self.score))
-
 
 def _search_ranks(tensor, method, ranks):
     """The hybrid's multilinear ranks, held fixed so that the CP rank is the
@@ -100,11 +97,14 @@ def _external_score(command, rank, tensor, method, seed, ranks, theta, kernel_pa
             tensor, method, rank, conv_spec, seed=seed, ranks=ranks, theta=theta
         )
         block_path = fileio.write_block(workdir, block)
-        proc = subprocess.run(
-            [*command.split(), str(block_path), str(kernel_path)],
-            capture_output=True,
-            text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [*command.split(), str(block_path), str(kernel_path)],
+                capture_output=True,
+                text=True,
+            )
+        except OSError as e:  # a missing or non-executable program
+            raise EvaluatorError(f"evaluator could not be started: {e}") from None
         if proc.returncode != 0:
             raise EvaluatorError(
                 f"evaluator exited with status {proc.returncode}",

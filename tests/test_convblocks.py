@@ -268,10 +268,11 @@ class TestTkdCpdBlock:
 
 
 class TestSvdBlock:
-    def test_full_rank_exact(self):
+    @pytest.mark.parametrize("stride, pad", [(1, 0), (2, 0), (1, 1), (2, 1)])
+    def test_full_rank_exact(self, stride, pad):
         rng = np.random.default_rng(13)
         m = rng.standard_normal((5, 7))
-        spec = ConvSpec(7, 5, 1)
+        spec = ConvSpec(7, 5, 1, stride=stride, pad=pad)
         layers = emit_svd_block(m, 5, spec)
         x = rng.standard_normal((3, 3, 7))
         k = block_to_kernel(layers, "svd")

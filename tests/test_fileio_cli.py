@@ -347,6 +347,20 @@ class TestCliDecompose:
         ]) == 0
         assert read_block(out / "block.json").metrics["rel_error"] <= 1e-8
 
+    def test_out_naming_a_file_exits_1_without_traceback(self, tmp_path):
+        rng = np.random.default_rng(29)
+        kpath = make_kernel_file(tmp_path, rng)
+        out = tmp_path / "taken"
+        out.write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-m", "convfactor.cli", "decompose", "--input",
+             str(kpath), "--method", "cpd", "--rank", "2", "--out", str(out)],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_tkd_requires_delta_or_ranks(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
         kpath = make_kernel_file(tmp_path, rng)
@@ -456,6 +470,20 @@ class TestCliVerify:
         assert code == 2
         assert "input_hw" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["in_channels", "out_channels", "kernel_size", "stride", "pad"])
+    def test_spec_disagreeing_with_layers_exits_2(self, tmp_path, capsys, key):
+        rng = np.random.default_rng(30)
+        kpath, bpath = self.decompose(tmp_path, rng)
+        doc = json.loads(bpath.read_text())
+        doc["spec"][key] += 1
+        bpath.write_text(json.dumps(doc))
+        for trials in ("0", "1"):
+            code = main(["verify", "--block", str(bpath), "--input", str(kpath),
+                         "--trials", trials])
+            assert code == 2
+            assert "spec" in capsys.readouterr().err
+
     def test_metrics_not_an_object_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(28)
         kpath, bpath = self.decompose(tmp_path, rng)
@@ -501,12 +529,13 @@ class TestCliRankSearch:
         assert code == 0
         assert "rank=1" in capsys.readouterr().out
 
-    def test_bad_evaluator_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("evaluator", ["false", "/nonexistent/cmd"])
+    def test_bad_evaluator_exits_3(self, tmp_path, capsys, evaluator):
         rng = np.random.default_rng(18)
         kpath = make_kernel_file(tmp_path, rng)
         code = main([
             "rank-search", "--input", str(kpath), "--method", "cpd",
-            "--eps", "1e-8", "--rmax", "4", "--evaluator", "false",
+            "--eps", "1e-8", "--rmax", "4", "--evaluator", evaluator,
         ])
         assert code == 3
 

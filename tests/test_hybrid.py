@@ -9,12 +9,14 @@ from convfactor import (
     CPModel,
     core_closed_form,
     cpd_als,
+    epc_correct,
     mode_product,
     sensitivity,
     should_merge,
     tkd_cpd_epc,
     to_equivalent_cp,
 )
+from convfactor.cpd import AlsResult
 from convfactor.errors import InfeasibleBoundError
 from convfactor.hybrid import HybridModel, als_options
 
@@ -53,6 +55,36 @@ class TestTkdCpdEpc:
         err_total, err_tkd, err_core = stage_errors(t, model)
         assert err_core <= 1e-8 * np.linalg.norm(t)
         assert err_total <= err_fix * (1 + 1e-6)
+
+    def test_exact_core_model_when_als_misses_the_core_budget(self, monkeypatch):
+        # a core ALS fit outside its budget at rank >= R1*R2 falls back to
+        # the exact CP of the core's mode-0 slices
+        rng = np.random.default_rng(3)
+        t, _ = random_tucker2_tensor(rng, (4, 6, 5), (2, 3))
+        delta_total = 1e-3 * np.linalg.norm(t)
+        seen = []
+
+        def zero_fit(core, rank, opts):
+            seen.append(core)
+            d2, r1, r2 = core.shape
+            zero = CPModel(np.zeros((d2, rank)), np.zeros((r1, rank)),
+                           np.zeros((r2, rank)))
+            return AlsResult(zero, 1.0, [1.0])
+
+        corrected = []
+
+        def spy_epc(core, model, opts):
+            corrected.append((core, model))
+            return epc_correct(core, model, opts)
+
+        monkeypatch.setattr("convfactor.hybrid.cpd_als", zero_fit)
+        monkeypatch.setattr("convfactor.hybrid.epc_correct", spy_epc)
+        model = tkd_cpd_epc(t, delta_total, rank=7, ranks=(2, 3))
+        assert len(seen) == 1
+        core, start = corrected[0]
+        assert core is seen[0] and start.rank == 7
+        assert np.array_equal(start.to_tensor(), core)
+        assert np.linalg.norm(t - model.to_tensor()) <= delta_total * (1 + 1e-9)
 
     def test_infeasible_core_rank_raises(self):
         rng = np.random.default_rng(2)

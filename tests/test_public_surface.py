@@ -57,3 +57,18 @@ def test_block_format_layers_import_no_pipeline_module():
                 for alias in node.names:
                     imported.update(alias.name.split("."))
         assert imported & upper == set(), name
+
+
+def test_cli_commands_leave_exit_codes_to_main():
+    # main alone maps an exception to an exit code; the commands raise
+    tree = ast.parse((ROOT / "src" / "convfactor" / "cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert {c.name for c in commands} == {"cmd_decompose", "cmd_rank_search",
+                                          "cmd_verify"}
+    for command in commands:
+        for node in ast.walk(command):
+            assert not isinstance(node, ast.Try), command.name
+            assert not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "_fail"), command.name
