@@ -8,7 +8,7 @@ falls with the rank.
 
 import numpy as np
 
-from convfactor import AlsOptions, cpd_als, reconstruct_cp, reshape_kernel, restore_kernel
+from convfactor import cpd_als, reconstruct_cp, reshape_kernel, restore_kernel
 
 rng = np.random.default_rng(0)
 
@@ -22,13 +22,14 @@ kernel4 = restore_kernel(kernel3, D)
 print(f"kernel: {kernel4.shape} with exact CP rank {TRUE_RANK}")
 print(f"order-3 view for decomposition: {reshape_kernel(kernel4).shape}\n")
 
-opts = AlsOptions(max_iters=2000, tol=1e-14, restarts=3)
+# every fit runs the same ALS: 3 restarts (the first from the SVD of each
+# unfolding) of at most 1000 sweeps; the seed picks the random restarts
 print("rank   rel_error      sweeps")
 for rank in (2, 3, 4, 5, 6):
-    res = cpd_als(kernel3, rank, opts)
+    res = cpd_als(kernel3, rank, seed=0)
     print(f"{rank:4d}   {res.rel_error:.6e}  {res.n_iters:5d}")
 
-res = cpd_als(kernel3, TRUE_RANK, opts)
+res = cpd_als(kernel3, TRUE_RANK, seed=0)
 model = res.model
 magnitudes = np.prod([np.linalg.norm(f, axis=0) for f in (model.A, model.B, model.C)],
                      axis=0)

@@ -8,7 +8,7 @@ shows the error pinned at the bound while sensitivity collapses.
 
 import numpy as np
 
-from convfactor import CPModel, EpcOptions, epc_correct, intensity, sensitivity
+from convfactor import CPModel, epc_correct, intensity, sensitivity
 
 rng = np.random.default_rng(2)
 
@@ -29,7 +29,7 @@ err0 = np.linalg.norm(tensor - start.to_tensor())
 print(f"start: error {err0:.4e}, sensitivity {sensitivity(start):.4e}, "
       f"intensity {intensity(start):.4e}")
 
-corrected, trace = epc_correct(tensor, start, EpcOptions(delta=err0))
+corrected, trace = epc_correct(tensor, start, delta=err0)
 
 print("\nsweep   error         sensitivity")
 for i, rec in enumerate(trace):

@@ -9,7 +9,6 @@ decomposition it reproduces the original layer.
 import numpy as np
 
 from convfactor import (
-    AlsOptions,
     ConvSpec,
     compose_forward,
     conv2d_reference,
@@ -35,7 +34,8 @@ kernel4 = restore_kernel(
 spec = ConvSpec(S, T, D, stride=1, pad=1, bias=rng.standard_normal(T))
 
 dense_params = kernel4.size + T
-model, rel = cpd_als(reshape_kernel(kernel4), R, AlsOptions(max_iters=800, tol=1e-13))
+fit = cpd_als(reshape_kernel(kernel4), R, seed=0)
+model, rel = fit.model, fit.rel_error
 layers = emit_cpd_block(model, spec)
 params, flops = count_params_flops(layers, (28, 28))
 base_flops = 2 * 28 * 28 * S * D * D * T

@@ -18,15 +18,8 @@ from .convblocks import (
     emit_svd_block,
     emit_tkd_cpd_block,
 )
-from .cpd import (
-    AlsOptions,
-    CPModel,
-    cpd_als,
-    intensity,
-    monte_carlo_sensitivity,
-    sensitivity,
-)
-from .epc import EpcOptions, epc_correct
+from .cpd import CPModel, cpd_als, intensity, monte_carlo_sensitivity, sensitivity
+from .epc import epc_correct
 from .hybrid import should_merge, tkd_cpd_epc, to_equivalent_cp
 from .ranksearch import Evaluator, binary_search_rank
 from .tensorops import mode_product, reconstruct_cp, reshape_kernel, restore_kernel

@@ -76,6 +76,8 @@ class LayerDescriptor:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.groups < 1 or self.stride < 1 or self.pad < 0:
+            raise ValueError("groups and stride must be >= 1, pad >= 0")
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValueError("channel counts must be divisible by groups")
         self.weights = np.asarray(self.weights, dtype=np.float64)

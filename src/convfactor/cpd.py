@@ -20,7 +20,6 @@ from .tensorops import Mttkrp, cp_residual_sq, khatri_rao, reconstruct_cp
 
 __all__ = [
     "CPModel",
-    "AlsOptions",
     "AlsResult",
     "cpd_als",
     "balance_components",
@@ -63,33 +62,6 @@ class CPModel:
 
 
 @dataclass
-class AlsOptions:
-    """Knobs for :func:`cpd_als`.
-
-    init: "random" (seeded Gaussian) or "mixed" (the leading singular
-    vectors of each unfolding for the first restart, random for the rest;
-    avoids the slow-convergence swamps of over-parameterized fits without
-    losing restart diversity).
-    """
-
-    max_iters: int = 1000
-    tol: float = 1e-8
-    init: str = "random"
-    restarts: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.init not in ("random", "mixed"):
-            raise ValueError(f"unknown init {self.init!r}")
-
-
-@dataclass
 class AlsResult:
     """Best-restart outcome of :func:`cpd_als`.
 
@@ -103,10 +75,10 @@ class AlsResult:
     n_iters: int = 0
     converged: bool = False
 
-    def __iter__(self):
-        # allow ``model, rel_error = cpd_als(...)``
-        return iter((self.model, self.rel_error))
 
+_MAX_SWEEPS = 1000  # sweep cap of every restart
+_TOL = 1e-12  # stop once a sweep changes the relative error by less than this
+_RESTARTS = 3  # restart 0 is SVD-seeded, the others random
 
 # Largest tr(g) tr(g^-1) (an upper bound on cond(g)) for which _solve_psd
 # uses the inverse; beyond it the eigh pseudo-inverse decides the null space.
@@ -161,7 +133,7 @@ def _init_factors(shape, rank, svd, rng, mt):
     return factors
 
 
-def cpd_als(tensor, rank, opts=None):
+def cpd_als(tensor, rank, seed=0):
     """Rank-`rank` CP decomposition of an order-3 tensor by ALS.
 
     Each sweep solves the exact least-squares update for A, B, C in turn,
@@ -178,27 +150,31 @@ def cpd_als(tensor, rank, opts=None):
     ``_COND_MAX = 1e10``.  No ``(J*K) x R`` or ``(I*K) x R`` Khatri-Rao
     matrix is built.
 
+    Every fit has the settings of the module constants: the best of
+    ``_RESTARTS = 3`` restarts of at most ``_MAX_SWEEPS = 1000`` sweeps,
+    each stopping once a sweep changes the error by less than
+    ``_TOL = 1e-12``.  Restart 0 starts from the leading left singular
+    vectors of each unfolding (padded with random columns where the rank
+    exceeds them); restart ``n`` draws its random values from
+    ``np.random.default_rng((seed, n))``.
+
     The per-sweep error comes from the Gram form of
     :func:`~convfactor.tensorops.cp_residual_sq`.  Once a sweep's change
-    is within ``opts.tol`` plus that form's roundoff margin, the restart
+    is within ``_TOL`` plus that form's roundoff margin, the restart
     switches to the dense residual ``||T - [[A, B, C]]||`` (re-evaluating
     the previous sweep too), so convergence is only ever decided on dense
     errors; the final error of every restart is dense as well.  A dense
     evaluation costs one more ``O(I J K R)`` GEMM and builds only the
-    ``(I*J) x R`` Khatri-Rao product of A and B.  The best
-    of ``opts.restarts`` runs is returned balanced
-    (:func:`balance_components`, the minimum-sensitivity scaling of the
-    same reconstruction) with components sorted by descending magnitude
-    ``||a_r|| ||b_r|| ||c_r||``; ties in final error are broken by lower
-    sensitivity.
+    ``(I*J) x R`` Khatri-Rao product of A and B.  The best restart is
+    returned balanced (:func:`balance_components`, the minimum-sensitivity
+    scaling of the same reconstruction) with components sorted by
+    descending magnitude ``||a_r|| ||b_r|| ||c_r||``; ties in final error
+    are broken by lower sensitivity.
 
     Returns
     -------
     AlsResult
-        Unpacks as ``(model, rel_error)``.
     """
-    if opts is None:
-        opts = AlsOptions()
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
@@ -221,17 +197,16 @@ def cpd_als(tensor, rank, opts=None):
         return float(np.linalg.norm(mt.t_k - khatri_rao(a, b) @ c.T)) / norm_t
 
     best = None
-    for restart in range(opts.restarts):
-        rng = np.random.default_rng((opts.seed, restart))
-        svd = opts.init == "mixed" and restart == 0
-        a, b, c = _init_factors(shape, rank, svd, rng, mt)
+    for restart in range(_RESTARTS):
+        rng = np.random.default_rng((seed, restart))
+        a, b, c = _init_factors(shape, rank, restart == 0, rng, mt)
         gb, gc = b.T @ b, c.T @ c
         errors = []
         prev_err = np.inf
         dense = False
         n_iters = 0
         converged = False
-        for sweep in range(opts.max_iters):
+        for sweep in range(_MAX_SWEEPS):
             prev = (a, b, c)
             w = mt.partial_c(c)
             a = _solve_psd(mt.mode0(w, b), gb * gc)
@@ -249,7 +224,7 @@ def cpd_als(tensor, rank, opts=None):
                 margin = (
                     np.sqrt(max(e2 + slack, 0.0)) - np.sqrt(max(e2 - slack, 0.0))
                 ) / norm_t
-                if e2 <= slack or abs(prev_err - err) <= opts.tol + margin:
+                if e2 <= slack or abs(prev_err - err) <= _TOL + margin:
                     # the Gram form cannot resolve this step
                     dense = True
                     err = dense_error(a, b, c)
@@ -257,7 +232,7 @@ def cpd_als(tensor, rank, opts=None):
                         prev_err = errors[-1] = dense_error(*prev)
             errors.append(err)
             n_iters = sweep + 1
-            if abs(prev_err - err) < opts.tol:
+            if abs(prev_err - err) < _TOL:
                 converged = True
                 break
             prev_err = err

@@ -8,8 +8,6 @@ constraint, solved in closed form through a one-dimensional secular
 equation in the Lagrange multiplier.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cpd import CPModel, balance_components, sensitivity
@@ -23,29 +21,10 @@ _ERROR_RTOL = 1e-10
 _SECULAR_ROUNDOFF = 16 * np.finfo(np.float64).eps
 _QP_TOL = 1e-10  # relative tolerance of the secular root and feasibility tests
 _QP_MAX_ITERS = 200  # Newton/bisection steps of the secular root-find
+_MAX_SWEEPS = 100  # sweep cap of every correction
+_SS_TOL = 1e-6  # stop once a sweep lowers the sensitivity by at most this, relative
 
-__all__ = ["EpcOptions", "epc_correct", "spherical_qp"]
-
-
-@dataclass
-class EpcOptions:
-    """Knobs for :func:`epc_correct`.
-
-    delta is the absolute Frobenius error bound; None means "preserve the
-    current error of the input model".
-    """
-
-    delta: float | None = None
-    max_sweeps: int = 100
-    ss_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.delta is not None and not self.delta >= 0:  # rejects NaN
-            raise ValueError("delta must be >= 0")
-        if self.ss_tol <= 0:
-            raise ValueError("ss_tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+__all__ = ["epc_correct", "spherical_qp"]
 
 
 def spherical_qp(y, zt, delta):
@@ -187,9 +166,10 @@ def _weighted_update(yz, gram, norm_y2, w, delta):
     return at / w
 
 
-def epc_correct(tensor, model, opts=None):
+def epc_correct(tensor, model, delta=None):
     """Minimize model sensitivity while keeping the approximation error
-    within a bound.
+    within `delta`, the absolute Frobenius error bound; None keeps the
+    error of the input model.
 
     Sweeps A -> B -> C cyclically; each update is the exact constrained
     minimizer of the sensitivity terms involving that factor, so both the
@@ -197,7 +177,9 @@ def epc_correct(tensor, model, opts=None):
     update.  A sweep that would raise the sensitivity, which only the
     solver's margin at the bound can cause, is rejected and ends the
     correction.  Components are magnitude-balanced across factors up front
-    (free sensitivity reduction, reconstruction unchanged).
+    (free sensitivity reduction, reconstruction unchanged).  Every
+    correction runs at most ``_MAX_SWEEPS = 100`` sweeps and stops once a
+    sweep lowers the sensitivity by at most ``_SS_TOL = 1e-6`` relative.
 
     A factor update needs only the factor's MTTKRP (see
     :class:`~convfactor.tensorops.Mttkrp`), the Hadamard product of the two
@@ -218,8 +200,8 @@ def epc_correct(tensor, model, opts=None):
         list of per-sweep records ``{"error": float, "ss": float}``,
         starting with the balanced input state.
     """
-    if opts is None:
-        opts = EpcOptions()
+    if delta is not None and not delta >= 0:  # rejects NaN
+        raise ValueError("delta must be >= 0")
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
@@ -236,7 +218,7 @@ def epc_correct(tensor, model, opts=None):
         return float(np.linalg.norm(mt.t_k - khatri_rao(a, b) @ c.T))
 
     err0 = dense_error(a, b, c)
-    delta = err0 if opts.delta is None else float(opts.delta)
+    delta = err0 if delta is None else float(delta)
     trace = [{"error": err0, "ss": sensitivity(CPModel(a, b, c))}]
 
     def update(mttkrp, g1, g2, dim1, dim2, name):
@@ -270,7 +252,7 @@ def epc_correct(tensor, model, opts=None):
     i, j, k = tensor.shape
     gb, gc = b.T @ b, c.T @ c
     prev_ss = trace[0]["ss"]
-    for _ in range(opts.max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         start = (a, b, c)
         w = mt.partial_c(c)
         a = update(mt.mode0(w, b), gb, gc, j, k, "A")
@@ -297,7 +279,7 @@ def epc_correct(tensor, model, opts=None):
         else:
             err = dense_error(a, b, c)
         trace.append({"error": err, "ss": float(ss)})
-        if prev_ss <= 0 or abs(prev_ss - ss) <= opts.ss_tol * max(prev_ss, 1e-300):
+        if prev_ss <= 0 or abs(prev_ss - ss) <= _SS_TOL * max(prev_ss, 1e-300):
             break
         prev_ss = ss
 

@@ -26,6 +26,8 @@ __all__ = ["Block", "read_tensor", "write_tensor", "read_block", "write_block"]
 
 MAGIC = b"KTEN1\n"
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
+_SPEC_INTS = ("in_channels", "out_channels", "kernel_size", "stride", "pad")
+_LAYER_INTS = ("in", "out", "groups", "stride", "pad")
 
 
 def _atomic_write(path, data):
@@ -149,12 +151,22 @@ def write_block(directory, block):
     return Path(path)
 
 
+def _require_ints(doc, keys, where):
+    """Reject a present field of `doc` that is not a JSON integer: ``1.0``
+    and ``true`` compare equal to 1 but break shapes and slices later."""
+    for key in keys:
+        if key in doc and type(doc[key]) is not int:
+            raise ValueError(f"{where}.{key} {doc[key]!r} is not an integer")
+
+
 def read_block(path):
     """Load a block descriptor, resolving and validating its tensor files.
 
-    The layer chain must fit ``metrics["input_hw"]`` (56x56 when absent)
-    and realize the block's kind and its spec: the (D^2, S, T) shape, the
-    product of the strides and the sum of the pads.
+    Every integer field of ``spec`` and the layers must be a JSON integer,
+    not a float or a boolean.  The layer chain must fit
+    ``metrics["input_hw"]`` (56x56 when absent) and realize the block's
+    kind and its spec: the (D^2, S, T) shape, the product of the strides
+    and the sum of the pads.
     """
     try:
         with open(path, "rb") as fh:
@@ -166,6 +178,13 @@ def read_block(path):
     base = os.path.dirname(os.fspath(path))
     try:
         kind = doc["block"]
+        _require_ints(doc["spec"], _SPEC_INTS, "spec")
+        for i, entry in enumerate(doc["layers"]):
+            _require_ints(entry, _LAYER_INTS, f"layers[{i}]")
+            kernel = entry["kernel"]
+            if not (isinstance(kernel, list) and len(kernel) == 2
+                    and all(type(n) is int for n in kernel)):
+                raise ValueError(f"layers[{i}].kernel {kernel!r} is not two integers")
         spec = ConvSpec(**doc["spec"])
         layers = [
             LayerDescriptor(

@@ -11,19 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpd import AlsOptions, CPModel, cpd_als
-from .epc import EpcOptions, epc_correct
+from .cpd import CPModel, cpd_als
+from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .tucker2 import tucker2_bounded
 
-__all__ = ["HybridModel", "als_options", "tkd_cpd_epc", "should_merge",
-           "to_equivalent_cp"]
-
-
-def als_options(seed=0):
-    """ALS settings of every fit: the hybrid core, each ``decompose``
-    method and the rank-search score."""
-    return AlsOptions(max_iters=1000, tol=1e-12, restarts=3, init="mixed", seed=seed)
+__all__ = ["HybridModel", "tkd_cpd_epc", "should_merge", "to_equivalent_cp"]
 
 
 @dataclass
@@ -93,7 +86,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     ranks : (R1, R2), optional
         Fix the multilinear ranks instead of deriving them from the bound.
     seed : int
-        Seed of the core's ALS fit, run with :func:`als_options`.
+        Seed of the core's :func:`~convfactor.cpd.cpd_als` fit.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
@@ -132,7 +125,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
         delta_core = float(np.sqrt(max(delta_total**2 - err_tkd2, 0.0)))
 
     r1, r2 = tkd.ranks
-    res = cpd_als(core, rank, als_options(seed))
+    res = cpd_als(core, rank, seed=seed)
     err_core = res.rel_error * norm_core
     slack = 1e-9 * max(norm_core, 1.0)
     model = res.model
@@ -148,7 +141,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
                 bound=delta_core**2,
             )
 
-    corrected, _ = epc_correct(core, model, EpcOptions(delta=delta_core))
+    corrected, _ = epc_correct(core, model, delta=delta_core)
     return HybridModel(tkd.U, tkd.V, corrected)
 
 

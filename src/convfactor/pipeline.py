@@ -14,9 +14,9 @@ from .convblocks import (
     emit_tkd_cpd_block,
 )
 from .cpd import CPModel, cpd_als, intensity, sensitivity
-from .epc import EpcOptions, epc_correct
+from .epc import epc_correct
 from .fileio import Block
-from .hybrid import als_options, should_merge, tkd_cpd_epc, to_equivalent_cp
+from .hybrid import should_merge, tkd_cpd_epc, to_equivalent_cp
 
 __all__ = ["decompose_to_block", "fit", "METHODS"]
 
@@ -38,10 +38,13 @@ def _diagnostics(rel_error, model):
 def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     """Decompose a (D^2, S, T) tensor with `method` at CP rank `rank`.
 
-    Every ALS fit runs with :func:`convfactor.hybrid.als_options` and
-    `seed`.  `delta_rel` is the error bound as a fraction of the tensor
-    norm; when omitted, EPC preserves the error the unconstrained fit
-    achieved.
+    Every CP fit is ``cpd_als(..., seed=seed)`` and every correction
+    ``epc_correct(..., delta=...)``; the solvers' settings are their module
+    constants.  `delta_rel` is the error bound of cpd-epc and tkd-cpd-epc
+    as a fraction of the tensor norm; when omitted, EPC preserves the error
+    the unconstrained fit achieved.  `ranks` and `theta` shape tkd-cpd-epc
+    alone.  An argument the method would ignore, `delta_rel` for cpd or
+    svd or `ranks` for any other method, raises ValueError.
 
     Returns (model, report).  The model is a HybridModel for tkd-cpd-epc
     and a CPModel otherwise (for svd, the truncated SVD of the 1x1
@@ -53,6 +56,10 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         raise ValueError(f"method must be one of {METHODS}")
     if rank < 1:
         raise ValueError("rank must be >= 1")
+    if delta_rel is not None and method in ("cpd", "svd"):
+        raise ValueError(f"{method} takes no error bound (--delta)")
+    if ranks is not None and method != "tkd-cpd-epc":
+        raise ValueError(f"{method} takes no multilinear ranks (--ranks)")
     norm_t = np.linalg.norm(tensor)
     delta = None if delta_rel is None else float(delta_rel) * norm_t
     report = {"method": method, "rank": int(rank)}
@@ -67,13 +74,13 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         model = CPModel(s_vals[None, :rank], vt[:rank].T, u[:, :rank])
 
     elif method == "cpd":
-        res = cpd_als(tensor, rank, als_options(seed))
+        res = cpd_als(tensor, rank, seed=seed)
         model, rel = res.model, res.rel_error
 
     elif method == "cpd-epc":
-        res = cpd_als(tensor, rank, als_options(seed))
+        res = cpd_als(tensor, rank, seed=seed)
         report["before"] = _diagnostics(res.rel_error, res.model)
-        model, trace = epc_correct(tensor, res.model, EpcOptions(delta=delta))
+        model, trace = epc_correct(tensor, res.model, delta=delta)
         rel = _rel_error(tensor, model, norm_t)
         report["after"] = _diagnostics(rel, model)
         report["epc_sweeps"] = len(trace) - 1

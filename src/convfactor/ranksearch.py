@@ -79,7 +79,7 @@ def approx_error_proxy(tensor, method, rank, seed=0, ranks=None, theta=0.5):
     """Relative error ``decompose`` delivers for `method` at `rank` (fixed seed).
 
     A desk-scale stand-in for a task-level quality drop: the error of
-    :func:`convfactor.pipeline.fit` with the same seed and options, EPC
+    :func:`convfactor.pipeline.fit` with the same seed, EPC
     error-preserving.  For the hybrid method the multilinear ranks are
     fixed (``ranks``, defaulting to the full (S, T)).
     """

@@ -16,10 +16,8 @@ from conftest import (
     random_tucker2_tensor,
 )
 from convfactor import (
-    AlsOptions,
     ConvSpec,
     CPModel,
-    EpcOptions,
     Evaluator,
     binary_search_rank,
     build_q1,
@@ -27,6 +25,7 @@ from convfactor import (
     compose_forward,
     conv2d_reference,
     core_closed_form,
+    cpd,
     cpd_als,
     emit_cpd_block,
     emit_svd_block,
@@ -78,7 +77,7 @@ def test_02_degeneracy_correction():
         assert comp >= 100 * np.linalg.norm(tensor)
         err0 = np.linalg.norm(tensor - model.to_tensor())
         ss0 = sensitivity(model)
-        corrected, _ = epc_correct(tensor, model, EpcOptions(delta=err0))
+        corrected, _ = epc_correct(tensor, model, delta=err0)
         err1 = np.linalg.norm(tensor - corrected.to_tensor())
         ok &= sensitivity(corrected) <= ss0 / 10
         ok &= err1 <= err0 + 1e-8 * np.linalg.norm(tensor)
@@ -86,8 +85,9 @@ def test_02_degeneracy_correction():
     report(2, "EPC cuts sensitivity >= 10x within the error bound", ok and elapsed < 30)
 
 
-def test_03_epc_error_preservation_and_monotonicity():
+def test_03_epc_error_preservation_and_monotonicity(monkeypatch):
     ok = True
+    monkeypatch.setattr(cpd, "_MAX_SWEEPS", 200)
     for seed in range(6):
         rng = np.random.default_rng(3000 + seed)
         if seed < 3:
@@ -95,9 +95,9 @@ def test_03_epc_error_preservation_and_monotonicity():
             delta = np.linalg.norm(tensor - model.to_tensor())
         else:
             tensor = rng.standard_normal((5, 6, 7))
-            model = cpd_als(tensor, 3, AlsOptions(seed=seed, max_iters=200)).model
+            model = cpd_als(tensor, 3, seed=seed).model
             delta = np.linalg.norm(tensor - model.to_tensor()) * 1.05
-        _, trace = epc_correct(tensor, model, EpcOptions(delta=delta))
+        _, trace = epc_correct(tensor, model, delta=delta)
         norm_t = np.linalg.norm(tensor)
         ok &= all(rec["error"] <= delta + 1e-8 * norm_t for rec in trace)
         ss = [rec["ss"] for rec in trace]
@@ -167,7 +167,7 @@ def test_06_hybrid_pythagorean_identity():
     report(6, "hybrid stage errors add Pythagorean-style", ok)
 
 
-def test_07_block_forward_equivalence():
+def test_07_block_forward_equivalence(monkeypatch):
     ok = True
     rng = np.random.default_rng(7000)
     d, s, t = 3, 6, 5
@@ -208,7 +208,8 @@ def test_07_block_forward_equivalence():
 
     # inexact decomposition: the chain still realizes its own kernel
     noisy = rng.standard_normal((d * d, s, t))
-    model = cpd_als(noisy, 2, AlsOptions(max_iters=100)).model
+    monkeypatch.setattr(cpd, "_MAX_SWEEPS", 100)
+    model = cpd_als(noisy, 2).model
     layers = emit_cpd_block(model, spec)
     kernel = block_to_kernel(layers, "cpd")
     for trial in range(5):
@@ -267,15 +268,16 @@ def test_09_rank_search_recovers_true_rank():
     report(9, "binary rank search returns the exact rank", ok)
 
 
-def test_10_als_sanity():
+def test_10_als_sanity(monkeypatch):
     ok = True
+    monkeypatch.setattr(cpd, "_RESTARTS", 5)
+    monkeypatch.setattr(cpd, "_MAX_SWEEPS", 2000)
+    monkeypatch.setattr(cpd, "_TOL", 1e-14)
     for seed, rank in [(0, 2), (1, 4), (2, 5)]:
         rng = np.random.default_rng(10000 + seed)
         tensor, _ = random_cp_tensor(rng, (6, 7, 8), rank)
         start = time.monotonic()
-        res = cpd_als(
-            tensor, rank, AlsOptions(restarts=5, max_iters=2000, tol=1e-14, seed=seed)
-        )
+        res = cpd_als(tensor, rank, seed=seed)
         elapsed = time.monotonic() - start
         ok &= res.rel_error <= 1e-6
         ok &= elapsed < 5.0

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import random_cp_tensor, unfold, well_posed_cp_problems
 from convfactor import (
-    AlsOptions,
     CPModel,
+    cpd,
     cpd_als,
     intensity,
     monte_carlo_sensitivity,
@@ -39,11 +40,24 @@ def reference_als(tensor, a, b, c, sweeps, tol=0.0):
     return (a, b, c), errors
 
 
-def random_init(dims, rank, seed):
-    """The documented "random" init of restart 0: Gaussian factors drawn
-    from ``default_rng((seed, 0))`` in mode order."""
+def svd_init(tensor, rank, seed):
+    """The documented start of restart 0: the leading left singular vectors
+    of each unfolding, padded where the rank exceeds them with Gaussian
+    columns drawn from ``default_rng((seed, 0))`` in mode order."""
     rng = np.random.default_rng((seed, 0))
-    return [rng.standard_normal((n, rank)) for n in dims]
+    factors = []
+    for mode in range(3):
+        u = np.linalg.svd(unfold(tensor, mode), full_matrices=False)[0][:, :rank]
+        pad = rng.standard_normal((u.shape[0], rank - u.shape[1]))
+        factors.append(np.hstack([u, pad]))
+    return factors
+
+
+def sign_aligned(got, want):
+    """`got` with each column's sign flipped to agree with `want`: singular
+    vectors, and so the ALS iterates started from them, are defined up to
+    the sign of each column."""
+    return got * np.where(np.sum(got * want, axis=0) < 0, -1.0, 1.0)
 
 
 def magnitudes(model):
@@ -67,13 +81,13 @@ class TestAls:
     def test_rank1_exact(self):
         rng = np.random.default_rng(0)
         t, _ = random_cp_tensor(rng, (4, 5, 6), 1)
-        res = cpd_als(t, 1, AlsOptions(max_iters=500, tol=1e-14))
+        res = cpd_als(t, 1)
         assert res.rel_error <= 1e-10
 
     def test_construct_then_recover_r3(self):
         rng = np.random.default_rng(1)
         t, _ = random_cp_tensor(rng, (4, 5, 6), 3)
-        res = cpd_als(t, 3, AlsOptions(max_iters=2000, tol=1e-14, restarts=5))
+        res = cpd_als(t, 3)
         assert res.rel_error <= 1e-6
 
     def test_zero_tensor_convention(self):
@@ -85,14 +99,14 @@ class TestAls:
     def test_per_sweep_monotone(self):
         rng = np.random.default_rng(2)
         t = rng.standard_normal((5, 6, 7))
-        res = cpd_als(t, 3, AlsOptions(max_iters=200, tol=1e-14))
+        res = cpd_als(t, 3)
         errs = res.rel_errors
         assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
 
     def test_normalized_output(self):
         rng = np.random.default_rng(3)
         t, _ = random_cp_tensor(rng, (4, 5, 6), 2)
-        model, _ = cpd_als(t, 2, AlsOptions(max_iters=300))
+        model = cpd_als(t, 2).model
         # balanced: ||a_r||^2 / I = ||b_r||^2 / J = ||c_r||^2 / K per component
         per_extent = [np.linalg.norm(f, axis=0) ** 2 / f.shape[0]
                       for f in (model.A, model.B, model.C)]
@@ -100,11 +114,12 @@ class TestAls:
         assert np.allclose(per_extent[0], per_extent[2], rtol=1e-12)
         assert np.all(np.diff(magnitudes(model)) <= 0)
 
-    def test_svd_init(self):
+    def test_svd_init(self, monkeypatch):
         rng = np.random.default_rng(4)
         t, _ = random_cp_tensor(rng, (4, 5, 6), 2)
-        # one restart of the mixed init is the SVD-seeded start alone
-        res = cpd_als(t, 2, AlsOptions(init="mixed", max_iters=2000, tol=1e-14))
+        # one restart is the SVD-seeded start alone
+        monkeypatch.setattr(cpd, "_RESTARTS", 1)
+        res = cpd_als(t, 2)
         assert res.rel_error <= 1e-8
 
     def test_mixed_init_rank_above_extents(self):
@@ -112,21 +127,22 @@ class TestAls:
         # pads with random columns
         rng = np.random.default_rng(20)
         t, _ = random_cp_tensor(rng, (4, 5, 6), 3)
-        res = cpd_als(t, 8, AlsOptions(init="mixed", restarts=2, max_iters=500,
-                                       tol=1e-13))
+        res = cpd_als(t, 8)
         assert res.rel_error <= 1e-8
 
-    def test_mixed_init_avoids_overparameterized_swamp(self):
+    def test_mixed_init_avoids_overparameterized_swamp(self, monkeypatch):
         rng = np.random.default_rng(21)
         t, _ = random_cp_tensor(rng, (10, 12, 14), 4)
-        res = cpd_als(t, 8, AlsOptions(init="mixed", max_iters=1000, tol=1e-12))
+        monkeypatch.setattr(cpd, "_RESTARTS", 1)  # the SVD-seeded restart alone
+        res = cpd_als(t, 8)
         assert res.rel_error <= 1e-8
 
-    def test_restart_selection_deterministic(self):
+    def test_restart_selection_deterministic(self, monkeypatch):
         rng = np.random.default_rng(5)
         t = rng.standard_normal((4, 4, 4))
-        r1 = cpd_als(t, 2, AlsOptions(restarts=3, max_iters=50))
-        r2 = cpd_als(t, 2, AlsOptions(restarts=3, max_iters=50))
+        monkeypatch.setattr(cpd, "_MAX_SWEEPS", 50)
+        r1 = cpd_als(t, 2)
+        r2 = cpd_als(t, 2)
         assert r1.rel_error == r2.rel_error
         assert np.array_equal(r1.model.A, r2.model.A)
 
@@ -142,30 +158,44 @@ class TestAls:
 
 
 class TestAlsMatchesKhatriRaoReference:
+    """Restart 0 alone, sweep by sweep, against :func:`reference_als`."""
+
+    @staticmethod
+    def restart_zero(monkeypatch, max_sweeps, tol):
+        monkeypatch.setattr(cpd, "_RESTARTS", 1)
+        monkeypatch.setattr(cpd, "_MAX_SWEEPS", max_sweeps)
+        monkeypatch.setattr(cpd, "_TOL", tol)
+
     @pytest.mark.parametrize("dims, rank", [((4, 5, 6), 3), ((9, 12, 10), 5),
                                             ((1, 6, 7), 2)])
-    def test_twenty_sweeps_from_same_init(self, dims, rank):
+    def test_twenty_sweeps_from_same_init(self, monkeypatch, dims, rank):
         rng = np.random.default_rng(30)
         t = rng.standard_normal(dims)
-        res = cpd_als(t, rank, AlsOptions(max_iters=20, tol=1e-15, seed=7))
-        (a, b, c), ref_errors = reference_als(t, *random_init(dims, rank, 7), 20)
-        assert res.n_iters == 20 and not res.converged
+        self.restart_zero(monkeypatch, 20, 1e-15)
+        res = cpd_als(t, rank, seed=7)
+        (a, b, c), ref_errors = reference_als(t, *svd_init(t, rank, 7), 20, 1e-15)
+        # a 1 x J x K tensor is a matrix, and its SVD start is already the
+        # best fit: that run stops at sweep 2, the others run all 20
+        assert res.n_iters == len(ref_errors) == (2 if dims[0] == 1 else 20)
+        assert res.converged == (res.n_iters < 20)
         ref = balanced_sorted(a, b, c)
         for got, want in ((res.model.A, ref.A), (res.model.B, ref.B),
                           (res.model.C, ref.C)):
+            got = sign_aligned(got, want)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         assert np.max(np.abs(np.array(res.rel_errors) - ref_errors)) <= 1e-12
 
     @pytest.mark.parametrize("noise, tol", [(0.0, 1e-12), (0.0, 1e-9), (1e-3, 1e-12)])
-    def test_converges_on_the_same_sweep(self, noise, tol):
+    def test_converges_on_the_same_sweep(self, monkeypatch, noise, tol):
         # convergence is decided on dense errors, as in the reference; the
         # exact fit drives the Gram-form error into cancellation first
         rng = np.random.default_rng(32)
         dims, rank = (4, 5, 6), 3
         t, _ = random_cp_tensor(rng, dims, rank)
         t = t + noise * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
-        res = cpd_als(t, rank, AlsOptions(max_iters=3000, tol=tol, seed=3))
-        _, ref_errors = reference_als(t, *random_init(dims, rank, 3), 3000, tol)
+        self.restart_zero(monkeypatch, 3000, tol)
+        res = cpd_als(t, rank, seed=3)
+        _, ref_errors = reference_als(t, *svd_init(t, rank, 3), 3000, tol)
         assert res.converged
         assert res.n_iters == len(ref_errors)
         assert abs(res.rel_error - ref_errors[-1]) <= 1e-12
@@ -182,11 +212,13 @@ class TestAlsMatchesKhatriRaoReference:
         ((9, 16, 16), 6, 4, 0.1, 30),     # capped
         ((2, 3, 3), 2, 5, 0.0, 300),      # rank above every extent
     ])
-    def test_reported_error_is_dense(self, dims, true_rank, rank, noise, iters):
+    def test_reported_error_is_dense(self, monkeypatch, dims, true_rank, rank, noise,
+                                     iters):
         rng = np.random.default_rng(31)
         t, _ = random_cp_tensor(rng, dims, true_rank)
         t = t + noise * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
-        res = cpd_als(t, rank, AlsOptions(max_iters=iters, tol=1e-12, restarts=2))
+        monkeypatch.setattr(cpd, "_MAX_SWEEPS", iters)
+        res = cpd_als(t, rank)
         assert res.rel_error == res.rel_errors[-1]
         assert abs(res.rel_error - dense_rel_error(t, res.model)) <= 1e-12
 
@@ -202,7 +234,8 @@ def test_als_trace_non_increasing(problem, exact, seed):
     t, _ = random_cp_tensor(rng, dims, rank)
     if not exact:
         t = t + 0.05 * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
-    res = cpd_als(t, rank, AlsOptions(max_iters=300, tol=1e-12, seed=seed))
+    with mock.patch.object(cpd, "_MAX_SWEEPS", 300):
+        res = cpd_als(t, rank, seed=seed)
     errs = res.rel_errors
     assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(len(errs) - 1))
     assert abs(res.rel_error - dense_rel_error(t, res.model)) <= 1e-12

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,8 @@ from conftest import (
     well_posed_cp_problems,
 )
 from convfactor import (
-    AlsOptions,
     CPModel,
-    EpcOptions,
+    cpd,
     cpd_als,
     epc,
     epc_correct,
@@ -22,7 +23,6 @@ from convfactor import (
 from convfactor.cpd import balance_components
 from convfactor.epc import spherical_qp
 from convfactor.errors import InfeasibleBoundError
-from convfactor.hybrid import als_options
 from convfactor.tensorops import khatri_rao
 
 
@@ -180,7 +180,7 @@ class TestEpcCorrect:
         t, (a, b, c) = random_cp_tensor(rng, (4, 5, 6), 2)
         unbalanced = CPModel(a * 50, b / 50, c)  # same reconstruction
         ss_in = sensitivity(unbalanced)
-        out, trace = epc_correct(t, unbalanced, EpcOptions(delta=0.0))
+        out, trace = epc_correct(t, unbalanced, delta=0.0)
         assert np.linalg.norm(t - out.to_tensor()) <= 1e-8 * np.linalg.norm(t)
         assert sensitivity(out) < ss_in  # strictly better for unbalanced input
         assert all(rec["error"] <= 1e-8 * np.linalg.norm(t) for rec in trace)
@@ -190,7 +190,7 @@ class TestEpcCorrect:
         t, model = degenerate_pair(rng, (4, 5, 6))
         err0 = np.linalg.norm(t - model.to_tensor())
         ss0 = sensitivity(model)
-        out, trace = epc_correct(t, model, EpcOptions(delta=err0))
+        out, trace = epc_correct(t, model, delta=err0)
         assert sensitivity(out) <= ss0 / 10
         assert np.linalg.norm(t - out.to_tensor()) <= err0 + 1e-8 * np.linalg.norm(t)
         ss_seq = [rec["ss"] for rec in trace]
@@ -199,27 +199,23 @@ class TestEpcCorrect:
     def test_vacuous_bound_collapses_model(self):
         rng = np.random.default_rng(9)
         t, model = degenerate_pair(rng, (4, 5, 6))
-        out, _ = epc_correct(t, model, EpcOptions(delta=np.linalg.norm(t) * 1.1))
+        out, _ = epc_correct(t, model, delta=np.linalg.norm(t) * 1.1)
         assert sensitivity(out) <= sensitivity(model)
 
     def test_default_delta_preserves_error(self):
         rng = np.random.default_rng(10)
         t = rng.standard_normal((4, 5, 6))
-        from convfactor import AlsOptions, cpd_als
-
-        model, rel = cpd_als(t, 2, AlsOptions(max_iters=200))
-        out, _ = epc_correct(t, model, EpcOptions())
+        fit = cpd_als(t, 2)
+        out, _ = epc_correct(t, fit.model)
         err = np.linalg.norm(t - out.to_tensor())
-        assert err <= rel * np.linalg.norm(t) * (1 + 1e-8) + 1e-12
+        assert err <= fit.rel_error * np.linalg.norm(t) * (1 + 1e-8) + 1e-12
 
     def test_infeasible_bound_identifies_factor(self):
         rng = np.random.default_rng(11)
         t = rng.standard_normal((4, 5, 6))
-        from convfactor import AlsOptions, cpd_als
-
-        model, rel = cpd_als(t, 2, AlsOptions(max_iters=300))
+        fit = cpd_als(t, 2)
         with pytest.raises(InfeasibleBoundError) as e:
-            epc_correct(t, model, EpcOptions(delta=rel * np.linalg.norm(t) * 0.2))
+            epc_correct(t, fit.model, delta=fit.rel_error * np.linalg.norm(t) * 0.2)
         assert e.value.factor == "A"
         assert e.value.min_residual is not None
 
@@ -229,8 +225,8 @@ class TestEpcCorrect:
         # the sweeps only trade the solver's margin at the bound for a higher
         # sensitivity, so the balanced start is kept
         t = np.random.default_rng(seed).standard_normal((4, 3, 3))
-        fit = cpd_als(t, 3, als_options(0))
-        out, trace = epc_correct(t, fit.model, EpcOptions())
+        fit = cpd_als(t, 3, seed=0)
+        out, trace = epc_correct(t, fit.model)
         ss_seq = [rec["ss"] for rec in trace]
         assert all(b <= a for a, b in zip(ss_seq, ss_seq[1:]))
         assert sensitivity(out) <= ss_seq[0]
@@ -245,21 +241,24 @@ class TestEpcCorrect:
 
     @pytest.mark.parametrize("delta", [-1.0, np.nan])
     def test_invalid_delta_rejected(self, delta):
-        with pytest.raises(ValueError):
-            EpcOptions(delta=delta)
+        model = CPModel(np.ones((2, 1)), np.ones((3, 1)), np.ones((4, 1)))
+        with pytest.raises(ValueError, match="delta"):
+            epc_correct(model.to_tensor(), model, delta=delta)
 
 
 class TestGramPathMatchesAdapter:
     @pytest.mark.parametrize("dims, rank, sweeps", [((4, 5, 6), 2, 1), ((9, 8, 7), 3, 4),
                                                     ((1, 6, 5), 3, 2)])
-    def test_factor_updates(self, dims, rank, sweeps):
+    def test_factor_updates(self, monkeypatch, dims, rank, sweeps):
         rng = np.random.default_rng(40 + rank)
         t, _ = random_cp_tensor(rng, dims, rank)
         t = t + 0.1 * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
-        model = cpd_als(t, rank, AlsOptions(max_iters=5)).model
+        monkeypatch.setattr(cpd, "_MAX_SWEEPS", 5)
+        model = cpd_als(t, rank).model
         delta = 1.2 * np.linalg.norm(t - model.to_tensor())
-        out, trace = epc_correct(t, model, EpcOptions(delta=delta, max_sweeps=sweeps,
-                                                      ss_tol=1e-300))
+        monkeypatch.setattr(epc, "_MAX_SWEEPS", sweeps)
+        monkeypatch.setattr(epc, "_SS_TOL", 1e-300)
+        out, trace = epc_correct(t, model, delta=delta)
         ref = reference_epc(t, model, delta, sweeps)
         assert len(trace) == sweeps + 1
         for got, want in ((out.A, ref.A), (out.B, ref.B), (out.C, ref.C)):
@@ -269,14 +268,15 @@ class TestGramPathMatchesAdapter:
             np.linalg.norm(t - out.to_tensor()), rel=1e-10)
 
     @pytest.mark.parametrize("perturb", [1e-3, 1e-5])
-    def test_recorded_error_near_exact_fit(self, perturb):
+    def test_recorded_error_near_exact_fit(self, monkeypatch, perturb):
         # at these errors the Gram form has lost digits to cancellation;
         # the recorded error must still be the model's own
         rng = np.random.default_rng(43)
         t, (a, b, c) = random_cp_tensor(rng, (4, 5, 6), 2)
         model = CPModel(*(f * (1 + perturb * rng.standard_normal(f.shape))
                           for f in (a, b, c)))
-        out, trace = epc_correct(t, model, EpcOptions(max_sweeps=1))
+        monkeypatch.setattr(epc, "_MAX_SWEEPS", 1)
+        out, trace = epc_correct(t, model)
         dense = np.linalg.norm(t - out.to_tensor())
         assert trace[1]["error"] == pytest.approx(dense, rel=1e-10)
         assert trace[1]["error"] <= trace[0]["error"] * (1 + 1e-9)
@@ -296,10 +296,12 @@ def test_epc_bound_holds_every_sweep(problem, noise, loosen, seed):
     rng = np.random.default_rng(seed)
     t, _ = random_cp_tensor(rng, dims, rank)
     t = t + noise * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
-    model = cpd_als(t, rank, AlsOptions(max_iters=50, seed=seed)).model
+    with mock.patch.object(cpd, "_MAX_SWEEPS", 50):
+        model = cpd_als(t, rank, seed=seed).model
     err0 = np.linalg.norm(t - model.to_tensor())
     delta = loosen * max(err0, 1e-6 * np.linalg.norm(t))
-    out, trace = epc_correct(t, model, EpcOptions(delta=delta, max_sweeps=30))
+    with mock.patch.object(epc, "_MAX_SWEEPS", 30):
+        out, trace = epc_correct(t, model, delta=delta)
     assert all(rec["error"] <= delta * (1 + 1e-9) for rec in trace)
     assert np.linalg.norm(t - out.to_tensor()) <= delta * (1 + 1e-9)
 

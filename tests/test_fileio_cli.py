@@ -494,6 +494,34 @@ class TestCliVerify:
         assert code == 2
         assert "metrics" in capsys.readouterr().err
 
+    # 1.0 and true compare equal to 1 in Python, yet break shapes and
+    # slices; a one-entry kernel breaks indexing and a zero groups or
+    # stride divides by zero
+    @pytest.mark.parametrize("path, value", [
+        (("layers", 1, "stride"), 1.0),
+        (("spec", "in_channels"), 5.0),
+        (("layers", 0, "groups"), True),
+        (("layers", 0, "kernel"), [1.0, 1]),
+        (("layers", 0, "kernel"), [1]),
+        (("layers", 0, "groups"), 0),
+        (("layers", 1, "stride"), 0),
+    ], ids=["stride-float", "in_channels-float", "groups-bool", "kernel-float",
+            "kernel-one-entry", "groups-zero", "stride-zero"])
+    def test_malformed_integer_field_exits_2(self, tmp_path, capsys, path, value):
+        rng = np.random.default_rng(31)
+        kpath, bpath = self.decompose(tmp_path, rng)
+        doc = json.loads(bpath.read_text())
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        bpath.write_text(json.dumps(doc))
+        code = main(["verify", "--block", str(bpath), "--input", str(kpath),
+                     "--trials", "1"])
+        assert code == 2
+        assert "invalid block document" in capsys.readouterr().err
+
     def test_hybrid_block_verifies(self, tmp_path, capsys):
         rng = np.random.default_rng(15)
         kpath, bpath = self.decompose(
@@ -681,6 +709,11 @@ class TestCliArgumentValues:
         ["decompose", "--method", "cpd", "--rank", "2", "--stride", "0"],
         ["decompose", "--method", "cpd", "--rank", "2", "--pad", "-1"],
         ["decompose", "--method", "cpd-epc", "--rank", "2", "--delta", "nan"],
+        # arguments the method would ignore
+        ["decompose", "--method", "cpd", "--rank", "2", "--delta", "0.01"],
+        ["decompose", "--method", "cpd", "--rank", "2", "--ranks", "2,2"],
+        ["decompose", "--method", "cpd-epc", "--rank", "2", "--ranks", "2,2"],
+        ["rank-search", "--method", "cpd", "--eps", "0.1", "--ranks", "2,2"],
         ["rank-search", "--method", "cpd", "--eps", "0"],
         ["rank-search", "--method", "cpd", "--eps", "nan"],
         ["rank-search", "--method", "cpd", "--eps", "0.1", "--stride", "0"],

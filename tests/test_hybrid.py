@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import hybrid_structured_tensor, random_tucker2_tensor
 from convfactor import (
-    AlsOptions,
     CPModel,
     core_closed_form,
     cpd_als,
@@ -18,7 +17,7 @@ from convfactor import (
 )
 from convfactor.cpd import AlsResult
 from convfactor.errors import InfeasibleBoundError
-from convfactor.hybrid import HybridModel, als_options
+from convfactor.hybrid import HybridModel
 
 
 def stage_errors(tensor, model):
@@ -64,7 +63,7 @@ class TestTkdCpdEpc:
         delta_total = 1e-3 * np.linalg.norm(t)
         seen = []
 
-        def zero_fit(core, rank, opts):
+        def zero_fit(core, rank, seed):
             seen.append(core)
             d2, r1, r2 = core.shape
             zero = CPModel(np.zeros((d2, rank)), np.zeros((r1, rank)),
@@ -73,9 +72,9 @@ class TestTkdCpdEpc:
 
         corrected = []
 
-        def spy_epc(core, model, opts):
+        def spy_epc(core, model, delta):
             corrected.append((core, model))
-            return epc_correct(core, model, opts)
+            return epc_correct(core, model, delta=delta)
 
         monkeypatch.setattr("convfactor.hybrid.cpd_als", zero_fit)
         monkeypatch.setattr("convfactor.hybrid.epc_correct", spy_epc)
@@ -109,7 +108,7 @@ class TestTkdCpdEpc:
         t = hybrid_structured_tensor(rng, (4, 7, 6), (3, 3), 4, noise=0.1)
         model = tkd_cpd_epc(t, None, rank=3, ranks=(3, 3), seed=2)
         g = core_closed_form(t, model.U, model.V)
-        fit = cpd_als(g, 3, als_options(2))
+        fit = cpd_als(g, 3, seed=2)
         err_core = np.linalg.norm(g - model.core_cp.to_tensor())
         assert err_core <= fit.rel_error * np.linalg.norm(g) * (1 + 1e-8)
         assert sensitivity(model.core_cp) <= sensitivity(fit.model) * (1 + 1e-9)
@@ -130,7 +129,7 @@ class TestTkdCpdEpc:
         norm = np.linalg.norm(t)
         model = tkd_cpd_epc(t, 0.05 * norm, rank=5)
         g = core_closed_form(t, model.U, model.V)
-        raw = cpd_als(g, 5, AlsOptions(restarts=3, max_iters=1000, tol=1e-12)).model
+        raw = cpd_als(g, 5).model
         assert sensitivity(model.core_cp) <= sensitivity(raw) * (1 + 1e-9)
 
     def test_errors(self):

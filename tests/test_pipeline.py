@@ -1,0 +1,35 @@
+"""The one fit path: :func:`convfactor.pipeline.fit`."""
+
+import numpy as np
+import pytest
+
+from conftest import random_cp_tensor
+from convfactor import cpd_als
+from convfactor.pipeline import fit
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_cpd_fit_is_cpd_als(seed):
+    # the solver settings have one source: fit adds nothing to cpd_als
+    rng = np.random.default_rng(7)
+    t, _ = random_cp_tensor(rng, (9, 6, 5), 3)
+    t += 0.05 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
+    model, report = fit(t, "cpd", 4, seed=seed)
+    res = cpd_als(t, 4, seed=seed)
+    for got, want in ((model.A, res.model.A), (model.B, res.model.B),
+                      (model.C, res.model.C)):
+        assert np.array_equal(got, want)
+    assert report["rel_error"] == res.rel_error
+
+
+@pytest.mark.parametrize("method, d, kwargs", [
+    ("cpd", 3, {"delta_rel": 0.1}),
+    ("svd", 1, {"delta_rel": 0.1}),
+    ("cpd", 3, {"ranks": (2, 2)}),
+    ("cpd-epc", 3, {"ranks": (2, 2)}),
+    ("svd", 1, {"ranks": (2, 2)}),
+], ids=["cpd-delta", "svd-delta", "cpd-ranks", "cpd-epc-ranks", "svd-ranks"])
+def test_argument_the_method_ignores_rejected(method, d, kwargs):
+    t = np.random.default_rng(8).standard_normal((d * d, 4, 5))
+    with pytest.raises(ValueError, match="takes no"):
+        fit(t, method, 2, **kwargs)
