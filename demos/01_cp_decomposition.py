@@ -22,12 +22,19 @@ kernel4 = restore_kernel(kernel3, D)
 print(f"kernel: {kernel4.shape} with exact CP rank {TRUE_RANK}")
 print(f"order-3 view for decomposition: {reshape_kernel(kernel4).shape}\n")
 
-# every fit runs the same ALS: 3 restarts (the first from the SVD of each
-# unfolding) of at most 1000 sweeps; the seed picks the random restarts
-print("rank   rel_error      sweeps")
+# every fit runs the same ALS: restart 0 from the SVD of each unfolding,
+# and two random restarts (picked by the seed) only when restart 0 ran to
+# its 1000-sweep cap or its error rose on the way; "stop" says why the
+# returned restart ended: "tol" (converged), "cap", or "bound" (a fit with
+# an error bound, cpd_als(..., delta=...), stops once inside it)
+print("rank   rel_error      sweeps  stop")
 for rank in (2, 3, 4, 5, 6):
     res = cpd_als(kernel3, rank, seed=0)
-    print(f"{rank:4d}   {res.rel_error:.6e}  {res.n_iters:5d}")
+    print(f"{rank:4d}   {res.rel_error:.6e}  {res.n_iters:5d}  {res.stop}")
+
+bounded = cpd_als(kernel3, 4, seed=0, delta=0.2 * np.linalg.norm(kernel3))
+print(f"\nrank 4 within 20% of the kernel norm: rel_error {bounded.rel_error:.4f} "
+      f"after {bounded.n_iters} sweeps (stop: {bounded.stop})")
 
 res = cpd_als(kernel3, TRUE_RANK, seed=0)
 model = res.model

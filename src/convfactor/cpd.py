@@ -63,17 +63,25 @@ class CPModel:
 
 @dataclass
 class AlsResult:
-    """Best-restart outcome of :func:`cpd_als`.
+    """Outcome of :func:`cpd_als`: the restart it returned.
 
-    ``rel_errors`` is the per-sweep relative error trace of the winning
-    restart (non-increasing up to roundoff).
+    ``rel_errors`` is the per-sweep relative error trace of the returned
+    restart (non-increasing up to roundoff), and ``stop`` says why that
+    restart ended: ``"bound"`` (its error reached the bound), ``"tol"``
+    (a sweep changed the error by less than ``_TOL``) or ``"cap"``
+    (``_MAX_SWEEPS`` sweeps ran).
     """
 
     model: CPModel
     rel_error: float
     rel_errors: list = field(repr=False)
     n_iters: int = 0
-    converged: bool = False
+    stop: str = "cap"
+
+    @property
+    def converged(self):
+        """True unless the returned restart ran to the sweep cap."""
+        return self.stop != "cap"
 
 
 _MAX_SWEEPS = 1000  # sweep cap of every restart
@@ -133,7 +141,7 @@ def _init_factors(shape, rank, svd, rng, mt):
     return factors
 
 
-def cpd_als(tensor, rank, seed=0):
+def cpd_als(tensor, rank, seed=0, delta=None):
     """Rank-`rank` CP decomposition of an order-3 tensor by ALS.
 
     Each sweep solves the exact least-squares update for A, B, C in turn,
@@ -150,30 +158,43 @@ def cpd_als(tensor, rank, seed=0):
     ``_COND_MAX = 1e10``.  No ``(J*K) x R`` or ``(I*K) x R`` Khatri-Rao
     matrix is built.
 
-    Every fit has the settings of the module constants: the best of
+    Every fit has the settings of the module constants: up to
     ``_RESTARTS = 3`` restarts of at most ``_MAX_SWEEPS = 1000`` sweeps,
     each stopping once a sweep changes the error by less than
     ``_TOL = 1e-12``.  Restart 0 starts from the leading left singular
     vectors of each unfolding (padded with random columns where the rank
     exceeds them); restart ``n`` draws its random values from
-    ``np.random.default_rng((seed, n))``.
+    ``np.random.default_rng((seed, n))``.  Two rules end the fit early,
+    once more sweeps cannot improve what the caller gets:
+
+    * `delta`, an absolute Frobenius error bound (the one
+      :func:`~convfactor.epc.epc_correct` then enforces), ends a restart at
+      its first sweep whose dense error ``||T - [[A, B, C]]||`` is at most
+      `delta`, and that restart is returned.  None (the default) sets no
+      bound.
+    * The random restarts run only when restart 0 cannot be trusted:
+      restart 0 is returned alone when it stopped on ``_TOL`` with a
+      trace that never rose by more than ``_TOL``.
 
     The per-sweep error comes from the Gram form of
     :func:`~convfactor.tensorops.cp_residual_sq`.  Once a sweep's change
-    is within ``_TOL`` plus that form's roundoff margin, the restart
-    switches to the dense residual ``||T - [[A, B, C]]||`` (re-evaluating
-    the previous sweep too), so convergence is only ever decided on dense
-    errors; the final error of every restart is dense as well.  A dense
-    evaluation costs one more ``O(I J K R)`` GEMM and builds only the
-    ``(I*J) x R`` Khatri-Rao product of A and B.  The best restart is
-    returned balanced (:func:`balance_components`, the minimum-sensitivity
-    scaling of the same reconstruction) with components sorted by
-    descending magnitude ``||a_r|| ||b_r|| ||c_r||``; ties in final error
-    are broken by lower sensitivity.
+    is within ``_TOL`` plus that form's roundoff margin, or the error is
+    within that margin of the bound, the restart switches to the dense
+    residual (re-evaluating the previous sweep too), so convergence and
+    the bound are only ever decided on dense errors; the final error of
+    every restart is dense as well.  A dense evaluation costs one more
+    ``O(I J K R)`` GEMM and builds only the ``(I*J) x R`` Khatri-Rao
+    product of A and B.  The returned restart is balanced
+    (:func:`balance_components`, the minimum-sensitivity scaling of the
+    same reconstruction) with components sorted by descending magnitude
+    ``||a_r|| ||b_r|| ||c_r||``; among restarts that all ran, the lowest
+    final error wins, ties broken by lower sensitivity.
 
     Returns
     -------
     AlsResult
+        ``stop`` says why the returned restart ended: ``"bound"``,
+        ``"tol"`` or ``"cap"``.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
@@ -182,16 +203,19 @@ def cpd_als(tensor, rank, seed=0):
         raise ValueError("rank must be >= 1")
     if not np.all(np.isfinite(tensor)):
         raise ValueError("tensor contains non-finite values")
+    if delta is not None and not delta >= 0:  # rejects NaN
+        raise ValueError("delta must be >= 0")
 
     norm_t = np.linalg.norm(tensor)
     shape = tensor.shape
     if norm_t == 0.0:
         # Zero-tensor convention: rel_error 0, zero model.
         zero = CPModel(*(np.zeros((n, rank)) for n in shape))
-        return AlsResult(zero, 0.0, [0.0], n_iters=0, converged=True)
+        return AlsResult(zero, 0.0, [0.0], n_iters=0, stop="tol")
 
     mt = Mttkrp(tensor)
     norm_t2 = norm_t**2
+    bound = -np.inf if delta is None else delta / norm_t
 
     def dense_error(a, b, c):
         return float(np.linalg.norm(mt.t_k - khatri_rao(a, b) @ c.T)) / norm_t
@@ -205,7 +229,7 @@ def cpd_als(tensor, rank, seed=0):
         prev_err = np.inf
         dense = False
         n_iters = 0
-        converged = False
+        stop = "cap"
         for sweep in range(_MAX_SWEEPS):
             prev = (a, b, c)
             w = mt.partial_c(c)
@@ -224,7 +248,8 @@ def cpd_als(tensor, rank, seed=0):
                 margin = (
                     np.sqrt(max(e2 + slack, 0.0)) - np.sqrt(max(e2 - slack, 0.0))
                 ) / norm_t
-                if e2 <= slack or abs(prev_err - err) <= _TOL + margin:
+                if (e2 <= slack or abs(prev_err - err) <= _TOL + margin
+                        or err - margin <= bound):
                     # the Gram form cannot resolve this step
                     dense = True
                     err = dense_error(a, b, c)
@@ -232,8 +257,11 @@ def cpd_als(tensor, rank, seed=0):
                         prev_err = errors[-1] = dense_error(*prev)
             errors.append(err)
             n_iters = sweep + 1
+            if err <= bound:
+                stop = "bound"
+                break
             if abs(prev_err - err) < _TOL:
-                converged = True
+                stop = "tol"
                 break
             prev_err = err
         if not dense:
@@ -243,6 +271,15 @@ def cpd_als(tensor, rank, seed=0):
         order = np.argsort(-magnitude, kind="stable")
         model = balance_components(CPModel(a[:, order], b[:, order], c[:, order]))
         final = errors[-1]
+        result = AlsResult(model, final, errors, n_iters=n_iters, stop=stop)
+        if stop == "bound" or (
+            restart == 0
+            and stop == "tol"
+            and all(e1 <= e0 + _TOL for e0, e1 in zip(errors, errors[1:]))
+        ):
+            # a restart inside the bound ends the fit, and a clean restart 0
+            # is trusted without the random restarts
+            return result
         if (
             best is None
             or final < best.rel_error - 1e-12
@@ -251,7 +288,7 @@ def cpd_als(tensor, rank, seed=0):
                 and sensitivity(model) < sensitivity(best.model)
             )
         ):
-            best = AlsResult(model, final, errors, n_iters=n_iters, converged=converged)
+            best = result
 
     return best
 

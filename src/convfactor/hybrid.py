@@ -76,9 +76,13 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     ----------
     tensor : ndarray (D2, S, T)
     delta_total : float or None
-        Absolute Frobenius error budget for the whole model.  None (with
-        fixed `ranks`) makes the core's correction error-preserving: EPC
-        keeps the error of the core's CP fit.
+        Absolute Frobenius error budget for the whole model.  What the
+        Tucker stage leaves of it is the core's budget, which ends the
+        core's ALS fit at its first sweep inside it (see
+        :func:`~convfactor.cpd.cpd_als`) and bounds the core's EPC.  None
+        (with fixed `ranks`) fits the core to convergence and makes its
+        correction error-preserving: EPC keeps the error of the core's CP
+        fit.
     rank : int
         CP rank of the core.
     theta : float
@@ -125,7 +129,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
         delta_core = float(np.sqrt(max(delta_total**2 - err_tkd2, 0.0)))
 
     r1, r2 = tkd.ranks
-    res = cpd_als(core, rank, seed=seed)
+    res = cpd_als(core, rank, seed=seed, delta=delta_core)
     err_core = res.rel_error * norm_core
     slack = 1e-9 * max(norm_core, 1.0)
     model = res.model

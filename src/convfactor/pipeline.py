@@ -41,8 +41,10 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     Every CP fit is ``cpd_als(..., seed=seed)`` and every correction
     ``epc_correct(..., delta=...)``; the solvers' settings are their module
     constants.  `delta_rel` is the error bound of cpd-epc and tkd-cpd-epc
-    as a fraction of the tensor norm; when omitted, EPC preserves the error
-    the unconstrained fit achieved.  `ranks` and `theta` shape tkd-cpd-epc
+    as a fraction of the tensor norm.  The bound goes to both solvers: ALS
+    stops at its first sweep inside it and EPC trades what is left of it
+    for lower sensitivity.  When omitted, ALS runs to convergence and EPC
+    preserves the error the fit achieved.  `ranks` and `theta` shape tkd-cpd-epc
     alone.  An argument the method would ignore, `delta_rel` for cpd or
     svd or `ranks` for any other method, raises ValueError.
 
@@ -78,7 +80,7 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         model, rel = res.model, res.rel_error
 
     elif method == "cpd-epc":
-        res = cpd_als(tensor, rank, seed=seed)
+        res = cpd_als(tensor, rank, seed=seed, delta=delta)
         report["before"] = _diagnostics(res.rel_error, res.model)
         model, trace = epc_correct(tensor, res.model, delta=delta)
         rel = _rel_error(tensor, model, norm_t)

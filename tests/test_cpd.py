@@ -16,7 +16,7 @@ from convfactor import (
     sensitivity,
 )
 from convfactor.cpd import _pinv_psd, _solve_psd, balance_components
-from convfactor.tensorops import khatri_rao
+from convfactor.tensorops import khatri_rao, reconstruct_cp
 
 
 def reference_als(tensor, a, b, c, sweeps, tol=0.0):
@@ -155,6 +155,85 @@ class TestAls:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             cpd_als(bad, 1)
+        for delta in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="delta"):
+                cpd_als(np.ones((2, 2, 2)), 1, delta=delta)
+
+
+def noisy_rank3(seed):
+    """A 4x5x6 rank-3 tensor plus 5% noise: ALS at rank 3 converges in
+    tens of sweeps."""
+    rng = np.random.default_rng(seed)
+    t, _ = random_cp_tensor(rng, (4, 5, 6), 3)
+    return t + 0.05 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
+
+
+def exact_rank2(dims, seed):
+    """An exact rank-2 tensor with standard normal factors."""
+    rng = np.random.default_rng(seed)
+    return reconstruct_cp(*(rng.standard_normal((n, 2)) for n in dims))
+
+
+class TestStopRules:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bounded_fit_ends_at_the_bound(self, seed):
+        t = noisy_rank3(seed)
+        free = cpd_als(t, 3, seed=seed)
+        assert free.stop == "tol" and free.converged
+        delta = 1.1 * free.rel_error * np.linalg.norm(t)
+        res = cpd_als(t, 3, seed=seed, delta=delta)
+        bound = delta / np.linalg.norm(t)
+        assert res.stop == "bound" and res.converged
+        assert res.rel_errors[-1] <= bound
+        assert all(err > bound for err in res.rel_errors[:-1])
+        assert res.n_iters == len(res.rel_errors) < free.n_iters
+        assert abs(res.rel_error - dense_rel_error(t, res.model)) <= 1e-12
+        model = res.model
+        ref = balanced_sorted(model.A, model.B, model.C)
+        for got, want in ((model.A, ref.A), (model.B, ref.B), (model.C, ref.C)):
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_vacuous_bound_ends_after_one_sweep(self):
+        t = noisy_rank3(1)
+        res = cpd_als(t, 3, delta=np.linalg.norm(t))
+        assert (res.stop, res.n_iters) == ("bound", 1)
+
+    @staticmethod
+    def count_inits(monkeypatch):
+        """Record the `svd` flag of every restart's start (True for restart 0)."""
+        calls = []
+        init = cpd._init_factors
+
+        def spy(shape, rank, svd, rng, mt):
+            calls.append(svd)
+            return init(shape, rank, svd, rng, mt)
+
+        monkeypatch.setattr(cpd, "_init_factors", spy)
+        return calls
+
+    def test_clean_restart_zero_skips_the_random_restarts(self, monkeypatch):
+        calls = self.count_inits(monkeypatch)
+        res = cpd_als(noisy_rank3(0), 3)
+        assert calls == [True]
+        assert res.stop == "tol"
+
+    def test_capped_restart_zero_runs_every_restart(self, monkeypatch):
+        calls = self.count_inits(monkeypatch)
+        monkeypatch.setattr(cpd, "_MAX_SWEEPS", 5)
+        res = cpd_als(noisy_rank3(0), 3)
+        assert calls == [True, False, False]
+        assert res.stop == "cap" and not res.converged
+
+    @pytest.mark.parametrize("dims, seed", [((3, 5, 5), 7), ((3, 5, 5), 125),
+                                            ((4, 6, 6), 19), ((2, 5, 5), 123)])
+    def test_non_monotone_restart_zero_is_not_trusted(self, dims, seed):
+        # exact rank-2 tensors fitted at rank 4: near-singular normal
+        # equations can make restart 0's error jump up mid-fit, stall, and
+        # stop on the tolerance far from the exact fit that the random
+        # restarts reach.  Roundoff decides which cases jump, so it differs
+        # between BLAS builds; the exact fit is expected either way.
+        res = cpd_als(exact_rank2(dims, seed), 4, seed=seed)
+        assert res.rel_error < 1e-10
 
 
 class TestAlsMatchesKhatriRaoReference:

@@ -210,6 +210,19 @@ class TestEpcCorrect:
         err = np.linalg.norm(t - out.to_tensor())
         assert err <= fit.rel_error * np.linalg.norm(t) * (1 + 1e-8) + 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 2, 3, 7])
+    def test_error_preserving_after_converged_als_is_a_no_op(self, seed):
+        # an ALS sweep leaves each factor at its least-squares optimum, so at
+        # delta = the ALS error that point is all the bound admits
+        rng = np.random.default_rng(seed)
+        t, _ = random_cp_tensor(rng, (4, 5, 6), 3)
+        t += 0.05 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
+        fit = cpd_als(t, 3, seed=seed)
+        assert fit.stop == "tol"
+        out, _ = epc_correct(t, fit.model)
+        ss = sensitivity(fit.model)
+        assert abs(sensitivity(out) - ss) <= 1e-6 * ss
+
     def test_infeasible_bound_identifies_factor(self):
         rng = np.random.default_rng(11)
         t = rng.standard_normal((4, 5, 6))

@@ -63,7 +63,7 @@ class TestTkdCpdEpc:
         delta_total = 1e-3 * np.linalg.norm(t)
         seen = []
 
-        def zero_fit(core, rank, seed):
+        def zero_fit(core, rank, seed, delta):
             seen.append(core)
             d2, r1, r2 = core.shape
             zero = CPModel(np.zeros((d2, rank)), np.zeros((r1, rank)),
@@ -84,6 +84,26 @@ class TestTkdCpdEpc:
         assert core is seen[0] and start.rank == 7
         assert np.array_equal(start.to_tensor(), core)
         assert np.linalg.norm(t - model.to_tensor()) <= delta_total * (1 + 1e-9)
+
+    @pytest.mark.parametrize("delta_rel", [None, 0.3])
+    def test_core_fit_gets_the_core_budget(self, monkeypatch, delta_rel):
+        rng = np.random.default_rng(5)
+        t = hybrid_structured_tensor(rng, (4, 7, 6), (3, 3), 4, noise=0.1)
+        delta_total = None if delta_rel is None else delta_rel * np.linalg.norm(t)
+        deltas = []
+
+        def spy_fit(core, rank, seed, delta):
+            deltas.append(delta)
+            return cpd_als(core, rank, seed=seed, delta=delta)
+
+        monkeypatch.setattr("convfactor.hybrid.cpd_als", spy_fit)
+        model = tkd_cpd_epc(t, delta_total, rank=3, ranks=(3, 3))
+        if delta_total is None:
+            assert deltas == [None]
+        else:
+            _, err_tkd, _ = stage_errors(t, model)
+            assert deltas[0] == pytest.approx(np.sqrt(delta_total**2 - err_tkd**2),
+                                              rel=1e-9)
 
     def test_infeasible_core_rank_raises(self):
         rng = np.random.default_rng(2)

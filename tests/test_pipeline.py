@@ -22,6 +22,20 @@ def test_cpd_fit_is_cpd_als(seed):
     assert report["rel_error"] == res.rel_error
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_cpd_epc_bound_ends_als(seed):
+    # the bound goes to ALS as well as to EPC
+    rng = np.random.default_rng(7)
+    t, _ = random_cp_tensor(rng, (9, 6, 5), 3)
+    t += 0.05 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
+    delta_rel = 1.1 * cpd_als(t, 3, seed=seed).rel_error
+    _, report = fit(t, "cpd-epc", 3, seed=seed, delta_rel=delta_rel)
+    res = cpd_als(t, 3, seed=seed, delta=delta_rel * np.linalg.norm(t))
+    assert res.stop == "bound"
+    assert report["before"]["rel_error"] == res.rel_error
+    assert report["rel_error"] <= delta_rel * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("method, d, kwargs", [
     ("cpd", 3, {"delta_rel": 0.1}),
     ("svd", 1, {"delta_rel": 0.1}),

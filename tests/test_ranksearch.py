@@ -158,8 +158,9 @@ class TestApproxErrorProxy:
         ],
     )
     def test_score_is_the_delivered_error(self, method, d, ranks):
-        # rank 3 plus 2% noise, fitted at rank 6: there the mixed and the
-        # random ALS init reach different errors
+        # rank 3 plus 2% noise, fitted at rank 6: an over-rank fit whose CP
+        # restarts run to their sweep cap, so the random restarts decide
+        # the error
         rng = np.random.default_rng(0)
         t, _ = random_cp_tensor(rng, (d * d, 8, 8), 3)
         bump = rng.standard_normal(t.shape)
