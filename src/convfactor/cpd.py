@@ -106,8 +106,8 @@ def _solve_psd(m, g):
 
     A Cholesky factorization certifies that ``g`` is positive definite;
     the product then uses ``inv(g)`` in one GEMM.  If either factorization
-    fails or ``tr(g) tr(g^-1)`` exceeds ``_COND_MAX``, the result is
-    ``m @ _pinv_psd(g)``, so singular and near-singular systems (dead or
+    fails or ``tr(g) tr(g^-1)`` lies outside ``(0, _COND_MAX]``, the result
+    is ``m @ _pinv_psd(g)``, so singular and near-singular systems (dead or
     duplicated components, rank above an extent) keep the eigh solve.
     """
     try:
@@ -115,8 +115,9 @@ def _solve_psd(m, g):
         inv = np.linalg.inv(g)  # LU can still meet an exact zero pivot
     except np.linalg.LinAlgError:
         return m @ _pinv_psd(g)
-    # traces as Python floats: an overflow gives inf or nan, never a warning
-    if not sum(g.diagonal().tolist()) * sum(inv.diagonal().tolist()) <= _COND_MAX:
+    # traces as Python floats (an overflow gives inf or nan, never a warning);
+    # a garbage inverse of a numerically singular g can have a negative trace
+    if not 0 < sum(g.diagonal().tolist()) * sum(inv.diagonal().tolist()) <= _COND_MAX:
         return m @ _pinv_psd(g)
     return m @ inv
 

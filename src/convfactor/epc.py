@@ -20,7 +20,7 @@ from .tensorops import Mttkrp, cp_residual_sq, khatri_rao
 _ERROR_RTOL = 1e-10
 _SECULAR_ROUNDOFF = 16 * np.finfo(np.float64).eps
 _QP_TOL = 1e-10  # relative tolerance of the secular root and feasibility tests
-_QP_MAX_ITERS = 200  # Newton/bisection steps of the secular root-find
+_QP_MAX_ITERS = 200  # Newton steps of the secular root-find
 _MAX_SWEEPS = 100  # sweep cap of every correction
 _SS_TOL = 1e-6  # stop once a sweep lowers the sensitivity by at most this, relative
 
@@ -38,7 +38,8 @@ def spherical_qp(y, zt, delta):
     stationary family is ``X(mu) = mu Y Zt (I + mu Zt'Zt)^{-1}`` with
     multiplier mu >= 0; the residual is a strictly decreasing rational
     function of mu, evaluated stably in the eigenbasis of Zt'Zt and solved
-    by Newton steps safeguarded with bisection.
+    by Newton steps from mu = 0, monotone because the residual is convex
+    and decreasing.
 
     Returns
     -------
@@ -121,36 +122,21 @@ def _secular_solve(yz, gram, norm_y2, delta):
     target = delta2 - roundoff
     f_tol = _QP_TOL * max(delta2, _QP_TOL) + 0.5 * roundoff
 
-    # bracket [lo, hi] with residual(lo) > target > residual(hi)
-    lo = 0.0
-    hi = 1.0 / max(ev_l[-1], 1e-300)
-    for _ in range(400):
-        if residual(hi) < target:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError(
-            f"could not bracket the multiplier (bracket [{lo:.3g}, {hi:.3g}])"
-        )
-
-    mu = lo
+    # plain Newton from mu = 0 needs no safeguard: the residual, r_min +
+    # sum_i (s_i / e_i) (1 + mu e_i)^-2, is convex and decreasing in mu and
+    # starts at ||Y||^2 above the target, so each tangent meets the target
+    # at or below the root and the steps rise monotonically to it.
+    mu = 0.0
     for _ in range(_QP_MAX_ITERS):
         f = residual(mu) - target
         if abs(f) <= f_tol:
             return x_of(mu), mu
-        if f > 0:
-            lo = mu
-        else:
-            hi = mu
-        step = mu - f / residual_prime(mu)
-        mu = step if lo < step < hi else 0.5 * (lo + hi)
+        mu -= f / residual_prime(mu)
     f = residual(mu) - target
     if abs(f) <= 1e-6 * max(delta2, 1e-12) + 0.5 * roundoff:
         return x_of(mu), mu
     raise RuntimeError(
-        f"secular root-find did not converge: mu={mu:.6g}, "
-        f"bracket [{lo:.6g}, {hi:.6g}], residual gap {f:.6g}"
+        f"secular root-find did not converge: mu={mu:.6g}, residual gap {f:.6g}"
     )
 
 

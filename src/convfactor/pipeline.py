@@ -51,7 +51,7 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     Returns (model, report).  The model is a HybridModel for tkd-cpd-epc
     and a CPModel otherwise (for svd, the truncated SVD of the 1x1
     kernel's matrix).  The report carries the model's relative error as
-    "rel_error" and before/after diagnostics for the corrected methods.
+    "rel_error" and, for cpd-epc, diagnostics before and after EPC.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if method not in METHODS:
@@ -82,17 +82,15 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     elif method == "cpd-epc":
         res = cpd_als(tensor, rank, seed=seed, delta=delta)
         report["before"] = _diagnostics(res.rel_error, res.model)
-        model, trace = epc_correct(tensor, res.model, delta=delta)
+        model, _ = epc_correct(tensor, res.model, delta=delta)
         rel = _rel_error(tensor, model, norm_t)
         report["after"] = _diagnostics(rel, model)
-        report["epc_sweeps"] = len(trace) - 1
 
     else:  # tkd-cpd-epc
         model = tkd_cpd_epc(tensor, delta, rank, theta=theta, ranks=ranks, seed=seed)
         rel = _rel_error(tensor, model, norm_t)
         report["ranks"] = model.ranks
         report["merged"] = should_merge(model.ranks)
-        report["after"] = _diagnostics(rel, model.core_cp)
 
     report["rel_error"] = rel
     return model, report

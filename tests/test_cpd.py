@@ -168,6 +168,10 @@ def noisy_rank3(seed):
     return t + 0.05 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
 
 
+# exact rank-2 tensors fitted at rank 4: (dims, seed) of the factors
+OVER_RANK_CASES = [((3, 5, 5), 7), ((3, 5, 5), 125), ((4, 6, 6), 19), ((2, 5, 5), 123)]
+
+
 def exact_rank2(dims, seed):
     """An exact rank-2 tensor with standard normal factors."""
     rng = np.random.default_rng(seed)
@@ -224,16 +228,26 @@ class TestStopRules:
         assert calls == [True, False, False]
         assert res.stop == "cap" and not res.converged
 
-    @pytest.mark.parametrize("dims, seed", [((3, 5, 5), 7), ((3, 5, 5), 125),
-                                            ((4, 6, 6), 19), ((2, 5, 5), 123)])
+    @pytest.mark.parametrize("dims, seed", OVER_RANK_CASES)
     def test_non_monotone_restart_zero_is_not_trusted(self, dims, seed):
-        # exact rank-2 tensors fitted at rank 4: near-singular normal
-        # equations can make restart 0's error jump up mid-fit, stall, and
-        # stop on the tolerance far from the exact fit that the random
-        # restarts reach.  Roundoff decides which cases jump, so it differs
+        # exact rank-2 tensors fitted at rank 4 have near-singular normal
+        # equations; should restart 0's error jump up mid-fit, stall, and
+        # stop on the tolerance far from the exact fit, the monotone
+        # condition of the restart rule hands the fit to the random
+        # restarts.  Roundoff decides which cases jump, so it differs
         # between BLAS builds; the exact fit is expected either way.
         res = cpd_als(exact_rank2(dims, seed), 4, seed=seed)
         assert res.rel_error < 1e-10
+
+    @pytest.mark.parametrize("dims, seed", OVER_RANK_CASES)
+    def test_restart_zero_alone_is_monotone_over_rank(self, monkeypatch, dims, seed):
+        # the normal-equation solve falls back to the eigh pseudo-inverse
+        # where the inverse is untrustworthy, so restart 0 alone never jumps
+        monkeypatch.setattr(cpd, "_RESTARTS", 1)
+        res = cpd_als(exact_rank2(dims, seed), 4, seed=seed)
+        errors = res.rel_errors
+        assert all(e1 <= e0 + cpd._TOL for e0, e1 in zip(errors, errors[1:]))
+        assert res.rel_error < 1e-9
 
 
 class TestAlsMatchesKhatriRaoReference:
@@ -394,6 +408,16 @@ class TestSolvePsd:
         got, fallbacks = self.solve_counting_fallbacks(monkeypatch, m, g)
         assert fallbacks == 1
         assert np.array_equal(got, m @ _pinv_psd(g))
+
+    def test_negative_trace_inverse_falls_back(self, monkeypatch):
+        # a garbage inverse of a numerically singular Gram that still passes
+        # Cholesky can have a negative trace; its trace product is negative
+        # and must not pass the condition test
+        rng = np.random.default_rng(5)
+        g = hadamard_gram(rng.standard_normal((4, 3)), rng.standard_normal((6, 3)))
+        m = rng.standard_normal((2, 3))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: -np.eye(a.shape[0]))
+        assert np.array_equal(_solve_psd(m, g), m @ _pinv_psd(g))
 
 
 class TestIntensity:

@@ -232,6 +232,18 @@ class TestEpcCorrect:
         assert e.value.factor == "A"
         assert e.value.min_residual is not None
 
+    def test_all_zero_model(self):
+        # no live component: the update can only return zeros, which the
+        # bound admits only when it covers the whole tensor
+        t = np.random.default_rng(3).standard_normal((3, 4, 5))
+        zero = CPModel(*(np.zeros((n, 2)) for n in t.shape))
+        norm_t = np.linalg.norm(t)
+        with pytest.raises(InfeasibleBoundError) as e:
+            epc_correct(t, zero, delta=0.5 * norm_t)
+        assert e.value.factor == "A"
+        out, _ = epc_correct(t, zero, delta=1.01 * norm_t)
+        assert not any(np.any(f) for f in (out.A, out.B, out.C))
+
     @pytest.mark.parametrize("seed", [5, 22])
     def test_sweep_raising_sensitivity_rejected(self, seed):
         # at a converged ALS fit the error-preserving bound leaves no room:

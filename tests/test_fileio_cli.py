@@ -300,6 +300,15 @@ class TestCliDecompose:
         assert code == 1
         assert "1x1" in capsys.readouterr().err
 
+    def test_svd_rank_above_the_matrix_rank_exits_1(self, tmp_path, capsys):
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(8), dims=(1, 5, 4))
+        code = main([
+            "decompose", "--input", str(kpath), "--method", "svd",
+            "--rank", "5", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "rank must lie in [1, 4]" in capsys.readouterr().err
+
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.kten"
         bad.write_bytes(b"garbage")
@@ -713,6 +722,12 @@ class TestCliArgumentValues:
         ["decompose", "--method", "cpd", "--rank", "2", "--delta", "0.01"],
         ["decompose", "--method", "cpd", "--rank", "2", "--ranks", "2,2"],
         ["decompose", "--method", "cpd-epc", "--rank", "2", "--ranks", "2,2"],
+        ["decompose", "--method", "tkd-cpd-epc", "--rank", "2", "--delta", "0.1",
+         "--theta", "1.5"],
+        # the Tucker stage alone is over the budget
+        ["decompose", "--method", "tkd-cpd-epc", "--rank", "2", "--delta", "0.01",
+         "--ranks", "1,1"],
+        ["decompose", "--method", "tkd-cpd-epc", "--rank", "2", "--ranks", "0,2"],
         ["rank-search", "--method", "cpd", "--eps", "0.1", "--ranks", "2,2"],
         ["rank-search", "--method", "cpd", "--eps", "0"],
         ["rank-search", "--method", "cpd", "--eps", "nan"],
