@@ -15,6 +15,7 @@ from .convblocks import (
 )
 from .cpd import CPModel, cpd_als, intensity, sensitivity
 from .epc import epc_correct
+from .errors import InfeasibleBoundError
 from .fileio import Block
 from .hybrid import should_merge, tkd_cpd_epc, to_equivalent_cp
 
@@ -82,7 +83,16 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     elif method == "cpd-epc":
         res = cpd_als(tensor, rank, seed=seed, delta=delta)
         report["before"] = _diagnostics(res.rel_error, res.model)
-        model, _ = epc_correct(tensor, res.model, delta=delta)
+        try:
+            model, _ = epc_correct(tensor, res.model, delta=delta)
+        except InfeasibleBoundError as e:
+            # EPC reports squared absolute residuals; restate in the user's units
+            raise InfeasibleBoundError(
+                f"--delta {delta_rel:g} cannot be met: the least-squares update of "
+                f"factor {e.factor} reaches relative error "
+                f"{np.sqrt(e.min_residual) / norm_t:.3g} at best",
+                min_residual=e.min_residual, bound=e.bound, factor=e.factor,
+            ) from e
         rel = _rel_error(tensor, model, norm_t)
         report["after"] = _diagnostics(rel, model)
 

@@ -5,7 +5,11 @@ Model: ``t ~= G x_1 U x_2 V`` on the last two modes of an order-3 tensor
 and core ``G = t x_1 U' x_2 V'``.  Rather than fixing ranks up front, the
 solver finds the smallest ranks whose principal subspaces keep enough
 energy to meet a Frobenius error bound, alternating eigendecompositions of
-the two projected Gram matrices.
+the two projected Gram matrices ``P' P``, where ``P`` is the tensor's
+unfolding after projecting one mode.  A step factors whichever side of
+``P`` is thinner: the Gram itself when ``P`` is tall, the thin SVD of ``P``
+when it is wide (after the first step ``P`` has ``D2 R`` rows, a few dozen
+to a few hundred, against 512 columns on the widest layers).
 """
 
 from dataclasses import dataclass, field
@@ -72,10 +76,21 @@ def _check_orthonormal(m, name):
     return m
 
 
+def _projected_unfolding(tensor, basis, mode):
+    """Unfolding ``P`` along the other mode (2 or 1) after projecting `mode`
+    on `basis`, one batched GEMM: ``(D2 R) x n`` with n the other mode's
+    extent.  With ``basis=None`` nothing is projected: ``P`` is the plain
+    ``(D2 x extent of mode) x n`` unfolding."""
+    if mode == 2:
+        tensor = np.swapaxes(tensor, 1, 2)
+    if basis is not None:
+        tensor = np.matmul(basis.T, tensor)
+    return tensor.reshape(-1, tensor.shape[2])
+
+
 def _projected_gram(tensor, basis, mode):
-    """Gram matrix of the unfolding along the other mode (2 or 1) after
-    projecting `mode` on `basis`: one batched GEMM for the projection and
-    one for the Gram, symmetrized as (Q + Q') / 2."""
+    """Gram matrix ``P' P`` of :func:`_projected_unfolding`, symmetrized
+    as (Q + Q') / 2."""
     tensor = np.asarray(tensor, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
     if tensor.ndim != 3:
@@ -85,9 +100,7 @@ def _projected_gram(tensor, basis, mode):
             f"{'UV'[mode - 1]} shape {basis.shape} does not match mode-{mode} "
             f"extent {tensor.shape[mode]}"
         )
-    if mode == 2:
-        tensor = np.swapaxes(tensor, 1, 2)
-    proj = np.matmul(basis.T, tensor).reshape(-1, tensor.shape[2])
+    proj = _projected_unfolding(tensor, basis, mode)
     q = proj.T @ proj
     return (q + q.T) / 2
 
@@ -112,11 +125,10 @@ def _eigh_desc(q):
     return w[::-1], vecs[:, ::-1]
 
 
-def _leading_eigvecs(q, energy_bound, rank=None):
-    """Leading eigenvectors of the symmetric `q` and the sum of their
-    eigenvalues (clipped at 0): `rank` of them, or the fewest whose sum
-    reaches `energy_bound` plus any tied with the last one kept."""
-    w, vecs = _eigh_desc(q)
+def _cut(w, energy_bound, rank=None):
+    """How many of the descending eigenvalues `w` to keep, and their sum
+    (clipped at 0): `rank`, or the fewest whose sum reaches `energy_bound`
+    plus any tied with the last one kept."""
     w = np.maximum(w, 0.0)
     if rank is None:
         total = float(np.sum(w))
@@ -134,7 +146,39 @@ def _leading_eigvecs(q, energy_bound, rank=None):
             lam_cut = w[rank - 1]
             while rank < len(w) and w[rank] >= lam_cut * (1 - _TIE_TOL) and w[rank] > 0:
                 rank += 1
-    return np.ascontiguousarray(vecs[:, :rank]), float(np.sum(w[:rank]))
+    return rank, float(np.sum(w[:rank]))
+
+
+def _signed(vecs):
+    """`vecs` with each column flipped so that its largest-magnitude entry
+    is positive: the basis then does not depend on the sign LAPACK picks."""
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return np.where(peak < 0, -vecs, vecs)
+
+
+def _leading_eigvecs(q, energy_bound, rank=None):
+    """Leading eigenvectors of the symmetric `q`, kept by :func:`_cut`, and
+    the sum of their eigenvalues."""
+    w, vecs = _eigh_desc(q)
+    rank, energy = _cut(w, energy_bound, rank)
+    return _signed(vecs[:, :rank]), energy
+
+
+def _leading_right_vecs(p, energy_bound, rank=None):
+    """:func:`_leading_eigvecs` of ``P' P`` for an m x n `p`, from its thin
+    side.  A tall or square `p` forms the n x n Gram.  A wide one takes the
+    thin SVD instead, m x n rather than n x n: the squared singular values,
+    padded with n - m zeros, are the Gram's eigenvalues, so the cut sees the
+    same n of them, and a cut past m keeps null-space vectors of the full
+    SVD."""
+    m, n = p.shape
+    if m >= n:
+        return _leading_eigvecs(p.T @ p, energy_bound, rank)
+    _, sv, vt = np.linalg.svd(p, full_matrices=False)
+    rank, energy = _cut(np.concatenate([sv**2, np.zeros(n - m)]), energy_bound, rank)
+    if rank > m:
+        vt = np.linalg.svd(p)[2]
+    return _signed(vt[:rank].T), energy
 
 
 def minimal_rank_eigvecs(q, energy_bound):
@@ -166,13 +210,18 @@ def core_closed_form(tensor, u, v):
 def tucker2_bounded(tensor, delta, ranks=None):
     """Smallest Tucker-2 model meeting a Frobenius error bound.
 
-    Alternates a U-step and a V-step (HOOI), twice.  Each step
-    takes one eigendecomposition of the projected Gram matrix and keeps its
-    leading eigenvectors: the fewest whose energy reaches
-    ``||t||^2 - delta^2`` (plus ties with the last kept one), so the
-    reconstruction error stays within `delta` after every step, or with
-    ``ranks=(R1, R2)`` exactly R1 or R2 of them.  Both modes start with a
-    U-step from V = I.
+    Alternates a U-step and a V-step (HOOI), twice.  Each step takes the
+    leading eigenvectors of the projected Gram ``P' P``: the fewest whose
+    energy reaches ``||t||^2 - delta^2`` (plus ties with the last kept one),
+    so the reconstruction error stays within `delta` after every step, or
+    with ``ranks=(R1, R2)`` exactly R1 or R2 of them.  Both modes start with
+    a U-step from V = I, which factors the plain ``(D2 T) x S`` unfolding
+    with no projection GEMM.  A step whose ``P`` has fewer rows than columns
+    takes them from the thin SVD of ``P`` rather than an ``eigh`` of the
+    n x n Gram, since only ``P``'s right singular subspace is needed; the
+    eigenpairs, and hence the ranks and energies, are the same.  Each kept
+    column's largest-magnitude entry is positive, so U and V do not depend
+    on the signs LAPACK picks.
 
     Returns a :class:`Tucker2Model`; ``model.history`` holds per-step
     records ``{"step", "ranks", "energy", "sq_error"}``, where energy is
@@ -193,9 +242,9 @@ def tucker2_bounded(tensor, delta, ranks=None):
 
     history = []
 
-    def step(q, label, other_rank):
+    def step(p, label, other_rank):
         rank = None if fixed is None else fixed[label]
-        basis, energy = _leading_eigvecs(q, bound, rank)
+        basis, energy = _leading_right_vecs(p, bound, rank)
         rank = basis.shape[1]
         history.append({
             "step": label,
@@ -205,10 +254,10 @@ def tucker2_bounded(tensor, delta, ranks=None):
         })
         return basis
 
-    v = np.eye(t)
+    v = None  # V = I: the first U-step factors the plain unfolding
     for _ in range(_ALTERNATIONS):
-        u = step(build_q1(tensor, v), "U", v.shape[1])
-        v = step(build_q2(tensor, u), "V", u.shape[1])
+        u = step(_projected_unfolding(tensor, v, 2), "U", t if v is None else v.shape[1])
+        v = step(_projected_unfolding(tensor, u, 1), "V", u.shape[1])
 
     g = core_closed_form(tensor, u, v)
     return Tucker2Model(g, u, v, history=history)

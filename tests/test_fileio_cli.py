@@ -370,6 +370,22 @@ class TestCliDecompose:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_unreachable_delta_is_reported_in_the_flags_units(self, tmp_path):
+        kpath = tmp_path / "k.kten"
+        write_tensor(kpath, np.random.default_rng(0).standard_normal((3, 3, 12, 10)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "convfactor.cli", "decompose", "--input",
+             str(kpath), "--method", "cpd-epc", "--rank", "6", "--delta", "0.6",
+             "--out", str(tmp_path / "o")],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        # the bound fails at factor A, whose best update leaves 0.805 of ||T||
+        assert "--delta 0.6" in proc.stderr
+        assert "0.805" in proc.stderr
+        assert "factor A" in proc.stderr
+
     def test_tkd_requires_delta_or_ranks(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
         kpath = make_kernel_file(tmp_path, rng)

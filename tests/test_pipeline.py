@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_cp_tensor
 from convfactor import cpd_als
+from convfactor.errors import InfeasibleBoundError
 from convfactor.pipeline import fit
 
 
@@ -47,3 +48,16 @@ def test_argument_the_method_ignores_rejected(method, d, kwargs):
     t = np.random.default_rng(8).standard_normal((d * d, 4, 5))
     with pytest.raises(ValueError, match="takes no"):
         fit(t, method, 2, **kwargs)
+
+
+def test_unreachable_epc_bound_keeps_the_solvers_attributes():
+    # the message speaks in --delta's units; the attributes stay EPC's
+    # squared absolute residuals
+    t = np.random.default_rng(0).standard_normal((9, 12, 10))
+    with pytest.raises(InfeasibleBoundError, match="--delta 0.6") as info:
+        fit(t, "cpd-epc", 6, delta_rel=0.6)
+    e = info.value
+    assert e.factor in ("A", "B", "C")
+    assert e.bound == pytest.approx((0.6 * np.linalg.norm(t)) ** 2)
+    assert e.min_residual > e.bound
+    assert f"{np.sqrt(e.min_residual) / np.linalg.norm(t):.3g}" in str(e)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tucker2_tensor, unfold
@@ -12,7 +12,14 @@ from convfactor import (
     tucker2_bounded,
 )
 from convfactor.errors import InfeasibleBoundError
-from convfactor.tucker2 import minimal_rank_eigvecs
+from convfactor.tucker2 import (
+    _ALTERNATIONS,
+    _cut,
+    _leading_eigvecs,
+    _leading_right_vecs,
+    _signed,
+    minimal_rank_eigvecs,
+)
 
 
 def q1_loop(tensor, v):
@@ -312,3 +319,110 @@ def test_bounded_pythagorean_identity(dims, structure, frac, seed):
     sq_error = np.sum((t - model.to_tensor()) ** 2)
     assert abs(sq_error - (norm2 - np.sum(model.G**2))) <= 1e-10 * max(norm2, 1e-300)
     assert sq_error <= delta**2 + 1e-10 * norm2
+
+
+def hooi_oracle(tensor, delta, ranks=None):
+    """The bounded solver with every step an ``eigh`` of the full projected
+    Gram (``build_q1``/``build_q2``), starting from V = I.  Returns (U, V,
+    history) with the solver's history records."""
+    _, _, t = tensor.shape
+    norm2 = float(np.linalg.norm(tensor)) ** 2  # the solver's, to the last bit
+    bound = norm2 - delta**2
+    history = []
+
+    def step(q, label, other):
+        w, vecs = np.linalg.eigh(q)
+        fixed = None if ranks is None else ranks["UV".index(label)]
+        rank, energy = _cut(w[::-1], bound, fixed)
+        history.append({"step": label,
+                        "ranks": (rank, other) if label == "U" else (other, rank),
+                        "energy": energy, "sq_error": max(norm2 - energy, 0.0)})
+        return _signed(vecs[:, ::-1][:, :rank])
+
+    v = np.eye(t)
+    for _ in range(_ALTERNATIONS):
+        u = step(build_q1(tensor, v), "U", v.shape[1])
+        v = step(build_q2(tensor, u), "V", u.shape[1])
+    return u, v, history
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 9), st.integers(1, 12), st.integers(1, 12)),
+    frac=st.floats(0.0, 1.0),
+    fixed=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_bounded_matches_full_gram_oracle(dims, frac, fixed, seed):
+    # wide projected unfoldings take the thin SVD, tall ones the Gram: both
+    # must give the steps of eigh on the full Gram
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(dims)
+    d2 = dims[0]
+    ranks = None
+    if fixed:
+        ranks = (int(rng.integers(1, dims[1] + 1)), int(rng.integers(1, dims[2] + 1)))
+    delta = frac * np.linalg.norm(t)
+    u_ref, v_ref, hist_ref = hooi_oracle(t, delta, ranks)
+    # a cut past a later step's row count keeps null-space vectors, which
+    # no solver determines (see test_fixed_ranks_above_the_wide_side_kept)
+    for rec in hist_ref[1:]:
+        r1, r2 = rec["ranks"]
+        kept, other = (r1, r2) if rec["step"] == "U" else (r2, r1)
+        assume(kept <= d2 * other)
+    model = tucker2_bounded(t, delta, ranks=ranks)
+    assert [rec["ranks"] for rec in model.history] == [rec["ranks"] for rec in hist_ref]
+    for got, want in zip(model.history, hist_ref):
+        assert abs(got["energy"] - want["energy"]) <= 1e-12 * want["energy"]
+    assert np.allclose(model.U, u_ref, rtol=0, atol=1e-8)
+    assert np.allclose(model.V, v_ref, rtol=0, atol=1e-8)
+
+
+def test_fixed_ranks_above_the_wide_side_kept():
+    # the V-steps factor a 2 x 7 unfolding, yet 5 columns are asked for:
+    # they come from the null space of the full SVD
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal((1, 6, 7))
+    model = tucker2_bounded(t, 0.0, ranks=(2, 5))
+    assert model.ranks == (2, 5)
+    assert np.max(np.abs(model.V.T @ model.V - np.eye(5))) < 1e-12
+    sq_error = np.sum((t - model.to_tensor()) ** 2)
+    assert sq_error == pytest.approx(np.sum(t**2) - np.sum(model.G**2), rel=1e-10)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_wide_cut_sees_the_grams_n_eigenvalues(rows):
+    # a bound within roundoff above ||P||^2 runs the cut past the m nonzero
+    # eigenvalues: it keeps all n, as eigh of the n x n Gram does
+    p = np.random.default_rng(rows).standard_normal((rows, 5))
+    bound = np.sum(p**2) * (1 + 1e-11)
+    basis, energy = _leading_right_vecs(p, bound)
+    ref, ref_energy = _leading_eigvecs(p.T @ p, bound)
+    assert basis.shape == ref.shape == (5, 5)
+    assert np.max(np.abs(basis.T @ basis - np.eye(5))) < 1e-12
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("dims, delta_rel, ranks", [
+    ((2, 12, 10), 0.3, None),      # tall first step, wide later ones
+    ((1, 6, 7), 0.0, (2, 5)),      # wide steps completed by the full SVD
+], ids=["bounded", "completed"])
+def test_factors_do_not_depend_on_lapack_signs(monkeypatch, dims, delta_rel, ranks):
+    t = np.random.default_rng(1).standard_normal(dims)
+    delta = delta_rel * np.linalg.norm(t)
+    ref = tucker2_bounded(t, delta, ranks=ranks)
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def negated_svd(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        return -u, s, -vt
+
+    def negated_eigh(a, *args, **kwargs):
+        w, vecs = eigh(a, *args, **kwargs)
+        return w, -vecs
+
+    monkeypatch.setattr(np.linalg, "svd", negated_svd)
+    monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
+    flipped = tucker2_bounded(t, delta, ranks=ranks)
+    for got, want in ((flipped.U, ref.U), (flipped.V, ref.V), (flipped.G, ref.G)):
+        assert np.array_equal(got, want)
