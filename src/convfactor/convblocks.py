@@ -13,7 +13,8 @@ reconstructs, which is what the equivalence tests assert.
 :func:`block_factors` reads the CP factors back from the layers and
 :func:`block_metrics` derives the metrics a block file records.  The
 reference forward pass is a direct evaluation of the convolution sum with
-zero padding, intended for verification, not speed.
+zero padding, one GEMM per kernel tap: the tap's (H'W', S) window rows times
+its (S, T) weights.
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpd import CPModel, intensity, sensitivity
-from .tensorops import reconstruct_cp, restore_kernel
+from .tensorops import reconstruct_cp
 
 __all__ = [
     "ConvSpec",
@@ -114,17 +115,42 @@ def _out_hw(h, w, kh, kw, stride, pad):
     return ho, wo
 
 
+def _in_bounds(offset, n, n_out, stride, pad):
+    """Slices of the output positions ``p`` whose input ``p*stride + offset -
+    pad`` lies in [0, n), and of those inputs; None when there are none."""
+    first = max(0, -((offset - pad) // stride))
+    last = min(n_out, (n - 1 + pad - offset) // stride + 1)
+    if last <= first:
+        return None
+    start = first * stride + offset - pad
+    return slice(first, last), slice(start, start + (last - first - 1) * stride + 1,
+                                     stride)
+
+
 def _tap_windows(x, kh, kw, stride, pad):
-    """``((i, j), window)`` per kernel tap: the strided (H', W', C) window
-    of the zero-padded (H, W, C) input that tap (i, j) multiplies."""
-    ho, wo = _out_hw(x.shape[0], x.shape[1], kh, kw, stride, pad)
-    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    return [
-        ((i, j), xp[i : i + stride * (ho - 1) + 1 : stride,
-                    j : j + stride * (wo - 1) + 1 : stride])
-        for i in range(kh)
-        for j in range(kw)
-    ]
+    """Yield ``((i, j), window)`` per kernel tap: the strided (H', W', C)
+    window of the zero-padded (H, W, C) input that tap (i, j) multiplies.
+
+    Every window is copied into one reused contiguous buffer, zero where the
+    tap falls in the padding, and is valid until the next one is drawn; no
+    padded copy of the input is made.  A 1x1 tap at stride 1 without
+    padding yields the input itself.
+    """
+    h, w, c = x.shape
+    ho, wo = _out_hw(h, w, kh, kw, stride, pad)
+    if (kh, kw, stride, pad) == (1, 1, 1, 0):
+        yield (0, 0), x
+        return
+    window = np.empty((ho, wo, c))
+    for i in range(kh):
+        rows = _in_bounds(i, h, ho, stride, pad)
+        for j in range(kw):
+            cols = _in_bounds(j, w, wo, stride, pad)
+            if pad:
+                window.fill(0.0)
+            if rows and cols:
+                window[rows[0], cols[0]] = x[rows[1], cols[1]]
+            yield (i, j), window
 
 
 def conv2d_reference(x, spec, kernel):
@@ -147,9 +173,12 @@ def conv2d_reference(x, spec, kernel):
         raise ValueError("input-channel mismatch between x, kernel and spec")
     if kernel.shape[3] != spec.out_channels:
         raise ValueError("output-channel mismatch between kernel and spec")
+    ho, wo = _out_hw(x.shape[0], x.shape[1], d, d, spec.stride, spec.pad)
     out = 0.0
+    # one GEMM per tap: the (H'W', S) window rows times the (S, T) tap
     for tap, window in _tap_windows(x, d, d, spec.stride, spec.pad):
-        out += window @ kernel[tap]
+        out += window.reshape(ho * wo, -1) @ kernel[tap]
+    out = out.reshape(ho, wo, spec.out_channels)
     if spec.bias is not None:
         out = out + spec.bias
     return out
@@ -171,10 +200,9 @@ def layer_forward(x, layer):
     taps = np.transpose(
         layer.weights.reshape(g, -1, *layer.weights.shape[1:]), (3, 4, 0, 2, 1)
     )
-    windows = _tap_windows(x, *layer.kernel, layer.stride, layer.pad)
-    ho, wo, _ = windows[0][1].shape
+    ho, wo = _out_hw(x.shape[0], x.shape[1], *layer.kernel, layer.stride, layer.pad)
     out = 0.0
-    for tap, window in windows:
+    for tap, window in _tap_windows(x, *layer.kernel, layer.stride, layer.pad):
         out += window.reshape(ho * wo, g, -1).transpose(1, 0, 2) @ taps[tap]
     out = out.transpose(1, 0, 2).reshape(ho, wo, layer.out_channels)
     if layer.bias is not None:
@@ -325,7 +353,11 @@ def block_factors(layers, kind):
 def block_to_kernel(layers, kind):
     """Dense (D, D, S, T) kernel equivalent to an emitted block."""
     m = block_factors(layers, kind)
-    return restore_kernel(reconstruct_cp(m.A, m.B, m.C), math.isqrt(m.shape[0]))
+    d = math.isqrt(m.shape[0])
+    # rows of A from the (i + j*D) order of reshape_kernel to tap order (i, j),
+    # so the reconstruction is the (D, D, S, T) kernel without a copy
+    taps = np.arange(d * d).reshape(d, d).T.ravel()
+    return reconstruct_cp(m.A[taps], m.B, m.C).reshape(d, d, *m.shape[1:])
 
 
 def block_metrics(layers, kind, input_hw):

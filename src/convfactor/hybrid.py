@@ -138,8 +138,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
             model = _exact_core_model(core, rank)
         else:
             raise InfeasibleBoundError(
-                f"CP rank {rank} cannot meet the core budget "
-                f"{delta_core:.6g} (reached {err_core:.6g}); raise the rank "
+                f"CP rank {rank} cannot meet the core budget; raise the rank "
                 f"or give the Tucker stage a smaller share (theta)",
                 min_residual=err_core**2,
                 bound=delta_core**2,

@@ -17,7 +17,7 @@ from .cpd import CPModel, cpd_als, intensity, sensitivity
 from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .fileio import Block
-from .hybrid import should_merge, tkd_cpd_epc, to_equivalent_cp
+from .hybrid import HybridModel, should_merge, tkd_cpd_epc, to_equivalent_cp
 
 __all__ = ["decompose_to_block", "fit", "METHODS"]
 
@@ -25,7 +25,17 @@ METHODS = ("cpd", "cpd-epc", "tkd-cpd-epc", "svd")
 
 
 def _rel_error(tensor, model, norm_t):
-    return float(np.linalg.norm(tensor - model.to_tensor()) / norm_t) if norm_t else 0.0
+    """``||T - model|| / ||T||`` from the CP factors, one first-mode slice
+    at a time: ``T[d] - (B a_d) C'``, with no dense model or difference."""
+    if not norm_t:
+        return 0.0
+    if isinstance(model, HybridModel):
+        model = to_equivalent_cp(model)
+    err2 = 0.0
+    for t_d, a_d in zip(tensor, model.A):
+        diff = t_d - (model.B * a_d) @ model.C.T
+        err2 += float(np.vdot(diff, diff))
+    return float(np.sqrt(err2) / norm_t)
 
 
 def _diagnostics(rel_error, model):
@@ -97,7 +107,17 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         report["after"] = _diagnostics(rel, model)
 
     else:  # tkd-cpd-epc
-        model = tkd_cpd_epc(tensor, delta, rank, theta=theta, ranks=ranks, seed=seed)
+        try:
+            model = tkd_cpd_epc(tensor, delta, rank, theta=theta, ranks=ranks,
+                                seed=seed)
+        except InfeasibleBoundError as e:
+            # the hybrid's residuals are absolute; restate them in --delta's units
+            raise InfeasibleBoundError(
+                f"--delta {delta_rel:g} cannot be met (relative error "
+                f"{np.sqrt(e.min_residual) / norm_t:.3g} reached, "
+                f"{np.sqrt(e.bound) / norm_t:.3g} allowed): {e}",
+                min_residual=e.min_residual, bound=e.bound, factor=e.factor,
+            ) from e
         rel = _rel_error(tensor, model, norm_t)
         report["ranks"] = model.ranks
         report["merged"] = should_merge(model.ranks)

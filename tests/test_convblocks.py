@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from convfactor import (
 )
 from convfactor.convblocks import (
     LayerDescriptor,
+    _out_hw,
+    _tap_windows,
     block_factors,
     block_to_kernel,
     layer_forward,
@@ -76,6 +80,28 @@ class TestLayerForward:
         x = rng.standard_normal((7, 8, cin))
         ref = conv2d_reference(x, spec, dense)
         assert np.max(np.abs(layer_forward(x, layer) - ref)) < 1e-12
+
+
+def test_tap_windows_are_slices_of_the_padded_input():
+    # the windows are filled from the unpadded input, zero in the padding,
+    # including taps that see no input row or column at all (a 7-wide
+    # kernel on a 3-wide input padded by 2, say)
+    rng = np.random.default_rng(4)
+    for h, w, kh, kw, stride, pad in itertools.product(
+            range(1, 6), range(1, 5), (1, 2, 3, 7), (1, 2, 3, 7), range(1, 4),
+            range(3)):
+        if h + 2 * pad < kh or w + 2 * pad < kw:
+            continue
+        x = rng.standard_normal((h, w, 2))
+        ho, wo = _out_hw(h, w, kh, kw, stride, pad)
+        xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+        taps = []
+        for (i, j), window in _tap_windows(x, kh, kw, stride, pad):
+            taps.append((i, j))
+            assert np.array_equal(
+                window, xp[i : i + stride * (ho - 1) + 1 : stride,
+                           j : j + stride * (wo - 1) + 1 : stride])
+        assert taps == [(i, j) for i in range(kh) for j in range(kw)]
 
 
 class TestConv2dReference:

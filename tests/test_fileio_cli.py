@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import degenerate_pair, random_cp_tensor
+from conftest import degenerate_pair, hybrid_structured_tensor, random_cp_tensor
 from convfactor import (
     ConvSpec,
     CPModel,
@@ -20,8 +23,8 @@ from convfactor import (
     restore_kernel,
     sensitivity,
 )
-from convfactor.cli import main
-from convfactor.convblocks import block_factors
+from convfactor.cli import _rel_error_by_tap, main
+from convfactor.convblocks import block_factors, block_to_kernel
 from convfactor.cpd import balance_components
 from convfactor.errors import TensorFileError
 from convfactor.fileio import (
@@ -32,7 +35,7 @@ from convfactor.fileio import (
     write_block,
     write_tensor,
 )
-from convfactor.pipeline import fit
+from convfactor.pipeline import decompose_to_block, fit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -386,6 +389,23 @@ class TestCliDecompose:
         assert "0.805" in proc.stderr
         assert "factor A" in proc.stderr
 
+    def test_unreachable_hybrid_delta_is_reported_in_the_flags_units(
+            self, tmp_path, capsys):
+        kpath = tmp_path / "k.kten"
+        write_tensor(kpath, np.random.default_rng(0).standard_normal((3, 3, 12, 10)))
+        code = main([
+            "decompose", "--input", str(kpath), "--method", "tkd-cpd-epc",
+            "--rank", "2", "--delta", "0.1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        # the core budget is 0.1 of ||T|| (the Tucker stage is exact here) and
+        # the rank-2 core fit leaves 0.93 of ||T||
+        assert capsys.readouterr().err == (
+            "error: --delta 0.1 cannot be met (relative error 0.93 reached, "
+            "0.1 allowed): CP rank 2 cannot meet the core budget; raise the "
+            "rank or give the Tucker stage a smaller share (theta)\n"
+        )
+
     def test_tkd_requires_delta_or_ranks(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
         kpath = make_kernel_file(tmp_path, rng)
@@ -437,6 +457,33 @@ class TestCliVerify:
         ])
         assert code == 0
         assert "trials: 0" in capsys.readouterr().out
+
+    def test_negative_trials_rejected_before_any_file_is_read(
+            self, tmp_path, capsys):
+        code = main([
+            "verify", "--block", str(tmp_path / "missing" / "block.json"),
+            "--input", str(tmp_path / "missing.kten"), "--trials", "-1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: trials must be >= 0\n"
+
+    @pytest.mark.parametrize("method, dims, rank, kwargs, kind", [
+        ("cpd", (9, 5, 6), 2, {}, "cpd"),
+        ("tkd-cpd-epc", (9, 5, 6), 4, {"ranks": (2, 2)}, "tkd-cpd"),
+        ("svd", (1, 5, 6), 2, {}, "svd"),
+    ])
+    def test_rel_error_by_tap_is_the_dense_difference(
+            self, method, dims, rank, kwargs, kind):
+        rng = np.random.default_rng(16)
+        t, _ = random_cp_tensor(rng, dims, 3)
+        d = int(np.sqrt(dims[0]))
+        kernel = restore_kernel(t, d)
+        block, _ = decompose_to_block(t, method, rank, ConvSpec(5, 6, d), **kwargs)
+        assert block.kind == kind
+        equivalent = block_to_kernel(block.layers, block.kind)
+        dense = np.linalg.norm(equivalent - kernel) / np.linalg.norm(kernel)
+        assert dense > 1e-3
+        assert _rel_error_by_tap(equivalent, kernel) == pytest.approx(dense, rel=1e-12)
 
     def test_broken_chain_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
@@ -557,6 +604,48 @@ class TestCliVerify:
             "--trials", "2",
         ])
         assert code == 0
+
+
+class TestPeakMemory:
+    """Traced peak of a 256-channel hybrid job, in units of the kernel's
+    bytes.  Both commands hold at most two kernel-sized arrays at once:
+    ``decompose`` the read and its (D^2, S, T) copy, ``verify`` the kernel and
+    its dense equivalent.  Building the equivalent through a copy or forming
+    a kernel-sized difference takes either to about 3."""
+
+    BOUND = 2.6
+
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("peak")
+        t = hybrid_structured_tensor(np.random.default_rng(0), (9, 256, 256),
+                                     (8, 8), 4, noise=0.01)
+        kernel = restore_kernel(t, 3)
+        write_tensor(tmp / "k.kten", kernel)
+        del t
+        peaks = {}
+        for argv in (
+            ["decompose", "--input", str(tmp / "k.kten"), "--method",
+             "tkd-cpd-epc", "--rank", "4", "--delta", "0.05", "--pad", "1",
+             "--out", str(tmp / "blk")],
+            ["verify", "--block", str(tmp / "blk" / "block.json"), "--input",
+             str(tmp / "k.kten"), "--hw", "8,8"],
+        ):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, out.getvalue()
+            peaks[argv[0]] = peak / kernel.nbytes
+        assert "verify: OK" in out.getvalue()
+        return peaks
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_at_most_two_kernels_alive(self, peaks, command):
+        assert peaks[command] < self.BOUND
 
 
 class TestCliRankSearch:

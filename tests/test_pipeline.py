@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_cp_tensor
+from conftest import hybrid_structured_tensor, random_cp_tensor
 from convfactor import cpd_als
 from convfactor.errors import InfeasibleBoundError
 from convfactor.pipeline import fit
@@ -61,3 +61,42 @@ def test_unreachable_epc_bound_keeps_the_solvers_attributes():
     assert e.bound == pytest.approx((0.6 * np.linalg.norm(t)) ** 2)
     assert e.min_residual > e.bound
     assert f"{np.sqrt(e.min_residual) / np.linalg.norm(t):.3g}" in str(e)
+
+
+@pytest.mark.parametrize("method, rank, kwargs, merged", [
+    ("cpd", 2, {}, None),
+    ("cpd-epc", 2, {"delta_rel": 0.3}, None),
+    ("tkd-cpd-epc", 2, {"ranks": (3, 3)}, True),
+    ("tkd-cpd-epc", 4, {"ranks": (3, 3)}, False),
+    ("tkd-cpd-epc", 2, {"delta_rel": 0.15}, True),
+], ids=["cpd", "cpd-epc", "tkd-merged", "tkd-unmerged", "tkd-delta"])
+def test_rel_error_is_that_of_the_dense_model(method, rank, kwargs, merged):
+    # fit sums the error slice by slice from the factors; the dense
+    # difference is the oracle
+    t = hybrid_structured_tensor(np.random.default_rng(9), (9, 7, 6), (4, 4), 3,
+                                 noise=0.1)
+    model, report = fit(t, method, rank, **kwargs)
+    assert report.get("merged") is merged
+    dense = np.linalg.norm(t - model.to_tensor()) / np.linalg.norm(t)
+    assert dense > 1e-3
+    assert report["rel_error"] == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs, reached, allowed", [
+    ({"delta_rel": 0.1}, "0.93", "0.1"),  # the core's CP fit
+    ({"delta_rel": 0.01, "ranks": (1, 1)}, "0.963", "0.01"),  # the Tucker stage
+], ids=["core", "tucker"])
+def test_unreachable_hybrid_bound_is_restated_relative_to_the_norm(
+        kwargs, reached, allowed):
+    # the message speaks in --delta's units; the attributes stay the
+    # hybrid's squared absolute residuals
+    t = np.random.default_rng(0).standard_normal((9, 12, 10))
+    norm_t = np.linalg.norm(t)
+    with pytest.raises(InfeasibleBoundError) as info:
+        fit(t, "tkd-cpd-epc", 2, **kwargs)
+    e = info.value
+    assert str(e).startswith(
+        f"--delta {kwargs['delta_rel']:g} cannot be met (relative error "
+        f"{reached} reached, {allowed} allowed): ")
+    assert f"{np.sqrt(e.min_residual) / norm_t:.3g}" == reached
+    assert f"{np.sqrt(e.bound) / norm_t:.3g}" == allowed
