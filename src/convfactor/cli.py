@@ -20,12 +20,13 @@ import sys
 import numpy as np
 
 from . import fileio
-from .convblocks import ConvSpec, block_metrics, block_to_kernel, compose_forward
-from .convblocks import conv2d_reference
+from .convblocks import ConvSpec, block_factors, block_metrics, block_to_kernel
+from .convblocks import compose_forward, conv2d_reference, count_params_flops
+from .cpd import rel_error
 from .errors import TensorFileError
 from .pipeline import METHODS, decompose_to_block
 from .ranksearch import Evaluator, EvaluatorError, binary_search_rank
-from .tensorops import reshape_kernel
+from .tensorops import kernel_taps, reshape_kernel
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -155,22 +156,15 @@ def cmd_rank_search(args):
     return EXIT_OK
 
 
-def _rel_error_by_tap(equivalent, kernel):
-    """``||equivalent - kernel|| / ||kernel||`` of two (D, D, S, T) kernels,
-    summed one tap at a time: no kernel-sized difference array."""
-    err2 = 0.0
-    for tap in np.ndindex(kernel.shape[:2]):
-        diff = equivalent[tap] - kernel[tap]
-        err2 += float(np.vdot(diff, diff))
-    norm_k = np.linalg.norm(kernel)
-    return float(np.sqrt(err2) / norm_k) if norm_k else 0.0
-
-
 def cmd_verify(args):
-    # ValueError for a negative --trials, before any file is read
+    # ValueError for a negative --trials or --seed, before any file is read
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     block = fileio.read_block(args.block)
+    # ValueError for an --hw the layer chain cannot take, before the kernel is read
+    count_params_flops(block.layers, args.hw)
     kernel = _load_kernel(args.input)
     # from the small factors, before the kernel-sized arrays
     metrics = block_metrics(block.layers, block.kind, block.metrics["input_hw"])
@@ -182,7 +176,7 @@ def cmd_verify(args):
         )
     spec = dataclasses.replace(block.spec, bias=block.layers[-1].bias)
 
-    rel = _rel_error_by_tap(equivalent, kernel)
+    rel = rel_error(kernel_taps(kernel), block_factors(block.layers, block.kind))
     recorded = block.metrics.get("rel_error")
     shown = f"{recorded:.6e}" if type(recorded) is float else recorded
     print(f"rel_error: recomputed {rel:.6e}, recorded {shown}")
@@ -192,7 +186,6 @@ def cmd_verify(args):
         if key != "input_hw" and _differs(value, block.metrics.get(key))
     ]
 
-    # ValueError for a negative --seed or an --hw the kernel misses
     h, w = args.hw
     max_dev = 0.0
     rng = np.random.default_rng(args.seed)

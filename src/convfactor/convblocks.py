@@ -301,29 +301,23 @@ def emit_tkd_cpd_block(model, spec):
     ]
 
 
-def emit_svd_block(matrix, rank, spec):
-    """Two 1x1 layers from a truncated SVD of a 1x1 kernel matrix (T x S).
+def emit_svd_block(model, spec):
+    """Two 1x1 layers from the truncated SVD of a 1x1 kernel, held as the
+    CP model :func:`convfactor.pipeline.fit` builds: singular values in A
+    (1 x R), right singular vectors in B (S x R), left ones in C (T x R).
 
     The square roots of the singular values are split between the two
-    layers; the truncation is the best rank-R approximant in Frobenius
-    norm.  The stride and pad go on the first layer, the bias on the last.
+    layers.  The stride and pad go on the first layer, the bias on the last.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
     if spec.kernel_size != 1:
         raise ValueError("svd blocks require a 1x1 kernel")
-    if matrix.shape != (spec.out_channels, spec.in_channels):
-        raise ValueError(
-            f"matrix shape {matrix.shape} != "
-            f"({spec.out_channels}, {spec.in_channels})"
-        )
-    if not 1 <= rank <= min(matrix.shape):
-        raise ValueError(f"rank must lie in [1, {min(matrix.shape)}]")
-    u, sing, vt = np.linalg.svd(matrix, full_matrices=False)
-    root = np.sqrt(sing[:rank])
+    if model.shape != (1, spec.in_channels, spec.out_channels):
+        raise ValueError(f"model shape {model.shape} does not match spec")
+    root = np.sqrt(model.A[0])
     return [
-        _pointwise(vt[:rank] * root[:, None], spec.in_channels, rank,
+        _pointwise((model.B * root).T, spec.in_channels, model.rank,
                    stride=spec.stride, pad=spec.pad),
-        _pointwise(u[:, :rank] * root, rank, spec.out_channels, bias=spec.bias),
+        _pointwise(model.C * root, model.rank, spec.out_channels, bias=spec.bias),
     ]
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "AlsResult",
     "cpd_als",
     "balance_components",
+    "rel_error",
     "intensity",
     "sensitivity",
     "monte_carlo_sensitivity",
@@ -318,6 +319,22 @@ def balance_components(model):
     b[:, nz] *= np.sqrt(tb[nz]) / nb[nz]
     c[:, nz] *= np.sqrt(tc[nz]) / nc[nz]
     return CPModel(a, b, c)
+
+
+def rel_error(slices, model):
+    """``||T - [[A, B, C]]|| / ||T||``, one first-mode slice at a time.
+
+    `slices` yields ``T[0], T[1], ...`` (an order-3 array will do), each
+    compared with ``(B a_d) C'`` in one slice-sized buffer, so no dense model
+    or difference is built.  A zero T has error 0.
+    """
+    err2 = norm2 = 0.0
+    for t_d, a_d in zip(slices, model.A, strict=True):
+        diff = (model.B * a_d) @ model.C.T
+        diff -= t_d
+        err2 += float(np.vdot(diff, diff))
+        norm2 += float(np.vdot(t_d, t_d))
+    return float(np.sqrt(err2 / norm2)) if norm2 else 0.0
 
 
 def intensity(model):

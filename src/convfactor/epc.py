@@ -140,16 +140,24 @@ def _secular_solve(yz, gram, norm_y2, delta):
     )
 
 
-def _weighted_update(yz, gram, norm_y2, w, delta):
+def _factor_update(mttkrp, gram, w2, norm_y2, delta):
     """One bound-constrained factor update.
 
     Solves ``min ||A diag(w)||_F^2  s.t.  ||K1 - A Z'||_F^2 <= delta^2``
-    (w > 0) from ``K1 Z``, ``Z'Z`` and ``||K1||^2``.  The change of
-    variables ``At = A diag(w)``, ``Zt = Z diag(1/w)`` turns it into the
-    plain minimum-norm regression of :func:`_secular_solve`.
+    from ``K1 Z`` (`mttkrp`), ``Z'Z`` (`gram`), ``||K1||^2`` and the squared
+    weights `w2`.  The change of variables ``At = A diag(w)``,
+    ``Zt = Z diag(1/w)`` turns it into the plain minimum-norm regression of
+    :func:`_secular_solve`.  A dead component (``w2 <= 1e-300``: zero in
+    both fixed factors, so zero in ``K1 Z`` and ``Z'Z``) gets weight 1,
+    lies in the solver's null space and is returned as exact zeros, which
+    eigh roundoff alone would not guarantee.
     """
-    at, _ = _secular_solve(yz / w, gram / np.outer(w, w), norm_y2, delta)
-    return at / w
+    dead = w2 <= 1e-300
+    w = np.sqrt(np.where(dead, 1.0, w2))
+    at, _ = _secular_solve(mttkrp / w, gram / np.outer(w, w), norm_y2, delta)
+    new = at / w
+    new[:, dead] = 0.0
+    return new
 
 
 def epc_correct(tensor, model, delta=None):
@@ -194,8 +202,7 @@ def epc_correct(tensor, model, delta=None):
     if model.shape != tensor.shape:
         raise ValueError(f"model shape {model.shape} != tensor shape {tensor.shape}")
 
-    norm_t = np.linalg.norm(tensor)
-    norm_t2 = norm_t**2
+    norm_t2 = np.linalg.norm(tensor) ** 2
     model = balance_components(model)
     a, b, c = model.A, model.B, model.C
     mt = Mttkrp(tensor)
@@ -210,30 +217,13 @@ def epc_correct(tensor, model, delta=None):
     def update(mttkrp, g1, g2, dim1, dim2, name):
         """Bounded update of one factor from its MTTKRP; g1, g2 are the
         Grams of the two fixed factors, of extents dim1, dim2."""
-        w2 = dim2 * np.diag(g1) + dim1 * np.diag(g2)
-        # dead components (zero in both fixed factors) contribute nothing:
-        # solve the problem on the live ones and zero the rest
-        live = w2 > 1e-300
-        new = np.zeros(mttkrp.shape)
-        if not np.any(live):
-            if norm_t > delta + _QP_TOL * max(norm_t, 1.0):
-                raise InfeasibleBoundError(
-                    f"all components vanished while updating {name} and the "
-                    f"remaining residual exceeds the bound",
-                    min_residual=norm_t2,
-                    bound=delta**2,
-                    factor=name,
-                )
-            return new
         try:
-            new[:, live] = _weighted_update(
-                mttkrp[:, live], (g1 * g2)[np.ix_(live, live)], norm_t2,
-                np.sqrt(w2[live]), delta,
-            )
+            return _factor_update(mttkrp, g1 * g2,
+                                  dim2 * np.diag(g1) + dim1 * np.diag(g2),
+                                  norm_t2, delta)
         except InfeasibleBoundError as e:
             e.factor = name
             raise
-        return new
 
     i, j, k = tensor.shape
     gb, gc = b.T @ b, c.T @ c

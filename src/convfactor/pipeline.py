@@ -13,7 +13,7 @@ from .convblocks import (
     emit_svd_block,
     emit_tkd_cpd_block,
 )
-from .cpd import CPModel, cpd_als, intensity, sensitivity
+from .cpd import CPModel, cpd_als, intensity, rel_error, sensitivity
 from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .fileio import Block
@@ -24,23 +24,9 @@ __all__ = ["decompose_to_block", "fit", "METHODS"]
 METHODS = ("cpd", "cpd-epc", "tkd-cpd-epc", "svd")
 
 
-def _rel_error(tensor, model, norm_t):
-    """``||T - model|| / ||T||`` from the CP factors, one first-mode slice
-    at a time: ``T[d] - (B a_d) C'``, with no dense model or difference."""
-    if not norm_t:
-        return 0.0
-    if isinstance(model, HybridModel):
-        model = to_equivalent_cp(model)
-    err2 = 0.0
-    for t_d, a_d in zip(tensor, model.A):
-        diff = t_d - (model.B * a_d) @ model.C.T
-        err2 += float(np.vdot(diff, diff))
-    return float(np.sqrt(err2) / norm_t)
-
-
-def _diagnostics(rel_error, model):
+def _diagnostics(rel, model):
     return {
-        "rel_error": rel_error,
+        "rel_error": rel,
         "sensitivity": sensitivity(model),
         "intensity": intensity(model),
     }
@@ -61,8 +47,12 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
 
     Returns (model, report).  The model is a HybridModel for tkd-cpd-epc
     and a CPModel otherwise (for svd, the truncated SVD of the 1x1
-    kernel's matrix).  The report carries the model's relative error as
-    "rel_error" and, for cpd-epc, diagnostics before and after EPC.
+    kernel's matrix: singular values in A, right singular vectors in B,
+    left ones in C).  The report carries the model's relative error as
+    "rel_error", which :func:`~convfactor.cpd.rel_error` computes for every
+    method from the CP factors (for the hybrid, those of
+    :func:`~convfactor.hybrid.to_equivalent_cp`), and, for cpd-epc,
+    diagnostics before and after EPC.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if method not in METHODS:
@@ -83,12 +73,10 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         u, s_vals, vt = np.linalg.svd(tensor[0].T, full_matrices=False)
         if rank > s_vals.size:
             raise ValueError(f"rank must lie in [1, {s_vals.size}]")
-        rel = float(np.sqrt(np.sum(s_vals[rank:] ** 2)) / norm_t) if norm_t else 0.0
         model = CPModel(s_vals[None, :rank], vt[:rank].T, u[:, :rank])
 
     elif method == "cpd":
-        res = cpd_als(tensor, rank, seed=seed)
-        model, rel = res.model, res.rel_error
+        model = cpd_als(tensor, rank, seed=seed).model
 
     elif method == "cpd-epc":
         res = cpd_als(tensor, rank, seed=seed, delta=delta)
@@ -103,8 +91,6 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
                 f"{np.sqrt(e.min_residual) / norm_t:.3g} at best",
                 min_residual=e.min_residual, bound=e.bound, factor=e.factor,
             ) from e
-        rel = _rel_error(tensor, model, norm_t)
-        report["after"] = _diagnostics(rel, model)
 
     else:  # tkd-cpd-epc
         try:
@@ -118,11 +104,13 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
                 f"{np.sqrt(e.bound) / norm_t:.3g} allowed): {e}",
                 min_residual=e.min_residual, bound=e.bound, factor=e.factor,
             ) from e
-        rel = _rel_error(tensor, model, norm_t)
         report["ranks"] = model.ranks
         report["merged"] = should_merge(model.ranks)
 
-    report["rel_error"] = rel
+    cp = to_equivalent_cp(model) if isinstance(model, HybridModel) else model
+    report["rel_error"] = rel_error(tensor, cp)
+    if method == "cpd-epc":
+        report["after"] = _diagnostics(report["rel_error"], model)
     return model, report
 
 
@@ -139,7 +127,7 @@ def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5
                         delta_rel=delta_rel)
     if method == "svd":
         kind = "svd"
-        layers = emit_svd_block(np.asarray(tensor, dtype=np.float64)[0].T, rank, spec)
+        layers = emit_svd_block(model, spec)
     elif method == "tkd-cpd-epc" and not report["merged"]:
         kind = "tkd-cpd"
         layers = emit_tkd_cpd_block(model, spec)

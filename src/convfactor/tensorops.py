@@ -27,6 +27,7 @@ __all__ = [
     "Mttkrp",
     "cp_residual_sq",
     "mode_product",
+    "kernel_taps",
     "reshape_kernel",
     "restore_kernel",
 ]
@@ -171,20 +172,23 @@ def mode_product(tensor, matrix, mode):
     return np.ascontiguousarray(np.moveaxis(out, 0, mode))
 
 
+def kernel_taps(kernel4):
+    """The (S, T) taps of a D x D x S x T kernel as views, in the order
+    ``d = i + j*D`` of :func:`reshape_kernel` (first spatial axis fastest)."""
+    return [kernel4[i, j] for j in range(kernel4.shape[1])
+            for i in range(kernel4.shape[0])]
+
+
 def reshape_kernel(kernel4):
     """Flatten the two spatial axes of a D x D x S x T kernel into one.
 
-    Returns the order-3 view of shape (D*D, S, T) with spatial index
-    ``d = i + j*D`` (first spatial axis fastest); :func:`restore_kernel`
-    inverts the mapping bitwise.
+    Returns a (D*D, S, T) copy whose slice ``d`` is tap ``d`` of
+    :func:`kernel_taps`; :func:`restore_kernel` inverts the mapping bitwise.
     """
     kernel4 = np.asarray(kernel4)
     if kernel4.ndim != 4:
         raise ValueError(f"expected an order-4 kernel, got order {kernel4.ndim}")
-    d0, d1, s, t = kernel4.shape
-    return np.ascontiguousarray(
-        kernel4.transpose(1, 0, 2, 3).reshape(d0 * d1, s, t)
-    )
+    return np.stack(kernel_taps(kernel4))
 
 
 def restore_kernel(kernel3, d):

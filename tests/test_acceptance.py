@@ -41,6 +41,7 @@ from convfactor import (
 from convfactor.convblocks import block_to_kernel
 from convfactor.epc import spherical_qp
 from convfactor.hybrid import HybridModel
+from convfactor.pipeline import fit
 
 
 def report(num, name, passed):
@@ -194,7 +195,7 @@ def test_07_block_forward_equivalence(monkeypatch):
         (emit_cpd_block(cp, spec), restore_kernel(cp.to_tensor(), d), spec),
         (emit_tkd_cpd_block(hybrid, spec), restore_kernel(hybrid.to_tensor(), d), spec),
         (
-            emit_svd_block(m1x1, min(s, t), svd_spec),
+            emit_svd_block(fit(m1x1.T[None], "svd", min(s, t))[0], svd_spec),
             np.ascontiguousarray(m1x1.T[None, None]),
             svd_spec,
         ),

@@ -23,6 +23,7 @@ from convfactor.convblocks import (
     layer_forward,
 )
 from convfactor.hybrid import HybridModel, to_equivalent_cp
+from convfactor.pipeline import fit
 
 
 def conv_loop(x, kernel, stride, pad):
@@ -293,13 +294,18 @@ class TestTkdCpdBlock:
                                              want.stride, want.pad)
 
 
+def svd_model(matrix, rank):
+    """The CP model ``fit`` builds for svd from a (T x S) 1x1 kernel matrix."""
+    return fit(matrix.T[None], "svd", rank)[0]
+
+
 class TestSvdBlock:
     @pytest.mark.parametrize("stride, pad", [(1, 0), (2, 0), (1, 1), (2, 1)])
     def test_full_rank_exact(self, stride, pad):
         rng = np.random.default_rng(13)
         m = rng.standard_normal((5, 7))
         spec = ConvSpec(7, 5, 1, stride=stride, pad=pad)
-        layers = emit_svd_block(m, 5, spec)
+        layers = emit_svd_block(svd_model(m, 5), spec)
         x = rng.standard_normal((3, 3, 7))
         k = block_to_kernel(layers, "svd")
         assert np.max(np.abs(k[0, 0].T - m)) < 1e-10
@@ -310,14 +316,14 @@ class TestSvdBlock:
     def test_rank1_matrix(self):
         rng = np.random.default_rng(14)
         m = np.outer(rng.standard_normal(4), rng.standard_normal(6))
-        layers = emit_svd_block(m, 1, ConvSpec(6, 4, 1))
+        layers = emit_svd_block(svd_model(m, 1), ConvSpec(6, 4, 1))
         k = block_to_kernel(layers, "svd")
         assert np.max(np.abs(k[0, 0].T - m)) < 1e-12
 
     def test_truncation_tail_oracle(self):
         rng = np.random.default_rng(15)
         m = rng.standard_normal((8, 6))
-        layers = emit_svd_block(m, 3, ConvSpec(6, 8, 1))
+        layers = emit_svd_block(svd_model(m, 3), ConvSpec(6, 8, 1))
         approx = block_to_kernel(layers, "svd")[0, 0].T
         sing = np.linalg.svd(m, compute_uv=False)
         assert np.linalg.norm(m - approx) == pytest.approx(
@@ -326,14 +332,19 @@ class TestSvdBlock:
 
     def test_requires_1x1(self):
         with pytest.raises(ValueError):
-            emit_svd_block(np.zeros((4, 4)), 2, ConvSpec(4, 4, 3))
+            emit_svd_block(svd_model(np.zeros((4, 4)), 2), ConvSpec(4, 4, 3))
+
+    def test_model_must_match_the_spec(self):
+        with pytest.raises(ValueError, match="does not match spec"):
+            emit_svd_block(svd_model(np.ones((4, 5)), 2), ConvSpec(4, 5, 1))
 
 
 class TestCountParamsFlops:
     def test_single_pointwise_closed_form(self):
         rng = np.random.default_rng(16)
         s, t, h, w = 6, 9, 10, 11
-        layers = emit_svd_block(rng.standard_normal((t, s)), min(s, t), ConvSpec(s, t, 1))
+        layers = emit_svd_block(svd_model(rng.standard_normal((t, s)), min(s, t)),
+                                ConvSpec(s, t, 1))
         # take only the first layer: plain 1x1 s -> r
         layer = layers[0]
         params, flops = count_params_flops([layer], (h, w))
@@ -350,8 +361,8 @@ class TestCountParamsFlops:
 
     def test_chain_mismatch_error(self):
         rng = np.random.default_rng(18)
-        a = emit_svd_block(rng.standard_normal((5, 4)), 2, ConvSpec(4, 5, 1))
-        b = emit_svd_block(rng.standard_normal((3, 4)), 2, ConvSpec(4, 3, 1))
+        a = emit_svd_block(svd_model(rng.standard_normal((5, 4)), 2), ConvSpec(4, 5, 1))
+        b = emit_svd_block(svd_model(rng.standard_normal((3, 4)), 2), ConvSpec(4, 3, 1))
         # first layer emits 5 channels, second expects 4
         with pytest.raises(ValueError, match="chain"):
             count_params_flops([a[1], b[0]], (4, 4))
@@ -400,7 +411,7 @@ class TestBlockFactors:
     def test_svd(self):
         rng = np.random.default_rng(23)
         m = rng.standard_normal((5, 7))
-        layers = emit_svd_block(m, 3, ConvSpec(7, 5, 1))
+        layers = emit_svd_block(svd_model(m, 3), ConvSpec(7, 5, 1))
         got = block_factors(layers, "svd")
         assert np.array_equal(got.A, np.ones((1, 3)))
         assert np.array_equal(got.B, layers[0].weights[:, :, 0, 0].T)

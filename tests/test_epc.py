@@ -122,7 +122,7 @@ class TestSphericalQp:
 
 def weighted_update(k1, z, w, delta):
     """The bounded factor update ``epc_correct`` runs, on dense inputs."""
-    return epc._weighted_update(k1 @ z, z.T @ z, float(np.sum(k1**2)), w, delta)
+    return epc._factor_update(k1 @ z, z.T @ z, w**2, float(np.sum(k1**2)), delta)
 
 
 class TestFactorUpdateBounded:
@@ -329,6 +329,70 @@ def test_epc_bound_holds_every_sweep(problem, noise, loosen, seed):
         out, trace = epc_correct(t, model, delta=delta)
     assert all(rec["error"] <= delta * (1 + 1e-9) for rec in trace)
     assert np.linalg.norm(t - out.to_tensor()) <= delta * (1 + 1e-9)
+
+
+def with_dead_columns(f, dead):
+    """`f` with all-zero columns inserted so that they land at `dead`."""
+    out = np.zeros((f.shape[0], f.shape[1] + len(dead)))
+    out[:, np.setdiff1d(np.arange(out.shape[1]), dead)] = f
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_live=st.integers(1, 4),
+    n_dead=st.integers(1, 3),
+    rows=st.integers(1, 6),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_factor_update_returns_dead_components_as_exact_zeros(
+        n_live, n_dead, rows, share, seed):
+    # a dead component is zero in both fixed factors: a zero column of K1 Z,
+    # a zero row and column of Z'Z and a zero weight.  eigh roundoff alone
+    # leaves it nonzero in about a third of these draws
+    rng = np.random.default_rng(seed)
+    dead = np.sort(rng.choice(n_live + n_dead, n_dead, replace=False))
+    k1 = rng.standard_normal((rows, 12))
+    z = rng.standard_normal((12, n_live))
+    w = rng.uniform(0.5, 2.0, n_live)
+    ls_res2 = np.sum((k1 - k1 @ z @ np.linalg.pinv(z.T @ z) @ z.T) ** 2)
+    delta = np.sqrt(share * ls_res2 + (1 - share) * np.sum(k1**2))
+    live = weighted_update(k1, z, w, delta)
+    got = weighted_update(k1, with_dead_columns(z, dead),
+                          with_dead_columns(w[None], dead)[0], delta)
+    assert np.all(got[:, dead] == 0)
+    kept = np.delete(got, dead, axis=1)
+    assert np.max(np.abs(kept - live)) <= 1e-12 * max(np.max(np.abs(live)), 1e-300)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    problem=well_posed_cp_problems(),
+    n_dead=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 1e-3, 0.1]),
+    loosen=st.floats(1.0, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_epc_keeps_dead_components_exact_zeros(problem, n_dead, noise, loosen, seed):
+    # through a whole correction a dead component stays dead, and the live
+    # ones follow the correction of the model without it
+    dims, rank = problem
+    rng = np.random.default_rng(seed)
+    t, _ = random_cp_tensor(rng, dims, rank)
+    t = t + noise * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
+    with mock.patch.object(cpd, "_MAX_SWEEPS", 50):
+        model = cpd_als(t, rank, seed=seed).model
+    delta = loosen * max(np.linalg.norm(t - model.to_tensor()), 1e-6 * np.linalg.norm(t))
+    dead = np.sort(rng.choice(rank + n_dead, n_dead, replace=False))
+    padded = CPModel(*(with_dead_columns(f, dead) for f in (model.A, model.B, model.C)))
+    with mock.patch.object(epc, "_MAX_SWEEPS", 30):
+        want, _ = epc_correct(t, model, delta=delta)
+        out, _ = epc_correct(t, padded, delta=delta)
+    for f, g in ((out.A, want.A), (out.B, want.B), (out.C, want.C)):
+        assert np.all(f[:, dead] == 0)
+        # roundoff of the wider Grams, compounded over the sweeps
+        assert np.max(np.abs(np.delete(f, dead, axis=1) - g)) <= 1e-9 * np.max(np.abs(g))
 
 
 class TestEqIdentity:

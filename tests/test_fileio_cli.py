@@ -23,9 +23,9 @@ from convfactor import (
     restore_kernel,
     sensitivity,
 )
-from convfactor.cli import _rel_error_by_tap, main
+from convfactor.cli import main
 from convfactor.convblocks import block_factors, block_to_kernel
-from convfactor.cpd import balance_components
+from convfactor.cpd import balance_components, rel_error
 from convfactor.errors import TensorFileError
 from convfactor.fileio import (
     MAGIC,
@@ -36,6 +36,7 @@ from convfactor.fileio import (
     write_tensor,
 )
 from convfactor.pipeline import decompose_to_block, fit
+from convfactor.tensorops import kernel_taps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -467,23 +468,49 @@ class TestCliVerify:
         assert code == 1
         assert capsys.readouterr().err == "error: trials must be >= 0\n"
 
+    def test_negative_seed_rejected_before_any_file_is_read(
+            self, tmp_path, capsys):
+        code = main([
+            "verify", "--block", str(tmp_path / "missing" / "block.json"),
+            "--input", str(tmp_path / "missing.kten"), "--seed", "-1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+    def test_hw_the_block_cannot_take_rejected_before_the_kernel_is_read(
+            self, tmp_path, capsys):
+        rng = np.random.default_rng(17)
+        kpath, bpath = self.decompose(tmp_path, rng)
+        kpath.unlink()
+        code = main([
+            "verify", "--block", str(bpath), "--input", str(kpath),
+            "--hw", "2,2",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: kernel 3x3 with stride 1, pad 0 does not fit a 2x2 input\n")
+
     @pytest.mark.parametrize("method, dims, rank, kwargs, kind", [
         ("cpd", (9, 5, 6), 2, {}, "cpd"),
         ("tkd-cpd-epc", (9, 5, 6), 4, {"ranks": (2, 2)}, "tkd-cpd"),
         ("svd", (1, 5, 6), 2, {}, "svd"),
     ])
-    def test_rel_error_by_tap_is_the_dense_difference(
+    def test_rel_error_of_the_taps_is_the_dense_difference_and_the_recorded_one(
             self, method, dims, rank, kwargs, kind):
+        # what verify computes: the block's factors against the kernel's
+        # taps, with no copy of the kernel
         rng = np.random.default_rng(16)
         t, _ = random_cp_tensor(rng, dims, 3)
         d = int(np.sqrt(dims[0]))
         kernel = restore_kernel(t, d)
         block, _ = decompose_to_block(t, method, rank, ConvSpec(5, 6, d), **kwargs)
         assert block.kind == kind
+        rel = rel_error(kernel_taps(kernel), block_factors(block.layers, block.kind))
         equivalent = block_to_kernel(block.layers, block.kind)
         dense = np.linalg.norm(equivalent - kernel) / np.linalg.norm(kernel)
         assert dense > 1e-3
-        assert _rel_error_by_tap(equivalent, kernel) == pytest.approx(dense, rel=1e-12)
+        assert rel == pytest.approx(dense, rel=1e-12)
+        assert rel == pytest.approx(block.metrics["rel_error"], rel=1e-12)
 
     def test_broken_chain_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
