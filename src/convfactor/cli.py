@@ -26,7 +26,7 @@ from .cpd import rel_error
 from .errors import TensorFileError
 from .pipeline import METHODS, decompose_to_block
 from .ranksearch import Evaluator, EvaluatorError, binary_search_rank
-from .tensorops import kernel_taps, reshape_kernel
+from .tensorops import reshape_kernel
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -176,7 +176,7 @@ def cmd_verify(args):
         )
     spec = dataclasses.replace(block.spec, bias=block.layers[-1].bias)
 
-    rel = rel_error(kernel_taps(kernel), block_factors(block.layers, block.kind))
+    rel = rel_error(reshape_kernel(kernel), block_factors(block.layers, block.kind))
     recorded = block.metrics.get("rel_error")
     shown = f"{recorded:.6e}" if type(recorded) is float else recorded
     print(f"rel_error: recomputed {rel:.6e}, recorded {shown}")

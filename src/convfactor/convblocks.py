@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpd import CPModel, intensity, sensitivity
-from .tensorops import reconstruct_cp
+from .tensorops import reconstruct_cp, restore_kernel
 
 __all__ = [
     "ConvSpec",
@@ -210,34 +210,23 @@ def layer_forward(x, layer):
     return out
 
 
+def _check_chain(layers):
+    """ValueError unless each layer takes the channels the one before emits."""
+    for i, (prev, layer) in enumerate(zip(layers, layers[1:])):
+        if prev.out_channels != layer.in_channels:
+            raise ValueError(
+                f"broken chain: layer {i} emits {prev.out_channels} "
+                f"channels, layer {i + 1} expects {layer.in_channels}"
+            )
+
+
 def compose_forward(layers, x):
     """Run an input through a chain of layer descriptors."""
-    for i in range(len(layers) - 1):
-        if layers[i].out_channels != layers[i + 1].in_channels:
-            raise ValueError(
-                f"broken chain: layer {i} emits {layers[i].out_channels} "
-                f"channels, layer {i + 1} expects {layers[i + 1].in_channels}"
-            )
+    _check_chain(layers)
     out = x
     for layer in layers:
         out = layer_forward(out, layer)
     return out
-
-
-def _spatial_to_filters(a, d):
-    """Columns of A (D*D x R) as depthwise weights (R, 1, D, D)."""
-    r = a.shape[1]
-    return np.ascontiguousarray(
-        np.transpose(a.reshape(d, d, r, order="F"), (2, 0, 1))[:, None, :, :]
-    )
-
-
-def _filters_to_spatial(w):
-    """Inverse of :func:`_spatial_to_filters`."""
-    r, _, d, _ = w.shape
-    return np.ascontiguousarray(
-        np.transpose(w[:, 0], (1, 2, 0)).reshape(d * d, r, order="F")
-    )
 
 
 def _pointwise(matrix, in_channels, out_channels, bias=None, stride=1, pad=0):
@@ -258,7 +247,9 @@ def emit_cpd_block(model, spec):
 
     Layer order: 1x1 S->R from B, depthwise DxD (groups=R, stride and pad
     of the original layer) from A, 1x1 R->T from C; the original bias
-    rides on the last layer.
+    rides on the last layer.  Depthwise filter r is column r of A, whose
+    row ``i*D + j`` is tap (i, j) as in
+    :func:`~convfactor.tensorops.reshape_kernel`.
     """
     d = spec.kernel_size
     if model.shape != (d * d, spec.in_channels, spec.out_channels):
@@ -272,7 +263,7 @@ def emit_cpd_block(model, spec):
         in_channels=r,
         out_channels=r,
         kernel=(d, d),
-        weights=_spatial_to_filters(a, d),
+        weights=a.T.reshape(r, 1, d, d),
         groups=r,
         stride=spec.stride,
         pad=spec.pad,
@@ -333,7 +324,8 @@ def block_factors(layers, kind):
 
     if kind == "cpd":
         w1, wd, w3 = layers
-        return CPModel(_filters_to_spatial(wd.weights), matrix(w1).T, matrix(w3))
+        a = wd.weights.reshape(wd.out_channels, -1).T  # row i*D + j: tap (i, j)
+        return CPModel(a, matrix(w1).T, matrix(w3))
     if kind == "tkd-cpd":
         u, *core, v = layers
         m = block_factors(core, "cpd")
@@ -347,11 +339,7 @@ def block_factors(layers, kind):
 def block_to_kernel(layers, kind):
     """Dense (D, D, S, T) kernel equivalent to an emitted block."""
     m = block_factors(layers, kind)
-    d = math.isqrt(m.shape[0])
-    # rows of A from the (i + j*D) order of reshape_kernel to tap order (i, j),
-    # so the reconstruction is the (D, D, S, T) kernel without a copy
-    taps = np.arange(d * d).reshape(d, d).T.ravel()
-    return reconstruct_cp(m.A[taps], m.B, m.C).reshape(d, d, *m.shape[1:])
+    return restore_kernel(reconstruct_cp(m.A, m.B, m.C), math.isqrt(m.shape[0]))
 
 
 def block_metrics(layers, kind, input_hw):
@@ -375,16 +363,11 @@ def count_params_flops(layers, input_hw):
     FLOPs count a multiply-add as 2 operations:
     ``2 * H' * W' * (in/groups) * k_h * k_w * out`` per layer.
     """
+    _check_chain(layers)
     h, w = input_hw
     params = 0
     flops = 0
-    for i, layer in enumerate(layers):
-        if i and layers[i - 1].out_channels != layer.in_channels:
-            raise ValueError(
-                f"broken chain: layer {i - 1} emits "
-                f"{layers[i - 1].out_channels} channels, layer {i} expects "
-                f"{layer.in_channels}"
-            )
+    for layer in layers:
         kh, kw = layer.kernel
         h, w = _out_hw(h, w, kh, kw, layer.stride, layer.pad)
         params += layer.param_count()

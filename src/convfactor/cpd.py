@@ -105,15 +105,20 @@ def _pinv_psd(g):
 def _solve_psd(m, g):
     """``m @ g^-1`` for a symmetric PSD ``g``: the ALS normal-equation solve.
 
-    A Cholesky factorization certifies that ``g`` is positive definite;
-    the product then uses ``inv(g)`` in one GEMM.  If either factorization
-    fails or ``tr(g) tr(g^-1)`` lies outside ``(0, _COND_MAX]``, the result
-    is ``m @ _pinv_psd(g)``, so singular and near-singular systems (dead or
+    The product uses ``inv(g)`` in one GEMM when ``tr(g) tr(g^-1)``, an upper
+    bound on ``cond(g)``, lies in ``(0, _COND_MAX]``.  If the inverse fails
+    or the trace product lies outside that range, the result is
+    ``m @ _pinv_psd(g)``, so singular and near-singular systems (dead or
     duplicated components, rank above an extent) keep the eigh solve.
+
+    No separate definiteness test is made.  A Hadamard product of Grams is
+    PSD, so a negative computed eigenvalue is roundoff, of order
+    ``R eps ||g||``; its term in ``tr(g^-1)`` makes the trace product
+    negative, or far above ``_COND_MAX``, unless it nearly cancels the term
+    of a positive eigenvalue as small.
     """
     try:
-        np.linalg.cholesky(g)
-        inv = np.linalg.inv(g)  # LU can still meet an exact zero pivot
+        inv = np.linalg.inv(g)  # LU can meet an exact zero pivot
     except np.linalg.LinAlgError:
         return m @ _pinv_psd(g)
     # traces as Python floats (an overflow gives inf or nan, never a warning);
@@ -153,12 +158,11 @@ def cpd_als(tensor, rank, seed=0, delta=None):
     I x J x K tensor a sweep costs two ``O(I J K R)`` GEMMs (see
     :class:`~convfactor.tensorops.Mttkrp`; the contraction with C is
     shared by the A and B updates) plus ``O((I+J+K) R^2 + R^3)`` for the
-    Grams and the three normal-equation solves.  Each solve is a
-    Cholesky-certified inverse (:func:`_solve_psd`: one ``cholesky``, one
-    ``inv``, one GEMM); it falls back to the ``eigh`` pseudo-inverse when
-    the Cholesky or the inverse fails or ``tr(G) tr(G^-1)`` exceeds
-    ``_COND_MAX = 1e10``.  No ``(J*K) x R`` or ``(I*K) x R`` Khatri-Rao
-    matrix is built.
+    Grams and the three normal-equation solves.  Each solve is one ``inv``
+    and one GEMM (:func:`_solve_psd`); it falls back to the ``eigh``
+    pseudo-inverse when the inverse fails or ``tr(G) tr(G^-1)`` is not in
+    ``(0, _COND_MAX]``, ``_COND_MAX = 1e10``.  No ``(J*K) x R`` or
+    ``(I*K) x R`` Khatri-Rao matrix is built.
 
     Every fit has the settings of the module constants: up to
     ``_RESTARTS = 3`` restarts of at most ``_MAX_SWEEPS = 1000`` sweeps,

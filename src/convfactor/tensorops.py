@@ -27,7 +27,6 @@ __all__ = [
     "Mttkrp",
     "cp_residual_sq",
     "mode_product",
-    "kernel_taps",
     "reshape_kernel",
     "restore_kernel",
 ]
@@ -172,27 +171,24 @@ def mode_product(tensor, matrix, mode):
     return np.ascontiguousarray(np.moveaxis(out, 0, mode))
 
 
-def kernel_taps(kernel4):
-    """The (S, T) taps of a D x D x S x T kernel as views, in the order
-    ``d = i + j*D`` of :func:`reshape_kernel` (first spatial axis fastest)."""
-    return [kernel4[i, j] for j in range(kernel4.shape[1])
-            for i in range(kernel4.shape[0])]
-
-
 def reshape_kernel(kernel4):
     """Flatten the two spatial axes of a D x D x S x T kernel into one.
 
-    Returns a (D*D, S, T) copy whose slice ``d`` is tap ``d`` of
-    :func:`kernel_taps`; :func:`restore_kernel` inverts the mapping bitwise.
+    Slice ``d`` of the (D*D, S, T) result is tap ``(d // D, d % D)``, numpy's
+    row-major order, so the result of a C-contiguous kernel is a view of it,
+    not a copy.  :func:`restore_kernel` inverts the mapping bitwise.
     """
     kernel4 = np.asarray(kernel4)
     if kernel4.ndim != 4:
         raise ValueError(f"expected an order-4 kernel, got order {kernel4.ndim}")
-    return np.stack(kernel_taps(kernel4))
+    kh, kw, s, t = kernel4.shape
+    return kernel4.reshape(kh * kw, s, t)
 
 
 def restore_kernel(kernel3, d):
-    """Inverse of :func:`reshape_kernel` for a square D x D spatial window."""
+    """Inverse of :func:`reshape_kernel` for a square D x D spatial window:
+    slice ``d`` becomes tap ``(d // D, d % D)``.  The result is a view of
+    `kernel3` (a reshape that splits the first axis never copies)."""
     kernel3 = np.asarray(kernel3)
     if kernel3.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {kernel3.ndim}")
@@ -201,7 +197,4 @@ def restore_kernel(kernel3, d):
         raise ValueError(
             f"first extent {kernel3.shape[0]} is not the square of d={d}"
         )
-    s, t = kernel3.shape[1], kernel3.shape[2]
-    return np.ascontiguousarray(
-        kernel3.reshape(d, d, s, t).transpose(1, 0, 2, 3)
-    )
+    return kernel3.reshape(d, d, *kernel3.shape[1:])

@@ -178,7 +178,7 @@ class TestCpdBlock:
         x = rng.standard_normal((6, 6, s))
         # hand path: channel mix by b, one spatial filter from a, expand by c
         mixed = x @ b  # (6, 6, 1)
-        filt = a[:, 0].reshape(d, d, order="F")[:, :, None, None]
+        filt = a[:, 0].reshape(d, d)[:, :, None, None]
         spat = conv2d_reference(mixed, ConvSpec(1, 1, d), filt)
         by_hand = spat * c[:, 0]
         assert np.max(np.abs(compose_forward(layers, x) - by_hand)) < 1e-12
@@ -380,10 +380,15 @@ class TestCountParamsFlops:
 class TestBlockToKernel:
     def test_cpd_roundtrip(self):
         rng = np.random.default_rng(20)
-        m = random_model(rng, 3, 5, 6, 3)
-        spec = ConvSpec(5, 6, 3)
-        k = block_to_kernel(emit_cpd_block(m, spec), "cpd")
-        assert np.max(np.abs(k - restore_kernel(m.to_tensor(), 3))) < 1e-12
+        for d in (1, 2, 3, 4):
+            m = random_model(rng, d, 5, 6, 3)
+            layers = emit_cpd_block(m, ConvSpec(5, 6, d))
+            # depthwise filter r holds column r of A in row-major tap order
+            for r in range(m.rank):
+                assert np.array_equal(layers[1].weights[r, 0],
+                                      m.A[:, r].reshape(d, d))
+            k = block_to_kernel(layers, "cpd")
+            assert np.max(np.abs(k - restore_kernel(m.to_tensor(), d))) < 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -36,7 +36,6 @@ from convfactor.fileio import (
     write_tensor,
 )
 from convfactor.pipeline import decompose_to_block, fit
-from convfactor.tensorops import kernel_taps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -505,7 +504,7 @@ class TestCliVerify:
         kernel = restore_kernel(t, d)
         block, _ = decompose_to_block(t, method, rank, ConvSpec(5, 6, d), **kwargs)
         assert block.kind == kind
-        rel = rel_error(kernel_taps(kernel), block_factors(block.layers, block.kind))
+        rel = rel_error(reshape_kernel(kernel), block_factors(block.layers, block.kind))
         equivalent = block_to_kernel(block.layers, block.kind)
         dense = np.linalg.norm(equivalent - kernel) / np.linalg.norm(kernel)
         assert dense > 1e-3
@@ -636,9 +635,10 @@ class TestCliVerify:
 class TestPeakMemory:
     """Traced peak of a 256-channel hybrid job, in units of the kernel's
     bytes.  Both commands hold at most two kernel-sized arrays at once:
-    ``decompose`` the read and its (D^2, S, T) copy, ``verify`` the kernel and
-    its dense equivalent.  Building the equivalent through a copy or forming
-    a kernel-sized difference takes either to about 3."""
+    ``decompose`` the kernel, whose (D^2, S, T) tensor is a view of it, and
+    the (D^2 T, S) unfolding of the first Tucker-2 step; ``verify`` the
+    kernel and its dense equivalent.  Building the equivalent through a copy
+    or forming a kernel-sized difference takes either to about 3."""
 
     BOUND = 2.6
 

@@ -255,7 +255,15 @@ class TestReshapeKernel:
         out = reshape_kernel(k)
         for i in range(3):
             for j in range(3):
-                assert np.array_equal(out[i + j * 3], k[i, j])
+                assert np.array_equal(out[i * 3 + j], k[i, j])
+
+    def test_view_of_a_contiguous_kernel(self):
+        k = np.random.default_rng(12).standard_normal((3, 3, 4, 5))
+        out = reshape_kernel(k)
+        assert np.shares_memory(out, k)
+        back = restore_kernel(out, 3)
+        assert np.shares_memory(back, k)
+        assert np.array_equal(back, k)
 
     def test_zero(self):
         assert np.all(reshape_kernel(np.zeros((2, 2, 3, 4))) == 0)
