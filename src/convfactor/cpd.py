@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np  # numpy only: importing scipy.linalg adds ~0.4 s to CLI start-up
 
-from .tensorops import Mttkrp, cp_residual_sq, khatri_rao, reconstruct_cp
+from .tensorops import Mttkrp, cp_residual_sq, reconstruct_cp
+# not used here: the benchmark's span tracer (benchmarks/tracing.py) wraps this name
+from .tensorops import khatri_rao  # noqa: F401
 
 __all__ = [
     "CPModel",
@@ -133,7 +135,9 @@ def _init_factors(shape, rank, svd, rng, mt):
         return [rng.standard_normal((n, rank)) for n in shape]
     i, j, k = shape
     t_i = mt.t_k.reshape(i, j * k)
-    grams = (t_i @ t_i.T, mt.t_j.T @ mt.t_j, mt.t_k.T @ mt.t_k)
+    # the J x J Gram summed over slices: no (I*K, J) unfolding is copied
+    g_j = sum(t_d @ t_d.T for t_d in mt.t_k.reshape(shape))
+    grams = (t_i @ t_i.T, g_j, mt.t_k.T @ mt.t_k)
     factors = []
     for n, other, gram in zip(shape, (j * k, i * k, i * j), grams):
         # leading left singular vectors of the unfolding, as the eigenvectors
@@ -153,16 +157,16 @@ def cpd_als(tensor, rank, seed=0, delta=None):
 
     Each sweep solves the exact least-squares update for A, B, C in turn,
     ``A <- M_A pinv(B'B * C'C)`` and cyclic analogues, where ``M_A`` is
-    the MTTKRP ``T_(0) @ khatri_rao(C, B)`` and ``*`` the Hadamard
-    product, so the relative error is non-increasing per sweep.  For an
-    I x J x K tensor a sweep costs two ``O(I J K R)`` GEMMs (see
-    :class:`~convfactor.tensorops.Mttkrp`; the contraction with C is
-    shared by the A and B updates) plus ``O((I+J+K) R^2 + R^3)`` for the
-    Grams and the three normal-equation solves.  Each solve is one ``inv``
+    the MTTKRP of mode 0 (``T_(0)`` times the Khatri-Rao product of C and
+    B) and ``*`` the Hadamard product, so the relative error is
+    non-increasing per sweep.  For an I x J x K tensor a sweep costs
+    ``O(I J K R)`` in GEMMs (see :class:`~convfactor.tensorops.Mttkrp`; the
+    contraction with C is shared by the A and B updates) plus
+    ``O((I+J+K) R^2 + R^3)`` for the Grams and the three normal-equation
+    solves, and builds no tensor-sized array.  Each solve is one ``inv``
     and one GEMM (:func:`_solve_psd`); it falls back to the ``eigh``
     pseudo-inverse when the inverse fails or ``tr(G) tr(G^-1)`` is not in
-    ``(0, _COND_MAX]``, ``_COND_MAX = 1e10``.  No ``(J*K) x R`` or
-    ``(I*K) x R`` Khatri-Rao matrix is built.
+    ``(0, _COND_MAX]``, ``_COND_MAX = 1e10``.
 
     Every fit has the settings of the module constants: up to
     ``_RESTARTS = 3`` restarts of at most ``_MAX_SWEEPS = 1000`` sweeps,
@@ -186,15 +190,14 @@ def cpd_als(tensor, rank, seed=0, delta=None):
     :func:`~convfactor.tensorops.cp_residual_sq`.  Once a sweep's change
     is within ``_TOL`` plus that form's roundoff margin, or the error is
     within that margin of the bound, the restart switches to the dense
-    residual (re-evaluating the previous sweep too), so convergence and
-    the bound are only ever decided on dense errors; the final error of
-    every restart is dense as well.  A dense evaluation costs one more
-    ``O(I J K R)`` GEMM and builds only the ``(I*J) x R`` Khatri-Rao
-    product of A and B.  The returned restart is balanced
-    (:func:`balance_components`, the minimum-sensitivity scaling of the
-    same reconstruction) with components sorted by descending magnitude
-    ``||a_r|| ||b_r|| ||c_r||``; among restarts that all ran, the lowest
-    final error wins, ties broken by lower sensitivity.
+    error :func:`rel_error` (re-evaluating the previous sweep too), one
+    more ``O(I J K R)`` in slice-sized GEMMs, so convergence and the bound
+    are only ever decided on dense errors.  Each restart's model is
+    balanced (:func:`balance_components`, the minimum-sensitivity scaling
+    of the same reconstruction) with components sorted by descending
+    magnitude ``||a_r|| ||b_r|| ||c_r||``; its final error, the last entry
+    of its trace, is :func:`rel_error` of that model.  Among restarts that
+    all ran, the lowest final error wins, ties broken by lower sensitivity.
 
     Returns
     -------
@@ -223,9 +226,6 @@ def cpd_als(tensor, rank, seed=0, delta=None):
     norm_t2 = norm_t**2
     bound = -np.inf if delta is None else delta / norm_t
 
-    def dense_error(a, b, c):
-        return float(np.linalg.norm(mt.t_k - khatri_rao(a, b) @ c.T)) / norm_t
-
     best = None
     for restart in range(_RESTARTS):
         rng = np.random.default_rng((seed, restart))
@@ -246,21 +246,16 @@ def cpd_als(tensor, rank, seed=0, delta=None):
             m_c = mt.mode2(a, b)
             c = _solve_psd(m_c, ga * gb)
             gc = c.T @ c
-            if dense:
-                err = dense_error(a, b, c)
-            else:
+            if not dense:
                 e2, slack = cp_residual_sq(norm_t2, m_c, c, (ga, gb, gc))
-                err = np.sqrt(max(e2, 0.0)) / norm_t
-                margin = (
-                    np.sqrt(max(e2 + slack, 0.0)) - np.sqrt(max(e2 - slack, 0.0))
-                ) / norm_t
-                if (e2 <= slack or abs(prev_err - err) <= _TOL + margin
-                        or err - margin <= bound):
-                    # the Gram form cannot resolve this step
-                    dense = True
-                    err = dense_error(a, b, c)
-                    if errors:
-                        prev_err = errors[-1] = dense_error(*prev)
+                err, margin = (x / norm_t for x in _gram_error(e2, slack))
+                # switch for good where the Gram form cannot resolve this step
+                dense = (e2 <= slack or abs(prev_err - err) <= _TOL + margin
+                         or err - margin <= bound)
+                if dense and errors:
+                    prev_err = errors[-1] = rel_error(tensor, CPModel(*prev))
+            if dense:
+                err = rel_error(tensor, CPModel(a, b, c))
             errors.append(err)
             n_iters = sweep + 1
             if err <= bound:
@@ -270,13 +265,11 @@ def cpd_als(tensor, rank, seed=0, delta=None):
                 stop = "tol"
                 break
             prev_err = err
-        if not dense:
-            errors[-1] = dense_error(a, b, c)
 
         magnitude = np.prod([np.linalg.norm(f, axis=0) for f in (a, b, c)], axis=0)
         order = np.argsort(-magnitude, kind="stable")
         model = balance_components(CPModel(a[:, order], b[:, order], c[:, order]))
-        final = errors[-1]
+        final = errors[-1] = rel_error(tensor, model)
         result = AlsResult(model, final, errors, n_iters=n_iters, stop=stop)
         if stop == "bound" or (
             restart == 0
@@ -323,6 +316,13 @@ def balance_components(model):
     b[:, nz] *= np.sqrt(tb[nz]) / nb[nz]
     c[:, nz] *= np.sqrt(tc[nz]) / nc[nz]
     return CPModel(a, b, c)
+
+
+def _gram_error(e2, slack):
+    """``(err, margin)`` from :func:`~convfactor.tensorops.cp_residual_sq`'s
+    ``(e2, slack)``: the true error lies within `margin` of `err`."""
+    lo, hi = (np.sqrt(max(x, 0.0)) for x in (e2 - slack, e2 + slack))
+    return np.sqrt(max(e2, 0.0)), hi - lo
 
 
 def rel_error(slices, model):

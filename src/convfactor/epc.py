@@ -10,13 +10,14 @@ equation in the Lagrange multiplier.
 
 import numpy as np
 
-from .cpd import CPModel, balance_components, sensitivity
+from .cpd import CPModel, _gram_error, balance_components, rel_error, sensitivity
 from .errors import InfeasibleBoundError
-from .tensorops import Mttkrp, cp_residual_sq, khatri_rao
+from .tensorops import Mttkrp, cp_residual_sq
+# not used here: the benchmark's span tracer (benchmarks/tracing.py) wraps this name
+from .tensorops import khatri_rao  # noqa: F401
 
-# The Gram-form error is used only where its roundoff bound resolves the
-# squared error to this relative accuracy, so a recorded error sits within
-# about 5e-11 relative of the dense one and can be checked against delta.
+# The Gram-form error is recorded only where its roundoff margin is at most
+# this fraction of it, close enough to the dense error to check against delta.
 _ERROR_RTOL = 1e-10
 _SECULAR_ROUNDOFF = 16 * np.finfo(np.float64).eps
 _QP_TOL = 1e-10  # relative tolerance of the secular root and feasibility tests
@@ -168,24 +169,27 @@ def epc_correct(tensor, model, delta=None):
     Sweeps A -> B -> C cyclically; each update is the exact constrained
     minimizer of the sensitivity terms involving that factor, so both the
     error bound and sensitivity monotonicity hold after every accepted
-    update.  A sweep that would raise the sensitivity, which only the
-    solver's margin at the bound can cause, is rejected and ends the
-    correction.  Components are magnitude-balanced across factors up front
-    (free sensitivity reduction, reconstruction unchanged).  Every
+    update.  The bound holds to the secular solve's tolerance, a squared
+    residual within about ``1e-10 delta^2`` of ``delta^2``, so an error can
+    exceed `delta` by a few parts in 1e11 (the tests allow
+    ``delta (1 + 1e-9)``).  A sweep that would raise the sensitivity, which
+    only the solver's margin at the bound can cause, is rejected and ends
+    the correction.  Components are magnitude-balanced across factors up
+    front (free sensitivity reduction, reconstruction unchanged).  Every
     correction runs at most ``_MAX_SWEEPS = 100`` sweeps and stops once a
     sweep lowers the sensitivity by at most ``_SS_TOL = 1e-6`` relative.
 
     A factor update needs only the factor's MTTKRP (see
     :class:`~convfactor.tensorops.Mttkrp`), the Hadamard product of the two
     fixed factors' Grams and ``||T||^2``.  For an I x J x K tensor a sweep
-    therefore costs two ``O(I J K R)`` GEMMs plus ``O((I+J+K) R^2 + R^3)``
-    for the Grams and the three secular solves; no ``(J*K) x R`` or
-    ``(I*K) x R`` Khatri-Rao matrix is built.  The per-sweep error is the
-    Gram form of :func:`~convfactor.tensorops.cp_residual_sq`; where that
-    form cannot resolve the error to ``1e-10`` relative (close fits and
-    large cancelling components), the dense residual, one more GEMM, is
-    used instead, so every recorded error can be checked against the
-    bound.
+    therefore costs ``O(I J K R)`` in GEMMs plus ``O((I+J+K) R^2 + R^3)``
+    for the Grams and the three secular solves, and builds no tensor-sized
+    array.  The starting error is :func:`~convfactor.cpd.rel_error`; the
+    per-sweep error is the Gram form of
+    :func:`~convfactor.tensorops.cp_residual_sq`, or ``rel_error`` where
+    that form cannot resolve it to ``1e-10`` relative (close fits and large
+    cancelling components), so every recorded error can be checked against
+    the bound.
 
     Returns
     -------
@@ -202,15 +206,13 @@ def epc_correct(tensor, model, delta=None):
     if model.shape != tensor.shape:
         raise ValueError(f"model shape {model.shape} != tensor shape {tensor.shape}")
 
-    norm_t2 = np.linalg.norm(tensor) ** 2
+    norm_t = np.linalg.norm(tensor)
+    norm_t2 = norm_t**2
     model = balance_components(model)
     a, b, c = model.A, model.B, model.C
     mt = Mttkrp(tensor)
 
-    def dense_error(a, b, c):
-        return float(np.linalg.norm(mt.t_k - khatri_rao(a, b) @ c.T))
-
-    err0 = dense_error(a, b, c)
+    err0 = float(rel_error(tensor, model) * norm_t)
     delta = err0 if delta is None else float(delta)
     trace = [{"error": err0, "ss": sensitivity(CPModel(a, b, c))}]
 
@@ -250,11 +252,10 @@ def epc_correct(tensor, model, delta=None):
             break
         a, b, c = balanced.A, balanced.B, balanced.C
         gb, gc = b.T @ b, c.T @ c
-        if slack <= _ERROR_RTOL * e2:
-            err = float(np.sqrt(e2))
-        else:
-            err = dense_error(a, b, c)
-        trace.append({"error": err, "ss": float(ss)})
+        err, margin = _gram_error(e2, slack)
+        if margin > _ERROR_RTOL * err:
+            err = rel_error(tensor, balanced) * norm_t
+        trace.append({"error": float(err), "ss": float(ss)})
         if prev_ss <= 0 or abs(prev_ss - ss) <= _SS_TOL * max(prev_ss, 1e-300):
             break
         prev_ss = ss

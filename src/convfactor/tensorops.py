@@ -11,10 +11,10 @@ boundaries and promoted.
 
 The CP solvers work on an I x J x K tensor (a ``D^2 x S x T`` kernel)
 through :class:`Mttkrp` and :func:`cp_residual_sq`.  One sweep over the
-three factors costs two GEMMs, ``(IJ x K) @ (K x R)`` and
-``(IK x J) @ (J x R)``, i.e. O(D^2 S T R), plus O((I+J+K) R^2) of Gram
-algebra; the ``(JK) x R`` and ``(IK) x R`` Khatri-Rao matrices of the
-textbook MTTKRP are never built, and the residual norm is evaluated from
+three factors costs O(D^2 S T R) in GEMMs, ``(IJ x K) @ (K x R)`` and
+one ``(R x J) @ (J x K)`` per first-mode slice, plus O((I+J+K) R^2) of
+Gram algebra.  The Khatri-Rao matrices of the textbook MTTKRP, and copies
+of the tensor, are never built, and the residual norm is evaluated from
 the factor Grams instead of a dense reconstruction (Kolda & Bader, SIAM
 Rev. 2009, sec. 3.4).
 """
@@ -92,13 +92,13 @@ class Mttkrp:
     """Matricized-tensor-times-Khatri-Rao products of one order-3 tensor.
 
     ``mode0(w, B) == T_(0) @ khatri_rao(C, B)`` and cyclic analogues,
-    computed as partial contractions.  Two matrix views of the tensor are
-    made once: ``T`` as ``(I*J, K)`` (a view) and as ``(I*K, J)`` (one
-    copy).  The contraction with C, ``W = T x_3 C'`` of shape (I, J, R),
-    serves both modes 0 and 1 as long as C is unchanged (Phan, Tichavsky &
-    Cichocki, IEEE TSP 2013); mode 2 contracts ``T x_2 B'`` with A.  Each
-    product is one ``O(I J K R)`` GEMM plus an ``O(I J R)`` contraction,
-    with no ``(J*K) x R`` or ``(I*K) x R`` Khatri-Rao temporary.
+    computed as partial contractions of the one ``(I*J, K)`` view of the
+    tensor (no copy for a C-contiguous float64 input).  The contraction
+    with C, ``W = T x_3 C'`` of shape (I, J, R), serves both modes 0 and 1
+    as long as C is unchanged (Phan, Tichavsky & Cichocki, IEEE TSP 2013);
+    mode 2 contracts ``T x_2 B'``, one ``B' T[i]`` GEMM per first-mode
+    slice, with A.  Each product costs ``O(I J K R)`` in GEMMs plus an
+    ``O(I J R)`` or ``O(I K R)`` contraction, with no Khatri-Rao temporary.
     """
 
     def __init__(self, tensor):
@@ -108,7 +108,6 @@ class Mttkrp:
         self.shape = tensor.shape
         i, j, k = tensor.shape
         self.t_k = tensor.reshape(i * j, k)
-        self.t_j = tensor.transpose(0, 2, 1).reshape(i * k, j)
 
     def partial_c(self, c):
         """``W[i, j, r] = sum_k T[i, j, k] C[k, r]``, shared by modes 0 and 1."""
@@ -126,8 +125,8 @@ class Mttkrp:
 
     def mode2(self, a, b):
         """MTTKRP of mode 2: ``(K, R)``."""
-        v = (self.t_j @ b).reshape(self.shape[0], self.shape[2], -1)
-        return np.einsum("ikr,ir->kr", v, a)
+        v = np.matmul(b.T, self.t_k.reshape(self.shape))  # (I, R, K)
+        return np.einsum("irk,ir->kr", v, a)
 
 
 def cp_residual_sq(norm_t2, m_c, c, grams):

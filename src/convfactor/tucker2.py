@@ -3,13 +3,13 @@
 Model: ``t ~= G x_1 U x_2 V`` on the last two modes of an order-3 tensor
 (the first mode is untouched), with orthonormal U (S x R1) and V (T x R2)
 and core ``G = t x_1 U' x_2 V'``.  Rather than fixing ranks up front, the
-solver finds the smallest ranks whose principal subspaces keep enough
-energy to meet a Frobenius error bound, alternating eigendecompositions of
-the two projected Gram matrices ``P' P``, where ``P`` is the tensor's
-unfolding after projecting one mode.  A step factors whichever side of
-``P`` is thinner: the Gram itself when ``P`` is tall, the thin SVD of ``P``
-when it is wide (after the first step ``P`` has ``D2 R`` rows, a few dozen
-to a few hundred, against 512 columns on the widest layers).
+solver picks them greedily to meet a Frobenius error bound, alternating
+eigendecompositions of the two projected Gram matrices ``P' P`` (``P`` the
+unfolding after projecting one mode); each keeps as few eigenvectors as the
+whole bound allows, so the ranks need not give the smallest model.  A step
+factors whichever side of ``P`` is thinner: the Gram itself when ``P`` is
+tall, the thin SVD of ``P`` when it is wide (after the first step ``P`` has
+``D2 R`` rows, against 512 columns on the widest layers).
 """
 
 from dataclasses import dataclass, field
@@ -55,7 +55,7 @@ class Tucker2Model:
         return (self.G.shape[0], self.U.shape[0], self.V.shape[0])
 
     def param_count(self):
-        """Model size R1*S + R2*T + R1*R2*D2 (the bound-search objective)."""
+        """Model size R1*S + R2*T + R1*R2*D2."""
         r1, r2 = self.ranks
         d2, s, t = self.shape
         return r1 * s + r2 * t + r1 * r2 * d2
@@ -208,15 +208,15 @@ def core_closed_form(tensor, u, v):
 
 
 def tucker2_bounded(tensor, delta, ranks=None):
-    """Smallest Tucker-2 model meeting a Frobenius error bound.
+    """Tucker-2 model meeting a Frobenius error bound, ranks chosen greedily.
 
-    Alternates a U-step and a V-step (HOOI), twice.  Each step takes the
-    leading eigenvectors of the projected Gram ``P' P``: the fewest whose
-    energy reaches ``||t||^2 - delta^2`` (plus ties with the last kept one),
-    so the reconstruction error stays within `delta` after every step, or
-    with ``ranks=(R1, R2)`` exactly R1 or R2 of them.  Both modes start with
-    a U-step from V = I, which factors the plain ``(D2 T) x S`` unfolding
-    with no projection GEMM.  A step whose ``P`` has fewer rows than columns
+    Alternates a U-step and a V-step (HOOI), twice, from V = I.  Each step
+    takes the leading eigenvectors of the projected Gram ``P' P``: the
+    fewest whose energy reaches ``||t||^2 - delta^2`` (plus ties with the
+    last kept one), so the error stays within `delta` after every step, or
+    with ``ranks=(R1, R2)`` exactly R1 or R2 of them.  The first U-step thus
+    spends the whole budget, and the ranks need not give the fewest
+    parameters that meet it.  A step whose ``P`` has fewer rows than columns
     takes them from the thin SVD of ``P`` rather than an ``eigh`` of the
     n x n Gram, since only ``P``'s right singular subspace is needed; the
     eigenpairs, and hence the ranks and energies, are the same.  Each kept

@@ -633,12 +633,15 @@ class TestCliVerify:
 
 
 class TestPeakMemory:
-    """Traced peak of a 256-channel hybrid job, in units of the kernel's
-    bytes.  Both commands hold at most two kernel-sized arrays at once:
-    ``decompose`` the kernel, whose (D^2, S, T) tensor is a view of it, and
-    the (D^2 T, S) unfolding of the first Tucker-2 step; ``verify`` the
-    kernel and its dense equivalent.  Building the equivalent through a copy
-    or forming a kernel-sized difference takes either to about 3."""
+    """Traced peak of 256-channel jobs, in units of the kernel's bytes.
+    The hybrid ``decompose`` holds at most two kernel-sized arrays at once:
+    the kernel, whose (D^2, S, T) tensor is a view of it, and the
+    (D^2 T, S) unfolding of the first Tucker-2 step; ``verify`` holds the
+    kernel and its dense equivalent.  The CP jobs, ``cpd`` and ``cpd-epc``,
+    hold the kernel alone: the MTTKRPs read it through views and every
+    error check sums over its slices.  Building the equivalent through a
+    copy, copying an unfolding for the MTTKRPs or forming a kernel-sized
+    difference takes a job to about 3 kernels or more."""
 
     BOUND = 2.6
 
@@ -649,14 +652,23 @@ class TestPeakMemory:
                                      (8, 8), 4, noise=0.01)
         kernel = restore_kernel(t, 3)
         write_tensor(tmp / "k.kten", kernel)
+        rng = np.random.default_rng(1)
+        t, _ = random_cp_tensor(rng, (9, 256, 256), 8)
+        t += 0.02 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
+        write_tensor(tmp / "cp.kten", restore_kernel(t, 3))
         del t
+        cp_job = ["decompose", "--input", str(tmp / "cp.kten"), "--rank", "8",
+                  "--pad", "1", "--method"]
         peaks = {}
-        for argv in (
-            ["decompose", "--input", str(tmp / "k.kten"), "--method",
-             "tkd-cpd-epc", "--rank", "4", "--delta", "0.05", "--pad", "1",
-             "--out", str(tmp / "blk")],
-            ["verify", "--block", str(tmp / "blk" / "block.json"), "--input",
-             str(tmp / "k.kten"), "--hw", "8,8"],
+        for name, argv in (
+            ("decompose", ["decompose", "--input", str(tmp / "k.kten"), "--method",
+                           "tkd-cpd-epc", "--rank", "4", "--delta", "0.05",
+                           "--pad", "1", "--out", str(tmp / "blk")]),
+            ("verify", ["verify", "--block", str(tmp / "blk" / "block.json"),
+                        "--input", str(tmp / "k.kten"), "--hw", "8,8"]),
+            ("decompose-cpd", cp_job + ["cpd", "--out", str(tmp / "cpd")]),
+            ("decompose-cpd-epc", cp_job + ["cpd-epc", "--delta", "0.05",
+                                            "--out", str(tmp / "epc")]),
         ):
             tracemalloc.start()
             try:
@@ -666,11 +678,13 @@ class TestPeakMemory:
             finally:
                 tracemalloc.stop()
             assert code == 0, out.getvalue()
-            peaks[argv[0]] = peak / kernel.nbytes
-        assert "verify: OK" in out.getvalue()
+            if name == "verify":
+                assert "verify: OK" in out.getvalue()
+            peaks[name] = peak / kernel.nbytes
         return peaks
 
-    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("command", ["decompose", "verify", "decompose-cpd",
+                                         "decompose-cpd-epc"])
     def test_at_most_two_kernels_alive(self, peaks, command):
         assert peaks[command] < self.BOUND
 
