@@ -132,7 +132,6 @@ def cmd_rank_search(args):
         args.rmax,
         seed=args.seed,
         ranks=args.ranks,
-        theta=args.theta,
         kernel_path=args.input,
         conv_spec=spec,
     )
@@ -165,18 +164,18 @@ def cmd_verify(args):
     block = fileio.read_block(args.block)
     # ValueError for an --hw the layer chain cannot take, before the kernel is read
     count_params_flops(block.layers, args.hw)
+    spec = dataclasses.replace(block.spec, bias=block.layers[-1].bias)
     kernel = _load_kernel(args.input)
-    # from the small factors, before the kernel-sized arrays
+    d = spec.kernel_size
+    shape = (d, d, spec.in_channels, spec.out_channels)
+    if kernel.shape != shape:
+        raise TensorFileError(
+            f"{args.input}: kernel shape {kernel.shape}, the block's spec {shape}"
+        )
+    rel = rel_error(reshape_kernel(kernel), block_factors(block.layers, block.kind))
+    del kernel  # one kernel-sized array at a time: the block's comes next
     metrics = block_metrics(block.layers, block.kind, block.metrics["input_hw"])
     equivalent = block_to_kernel(block.layers, block.kind)
-    if equivalent.shape != kernel.shape:
-        raise TensorFileError(
-            f"block realizes kernel shape {equivalent.shape}, "
-            f"input has {kernel.shape}"
-        )
-    spec = dataclasses.replace(block.spec, bias=block.layers[-1].bias)
-
-    rel = rel_error(reshape_kernel(kernel), block_factors(block.layers, block.kind))
     recorded = block.metrics.get("rel_error")
     shown = f"{recorded:.6e}" if type(recorded) is float else recorded
     print(f"rel_error: recomputed {rel:.6e}, recorded {shown}")
@@ -219,8 +218,6 @@ def build_parser():
     fit.add_argument("--method", required=True, choices=METHODS)
     fit.add_argument("--ranks", type=lambda s: _parse_pair(s, "--ranks"),
                      default=None, help="fixed multilinear ranks R1,R2")
-    fit.add_argument("--theta", type=float, default=0.5,
-                     help="share of the squared budget for the Tucker stage")
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--stride", type=int, default=1)
     fit.add_argument("--pad", type=int, default=0)
@@ -228,6 +225,8 @@ def build_parser():
     p = sub.add_parser("decompose", parents=[fit],
                        help="factorize a kernel file into a block")
     p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--theta", type=float, default=0.5,
+                   help="share of the squared budget for the Tucker stage")
     p.add_argument("--delta", type=float, default=None,
                    help="error bound as a fraction of the kernel norm")
     p.add_argument("--hw", type=lambda s: _parse_pair(s, "--hw"), default=(56, 56),

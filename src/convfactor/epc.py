@@ -66,7 +66,7 @@ def _secular_solve(yz, gram, norm_y2, delta):
     Costs one ``R x R`` eigendecomposition and ``O(n R^2)`` for an
     ``n x R`` unknown, whatever the length of the rows of Y.
     """
-    if delta < 0:
+    if not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
     delta2 = delta**2
 

@@ -43,10 +43,7 @@ class HybridModel:
         return r1 * s + r2 * t + r * (d2 + r1 + r2)
 
     def to_tensor(self):
-        from .tensorops import mode_product
-
-        g = self.core_cp.to_tensor()
-        return mode_product(mode_product(g, self.U, 1), self.V, 2)
+        return self.U @ self.core_cp.to_tensor() @ self.V.T
 
 
 def _exact_core_model(core, rank):

@@ -75,7 +75,7 @@ def _search_ranks(tensor, method, ranks):
     return ranks
 
 
-def approx_error_proxy(tensor, method, rank, seed=0, ranks=None, theta=0.5):
+def approx_error_proxy(tensor, method, rank, seed=0, ranks=None):
     """Relative error ``decompose`` delivers for `method` at `rank` (fixed seed).
 
     A desk-scale stand-in for a task-level quality drop: the error of
@@ -84,18 +84,16 @@ def approx_error_proxy(tensor, method, rank, seed=0, ranks=None, theta=0.5):
     fixed (``ranks``, defaulting to the full (S, T)).
     """
     _, report = fit(tensor, method, rank, seed=seed,
-                    ranks=_search_ranks(tensor, method, ranks), theta=theta)
+                    ranks=_search_ranks(tensor, method, ranks))
     return report["rel_error"]
 
 
-def _external_score(command, rank, tensor, method, seed, ranks, theta, kernel_path,
-                    conv_spec):
+def _external_score(command, rank, tensor, method, seed, ranks, kernel_path, conv_spec):
     """Emit a block for `rank` into a scratch dir and run the command."""
     workdir = tempfile.mkdtemp(prefix="convfactor-ranksearch-")
     try:
-        block, _ = decompose_to_block(
-            tensor, method, rank, conv_spec, seed=seed, ranks=ranks, theta=theta
-        )
+        block, _ = decompose_to_block(tensor, method, rank, conv_spec, seed=seed,
+                                      ranks=ranks)
         block_path = fileio.write_block(workdir, block)
         try:
             proc = subprocess.run(
@@ -121,7 +119,7 @@ def _external_score(command, rank, tensor, method, seed, ranks, theta, kernel_pa
 
 
 def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
-                       ranks=None, theta=0.5, kernel_path=None, conv_spec=None):
+                       ranks=None, kernel_path=None, conv_spec=None):
     """Smallest rank in [r_min, r_max] whose score is <= evaluator.eps.
 
     `r_max` defaults to the largest CP rank the searched (D^2, R1, R2)
@@ -147,13 +145,12 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
         if rank not in scores:
             if evaluator.command:
                 scores[rank] = _external_score(
-                    evaluator.command, rank, tensor, method, seed, ranks, theta,
+                    evaluator.command, rank, tensor, method, seed, ranks,
                     kernel_path, conv_spec,
                 )
             else:
-                scores[rank] = approx_error_proxy(
-                    tensor, method, rank, seed=seed, ranks=ranks, theta=theta
-                )
+                scores[rank] = approx_error_proxy(tensor, method, rank, seed=seed,
+                                                  ranks=ranks)
         return scores[rank]
 
     lo, hi = r_min, r_max

@@ -4,12 +4,12 @@ Model: ``t ~= G x_1 U x_2 V`` on the last two modes of an order-3 tensor
 (the first mode is untouched), with orthonormal U (S x R1) and V (T x R2)
 and core ``G = t x_1 U' x_2 V'``.  Rather than fixing ranks up front, the
 solver picks them greedily to meet a Frobenius error bound, alternating
-eigendecompositions of the two projected Gram matrices ``P' P`` (``P`` the
-unfolding after projecting one mode); each keeps as few eigenvectors as the
-whole bound allows, so the ranks need not give the smallest model.  A step
-factors whichever side of ``P`` is thinner: the Gram itself when ``P`` is
-tall, the thin SVD of ``P`` when it is wide (after the first step ``P`` has
-``D2 R`` rows, against 512 columns on the widest layers).
+eigendecompositions of the two projected Gram matrices ``P' P``, ``P`` the
+stacked slices ``V' K(d)'`` or ``U' K(d)``; each keeps as few eigenvectors
+as the whole bound allows, so the ranks need not give the smallest model.
+The tensor is read only through its slices ``K(d)``: a tall ``P`` sums its
+Gram over them (``sum_d K(d) K(d)'`` when V = I, with no copy), a wide one
+takes the thin SVD of the small projected stack.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleBoundError
-from .tensorops import mode_product
 
 __all__ = [
     "Tucker2Model",
@@ -61,7 +60,7 @@ class Tucker2Model:
         return r1 * s + r2 * t + r1 * r2 * d2
 
     def to_tensor(self):
-        return mode_product(mode_product(self.G, self.U, 1), self.V, 2)
+        return self.U @ self.G @ self.V.T
 
 
 def _check_orthonormal(m, name):
@@ -76,21 +75,25 @@ def _check_orthonormal(m, name):
     return m
 
 
-def _projected_unfolding(tensor, basis, mode):
-    """Unfolding ``P`` along the other mode (2 or 1) after projecting `mode`
-    on `basis`, one batched GEMM: ``(D2 R) x n`` with n the other mode's
-    extent.  With ``basis=None`` nothing is projected: ``P`` is the plain
-    ``(D2 x extent of mode) x n`` unfolding."""
+def _projected_slices(tensor, basis, mode):
+    """The slices ``P_d`` of the other mode (2 or 1) after projecting `mode`
+    on `basis`, one batched GEMM: ``V' K(d)'`` (R2 x S) for mode 2,
+    ``U' K(d)`` (R1 x T) for mode 1.  With ``basis=None`` nothing is
+    projected and the stack is a view of `tensor`: for mode 2 the
+    transposed slices ``K(d)'``."""
     if mode == 2:
         tensor = np.swapaxes(tensor, 1, 2)
-    if basis is not None:
-        tensor = np.matmul(basis.T, tensor)
-    return tensor.reshape(-1, tensor.shape[2])
+    return tensor if basis is None else np.matmul(basis.T, tensor)
+
+
+def _gram(stack):
+    """``P' P`` for ``P`` the slices of `stack` stacked by rows, slice by slice."""
+    return sum((p.T @ p for p in stack), np.zeros((stack.shape[2],) * 2))
 
 
 def _projected_gram(tensor, basis, mode):
-    """Gram matrix ``P' P`` of :func:`_projected_unfolding`, symmetrized
-    as (Q + Q') / 2."""
+    """Gram matrix ``sum_d P_d' P_d`` of :func:`_projected_slices`,
+    symmetrized as (Q + Q') / 2."""
     tensor = np.asarray(tensor, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
     if tensor.ndim != 3:
@@ -100,8 +103,7 @@ def _projected_gram(tensor, basis, mode):
             f"{'UV'[mode - 1]} shape {basis.shape} does not match mode-{mode} "
             f"extent {tensor.shape[mode]}"
         )
-    proj = _projected_unfolding(tensor, basis, mode)
-    q = proj.T @ proj
+    q = _gram(_projected_slices(tensor, basis, mode))
     return (q + q.T) / 2
 
 
@@ -164,16 +166,17 @@ def _leading_eigvecs(q, energy_bound, rank=None):
     return _signed(vecs[:, :rank]), energy
 
 
-def _leading_right_vecs(p, energy_bound, rank=None):
-    """:func:`_leading_eigvecs` of ``P' P`` for an m x n `p`, from its thin
-    side.  A tall or square `p` forms the n x n Gram.  A wide one takes the
-    thin SVD instead, m x n rather than n x n: the squared singular values,
-    padded with n - m zeros, are the Gram's eigenvalues, so the cut sees the
-    same n of them, and a cut past m keeps null-space vectors of the full
-    SVD."""
-    m, n = p.shape
+def _leading_right_vecs(stack, energy_bound, rank=None):
+    """:func:`_leading_eigvecs` of ``P' P`` for ``P`` the slices of `stack`
+    stacked by rows, m x n, from its thin side.  A tall or square ``P`` sums
+    the n x n Gram over the slices.  A wide one takes the thin SVD of ``P``
+    instead, m x n rather than n x n: the squared singular values, padded
+    with n - m zeros, are the Gram's eigenvalues, so the cut sees the same
+    n of them, and a cut past m keeps null-space vectors of the full SVD."""
+    m, n = stack.shape[0] * stack.shape[1], stack.shape[2]
     if m >= n:
-        return _leading_eigvecs(p.T @ p, energy_bound, rank)
+        return _leading_eigvecs(_gram(stack), energy_bound, rank)
+    p = stack.reshape(m, n)
     _, sv, vt = np.linalg.svd(p, full_matrices=False)
     rank, energy = _cut(np.concatenate([sv**2, np.zeros(n - m)]), energy_bound, rank)
     if rank > m:
@@ -204,14 +207,15 @@ def core_closed_form(tensor, u, v):
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     u = _check_orthonormal(u, "U")
     v = _check_orthonormal(v, "V")
-    return mode_product(mode_product(tensor, u.T, 1), v.T, 2)
+    return np.matmul(u.T, tensor) @ v
 
 
 def tucker2_bounded(tensor, delta, ranks=None):
     """Tucker-2 model meeting a Frobenius error bound, ranks chosen greedily.
 
     Alternates a U-step and a V-step (HOOI), twice, from V = I.  Each step
-    takes the leading eigenvectors of the projected Gram ``P' P``: the
+    takes the leading eigenvectors of the projected Gram
+    ``P' P = sum_d P_d' P_d`` (``P_d`` is ``V' K(d)'`` or ``U' K(d)``): the
     fewest whose energy reaches ``||t||^2 - delta^2`` (plus ties with the
     last kept one), so the error stays within `delta` after every step, or
     with ``ranks=(R1, R2)`` exactly R1 or R2 of them.  The first U-step thus
@@ -230,7 +234,7 @@ def tucker2_bounded(tensor, delta, ranks=None):
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
-    if delta < 0:
+    if not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
     _, s, t = tensor.shape
     norm2 = float(np.linalg.norm(tensor)) ** 2
@@ -242,9 +246,9 @@ def tucker2_bounded(tensor, delta, ranks=None):
 
     history = []
 
-    def step(p, label, other_rank):
+    def step(stack, label, other_rank):
         rank = None if fixed is None else fixed[label]
-        basis, energy = _leading_right_vecs(p, bound, rank)
+        basis, energy = _leading_right_vecs(stack, bound, rank)
         rank = basis.shape[1]
         history.append({
             "step": label,
@@ -254,10 +258,10 @@ def tucker2_bounded(tensor, delta, ranks=None):
         })
         return basis
 
-    v = None  # V = I: the first U-step factors the plain unfolding
+    v = None  # V = I: the first U-step reads the tensor's slices through a view
     for _ in range(_ALTERNATIONS):
-        u = step(_projected_unfolding(tensor, v, 2), "U", t if v is None else v.shape[1])
-        v = step(_projected_unfolding(tensor, u, 1), "V", u.shape[1])
+        u = step(_projected_slices(tensor, v, 2), "U", t if v is None else v.shape[1])
+        v = step(_projected_slices(tensor, u, 1), "V", u.shape[1])
 
     g = core_closed_form(tensor, u, v)
     return Tucker2Model(g, u, v, history=history)

@@ -69,6 +69,11 @@ class TestSphericalQp:
         assert x[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert mu == pytest.approx(1.0, rel=1e-8)
 
+    def test_nan_bound_rejected(self):
+        y, zt, _ = qp_instance(0)
+        with pytest.raises(ValueError, match="delta"):
+            spherical_qp(y, zt, float("nan"))
+
     def test_orthonormal_interpolation(self):
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))

@@ -511,6 +511,16 @@ class TestCliVerify:
         assert rel == pytest.approx(dense, rel=1e-12)
         assert rel == pytest.approx(block.metrics["rel_error"], rel=1e-12)
 
+    @pytest.mark.parametrize("dims", [(9, 6, 5), (9, 5, 7), (1, 5, 6)])
+    def test_kernel_not_of_the_blocks_shape_exits_2(self, tmp_path, capsys, dims):
+        rng = np.random.default_rng(18)
+        _, bpath = self.decompose(tmp_path, rng)
+        other = make_kernel_file(tmp_path, rng, dims=dims, name="other.kten")
+        capsys.readouterr()
+        code = main(["verify", "--block", str(bpath), "--input", str(other)])
+        assert code == 2
+        assert "the block's spec (3, 3, 5, 6)" in capsys.readouterr().err
+
     def test_broken_chain_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
         kpath, bpath = self.decompose(tmp_path, rng)
@@ -634,16 +644,16 @@ class TestCliVerify:
 
 class TestPeakMemory:
     """Traced peak of 256-channel jobs, in units of the kernel's bytes.
-    The hybrid ``decompose`` holds at most two kernel-sized arrays at once:
-    the kernel, whose (D^2, S, T) tensor is a view of it, and the
-    (D^2 T, S) unfolding of the first Tucker-2 step; ``verify`` holds the
-    kernel and its dense equivalent.  The CP jobs, ``cpd`` and ``cpd-epc``,
-    hold the kernel alone: the MTTKRPs read it through views and every
-    error check sums over its slices.  Building the equivalent through a
-    copy, copying an unfolding for the MTTKRPs or forming a kernel-sized
-    difference takes a job to about 3 kernels or more."""
+    Every job holds one kernel-sized array at a time.  ``decompose`` holds
+    the kernel, whose (D^2, S, T) tensor is a view of it: the Tucker-2
+    steps and the core read it through its slices, the CP solvers through
+    views, and every error check sums over its slices.  ``verify`` releases
+    the kernel once ``rel_error`` is known, before it builds the dense
+    kernel the block realizes.  Copying an unfolding, forming a
+    kernel-sized difference or holding both dense kernels takes a job to
+    about 2 kernels or more."""
 
-    BOUND = 2.6
+    BOUND = 1.6
 
     @pytest.fixture(scope="class")
     def peaks(self, tmp_path_factory):

@@ -299,6 +299,10 @@ class TestTucker2Bounded:
         with pytest.raises(ValueError):
             tucker2_bounded(np.zeros((2, 2)), 0.0)
 
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ValueError, match="delta"):
+            tucker2_bounded(np.ones((2, 3, 4)), float("nan"))
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
@@ -396,11 +400,32 @@ def test_wide_cut_sees_the_grams_n_eigenvalues(rows):
     # eigenvalues: it keeps all n, as eigh of the n x n Gram does
     p = np.random.default_rng(rows).standard_normal((rows, 5))
     bound = np.sum(p**2) * (1 + 1e-11)
-    basis, energy = _leading_right_vecs(p, bound)
+    basis, energy = _leading_right_vecs(p[None], bound)
     ref, ref_energy = _leading_eigvecs(p.T @ p, bound)
     assert basis.shape == ref.shape == (5, 5)
     assert np.max(np.abs(basis.T @ basis - np.eye(5))) < 1e-12
     assert energy == pytest.approx(ref_energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.standard_normal((1, 9, 4)),                       # tall
+    lambda rng: rng.standard_normal((1, 3, 8)),                       # wide
+    lambda rng: rng.standard_normal((4, 3, 7)),                       # tall, 4 slices
+    lambda rng: rng.standard_normal((3, 2, 9)),                       # wide, 3 slices
+    lambda rng: np.swapaxes(rng.standard_normal((9, 6, 5)), 1, 2),    # strided view
+    lambda rng: np.swapaxes(rng.standard_normal((2, 11, 3)), 1, 2),   # wide view
+], ids=["tall", "wide", "tall-slices", "wide-slices", "view", "wide-view"])
+@pytest.mark.parametrize("share", [0.5, 0.9])
+def test_slice_stack_step_matches_the_stacked_grams_eigvecs(make, share):
+    # the step reads P through its slices; the reference copies P out
+    stack = make(np.random.default_rng(3))
+    p = stack.reshape(-1, stack.shape[2])
+    bound = share * np.sum(p**2)
+    basis, energy = _leading_right_vecs(stack, bound)
+    ref, ref_energy = _leading_eigvecs(p.T @ p, bound)
+    assert basis.shape == ref.shape
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    assert np.max(np.abs(basis @ basis.T - ref @ ref.T)) < 1e-10
 
 
 @pytest.mark.parametrize("dims, delta_rel, ranks", [
