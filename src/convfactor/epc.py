@@ -38,15 +38,21 @@ def spherical_qp(y, zt, delta):
     :func:`epc_correct` calls directly with Gram-form inputs.  The
     stationary family is ``X(mu) = mu Y Zt (I + mu Zt'Zt)^{-1}`` with
     multiplier mu >= 0; the residual is a strictly decreasing rational
-    function of mu, evaluated stably in the eigenbasis of Zt'Zt and solved
-    by Newton steps from mu = 0, monotone because the residual is convex
-    and decreasing.
+    function of mu, evaluated in the eigenbasis of Zt'Zt.  Newton steps on
+    the reciprocal square root of its excess over the least-squares
+    residual (Moré & Sorensen's trust-region iteration) rise monotonically
+    to the root, aimed at ``delta^2 (1 - 1e-10)`` minus the evaluation's
+    roundoff and accepted within ``1e-10 delta^2`` of that, so the returned
+    residual is at most ``delta^2``.  The eigendecomposition's own roundoff,
+    about ``eps (||Y||^2 + e_max ||X||^2)``, is not in that margin; it
+    matters only for a very ill-conditioned Zt'Zt.
 
     Returns
     -------
     (X, mu) : (ndarray, float)
-        mu is 0 when the origin is feasible, inf when the bound equals the
-        least-squares residual (exact-fit limit).
+        mu is 0 when the origin is feasible, inf at the exact-fit limit:
+        when the bound is within ``1e-10 max(||Y||^2, 1)`` of the
+        least-squares residual, the least-squares solution is returned.
 
     Raises
     ------
@@ -80,10 +86,11 @@ def _secular_solve(yz, gram, norm_y2, delta):
     # eigenvalues below the relative cutoff carry no usable signal
     cutoff = 1e-12 * (ev[-1] if ev.size else 0.0)
     live = ev > cutoff
+    ev_l = ev[live]
+    c = s[live] / ev_l
 
     # least-squares residual: energy outside the reachable subspace
-    r_min = norm_y2 - float(np.sum(s[live] / ev[live])) if np.any(live) else norm_y2
-    r_min = max(r_min, 0.0)
+    r_min = max(norm_y2 - float(np.sum(c)), 0.0)
     scale = max(norm_y2, 1.0)
     if r_min > delta2 + _QP_TOL * scale:
         raise InfeasibleBoundError(
@@ -92,52 +99,38 @@ def _secular_solve(yz, gram, norm_y2, delta):
             bound=delta2,
         )
 
-    ev_l = ev[live]
-    s_l = s[live]
-
-    def residual(mu):
-        num = s_l * (2.0 * mu + mu**2 * ev_l)
-        return norm_y2 - float(np.sum(num / (1.0 + mu * ev_l) ** 2))
-
-    def residual_prime(mu):
-        return -2.0 * float(np.sum(s_l / (1.0 + mu * ev_l) ** 3))
-
-    def x_of(mu):
-        # dead directions carry no residual signal; the min-norm solution
-        # (and the secular residual above) puts exactly zero there
-        coef = np.where(live, mu / (1.0 + mu * ev), 0.0)
-        return (p * coef) @ q.T
-
-    if delta2 <= r_min + _QP_TOL * scale:
+    # the secular residual carries roundoff of order eps * ||Y||^2 (r_min
+    # cancels): aim inside the ball by that much plus the acceptance
+    # tolerance, so that an accepted residual is at most delta^2 - roundoff
+    tol = _QP_TOL * delta2
+    target = delta2 - tol - _SECULAR_ROUNDOFF * norm_y2
+    if delta2 <= r_min + _QP_TOL * scale or target <= r_min:
         # active bound sits at the exact-fit limit: min-norm LS solution
         coef = np.zeros_like(ev)
-        coef[live] = 1.0 / ev[live]
+        coef[live] = 1.0 / ev_l
         return (p * coef) @ q.T, np.inf
 
-    # the secular residual carries roundoff of order eps * ||Y||^2 (it is
-    # r_min plus positive terms, and r_min cancels): aim inside the ball by
-    # that much and accept a root to within half of it, so the bound holds
-    # for the returned X and not just for the computed residual.  The
-    # exact-fit test above keeps target > r_min.
-    roundoff = _SECULAR_ROUNDOFF * norm_y2
-    target = delta2 - roundoff
-    f_tol = _QP_TOL * max(delta2, _QP_TOL) + 0.5 * roundoff
-
-    # plain Newton from mu = 0 needs no safeguard: the residual, r_min +
-    # sum_i (s_i / e_i) (1 + mu e_i)^-2, is convex and decreasing in mu and
-    # starts at ||Y||^2 above the target, so each tangent meets the target
-    # at or below the root and the steps rise monotonically to it.
-    mu = 0.0
+    # The residual is r_min + h(mu), h(mu) = sum_i c_i (1 + mu e_i)^-2 with
+    # c_i = s_i / e_i.  h has the form of ||p||^2 in the trust-region
+    # subproblem (Moré & Sorensen 1983), so h^(-1/2) is concave and
+    # increasing, and Newton on h^(-1/2) = gap^(-1/2) from below the root
+    # rises monotonically to it with no safeguard.  The start is below the
+    # root: h(mu) >= C_k (1 + mu e_k)^-2, with C_k the sum of c_i over
+    # e_i <= e_k (eigh sorts ascending).
+    gap = target - r_min
+    mu = max(float(np.max((np.sqrt(np.cumsum(c) / gap) - 1.0) / ev_l)), 0.0)
     for _ in range(_QP_MAX_ITERS):
-        f = residual(mu) - target
-        if abs(f) <= f_tol:
-            return x_of(mu), mu
-        mu -= f / residual_prime(mu)
-    f = residual(mu) - target
-    if abs(f) <= 1e-6 * max(delta2, 1e-12) + 0.5 * roundoff:
-        return x_of(mu), mu
+        d = 1.0 / (1.0 + mu * ev_l)
+        cd2 = c * d**2
+        h = float(np.sum(cd2))
+        if abs(h - gap) <= tol:
+            # dead directions carry no residual signal; the min-norm
+            # solution (and h) puts exactly zero there
+            coef = np.where(live, mu / (1.0 + mu * ev), 0.0)
+            return (p * coef) @ q.T, mu
+        mu += h * (np.sqrt(h / gap) - 1.0) / float(np.sum(cd2 * ev_l * d))
     raise RuntimeError(
-        f"secular root-find did not converge: mu={mu:.6g}, residual gap {f:.6g}"
+        f"secular root-find did not converge: mu={mu:.6g}, residual gap {h - gap:.6g}"
     )
 
 
@@ -169,12 +162,13 @@ def epc_correct(tensor, model, delta=None):
     Sweeps A -> B -> C cyclically; each update is the exact constrained
     minimizer of the sensitivity terms involving that factor, so both the
     error bound and sensitivity monotonicity hold after every accepted
-    update.  The bound holds to the secular solve's tolerance, a squared
-    residual within about ``1e-10 delta^2`` of ``delta^2``, so an error can
-    exceed `delta` by a few parts in 1e11 (the tests allow
-    ``delta (1 + 1e-9)``).  A sweep that would raise the sensitivity, which
-    only the solver's margin at the bound can cause, is rejected and ends
-    the correction.  Components are magnitude-balanced across factors up
+    update.  The bound holds as stated whenever the ball is wider than the
+    update's least-squares residual by more than the secular solve's
+    tolerance (see :func:`spherical_qp`); at the exact-fit limit the
+    least-squares update is returned, within ``1e-10 max(||T||^2, 1)`` of
+    the bound.  A sweep that would raise the sensitivity, which only the
+    solver's margin at the bound can cause, is rejected and ends the
+    correction.  Components are magnitude-balanced across factors up
     front (free sensitivity reduction, reconstruction unchanged).  Every
     correction runs at most ``_MAX_SWEEPS = 100`` sweeps and stops once a
     sweep lowers the sensitivity by at most ``_SS_TOL = 1e-6`` relative.
@@ -224,8 +218,10 @@ def epc_correct(tensor, model, delta=None):
                                   dim2 * np.diag(g1) + dim1 * np.diag(g2),
                                   norm_t2, delta)
         except InfeasibleBoundError as e:
-            e.factor = name
-            raise
+            raise InfeasibleBoundError(
+                f"the least-squares update of factor {name} cannot meet the bound",
+                min_residual=e.min_residual, bound=e.bound, factor=name,
+            ) from e
 
     i, j, k = tensor.shape
     gb, gc = b.T @ b, c.T @ c

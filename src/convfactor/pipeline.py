@@ -78,34 +78,28 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     elif method == "cpd":
         model = cpd_als(tensor, rank, seed=seed).model
 
-    elif method == "cpd-epc":
-        res = cpd_als(tensor, rank, seed=seed, delta=delta)
-        report["before"] = _diagnostics(res.rel_error, res.model)
+    else:  # the bounded methods
         try:
-            model, _ = epc_correct(tensor, res.model, delta=delta)
+            if method == "cpd-epc":
+                res = cpd_als(tensor, rank, seed=seed, delta=delta)
+                report["before"] = _diagnostics(res.rel_error, res.model)
+                model, _ = epc_correct(tensor, res.model, delta=delta)
+            else:  # tkd-cpd-epc
+                model = tkd_cpd_epc(tensor, delta, rank, theta=theta, ranks=ranks,
+                                    seed=seed)
+                report["ranks"] = model.ranks
+                report["merged"] = should_merge(model.ranks)
         except InfeasibleBoundError as e:
-            # EPC reports squared absolute residuals; restate in the user's units
-            raise InfeasibleBoundError(
-                f"--delta {delta_rel:g} cannot be met: the least-squares update of "
-                f"factor {e.factor} reaches relative error "
-                f"{np.sqrt(e.min_residual) / norm_t:.3g} at best",
-                min_residual=e.min_residual, bound=e.bound, factor=e.factor,
-            ) from e
-
-    else:  # tkd-cpd-epc
-        try:
-            model = tkd_cpd_epc(tensor, delta, rank, theta=theta, ranks=ranks,
-                                seed=seed)
-        except InfeasibleBoundError as e:
-            # the hybrid's residuals are absolute; restate them in --delta's units
+            if delta_rel is None:
+                raise
+            # the solvers' residuals are squared and absolute; restate them
+            # in --delta's units
             raise InfeasibleBoundError(
                 f"--delta {delta_rel:g} cannot be met (relative error "
                 f"{np.sqrt(e.min_residual) / norm_t:.3g} reached, "
                 f"{np.sqrt(e.bound) / norm_t:.3g} allowed): {e}",
                 min_residual=e.min_residual, bound=e.bound, factor=e.factor,
             ) from e
-        report["ranks"] = model.ranks
-        report["merged"] = should_merge(model.ranks)
 
     cp = to_equivalent_cp(model) if isinstance(model, HybridModel) else model
     report["rel_error"] = rel_error(tensor, cp)

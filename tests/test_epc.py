@@ -124,6 +124,44 @@ class TestSphericalQp:
         with pytest.raises(InfeasibleBoundError):
             spherical_qp(y, zt, 0.5 * np.linalg.norm(y))
 
+    @pytest.mark.parametrize("gap", [1.00002e-10, 1e-9, 1e-7])
+    def test_bound_holds_near_the_least_squares_residual(self, gap):
+        # the least-squares residual is 1 (the first entry of y is out of
+        # reach); the first gap lies just outside the exact-fit test, where
+        # the aim, delta^2 less tolerance and roundoff, falls below it
+        y = np.array([[1.0, 1e-3]])
+        zt = np.array([[0.0], [1.0]])
+        delta2 = 1.0 + gap
+        x, _ = spherical_qp(y, zt, np.sqrt(delta2))
+        assert np.sum((y - x @ zt.T) ** 2) <= delta2
+
+    @pytest.mark.parametrize("draw, budget", [("test_04", 10), ("near_ls", 6)])
+    def test_step_budget(self, monkeypatch, draw, budget):
+        # test_04's instances with Zt columns scaled across 1e-4 to 1.  Its
+        # draw of delta^2, 0.2-0.95 of the way from the least-squares residual
+        # to ||Y||^2, needs up to 10 evaluations, as plain Newton on the
+        # residual did; 1e-6-1e-2 of the way, the regime of EPC's updates,
+        # needs up to 4 where plain Newton needed 21.
+        monkeypatch.setattr(epc, "_QP_MAX_ITERS", budget)
+        eps = np.finfo(np.float64).eps
+        for seed in range(200):
+            rng = np.random.default_rng(4000 + seed)
+            rows = int(rng.integers(3, 8))
+            cols = int(rng.integers(6, 15))
+            rank = int(rng.integers(2, min(6, cols)))
+            y = rng.standard_normal((rows, cols))
+            zt = rng.standard_normal((cols, rank)) * 10.0 ** rng.uniform(-4, 0, rank)
+            ls_res2 = np.sum((y - y @ zt @ np.linalg.pinv(zt.T @ zt) @ zt.T) ** 2)
+            frac = rng.uniform(0.2, 0.95) if draw == "test_04" else 10 ** rng.uniform(-6, -2)
+            delta2 = frac * np.sum(y**2) + (1 - frac) * ls_res2
+            x, _ = spherical_qp(y, zt, np.sqrt(delta2))
+            res = np.sum((y - x @ zt.T) ** 2)
+            # the solver evaluates the residual in the eigenbasis of Zt'Zt,
+            # where eigh's roundoff moves it by about
+            # eps (||Y||^2 + e_max ||X||^2): 3e-10 of delta^2 at cond 1e8
+            slack = 16 * eps * (np.sum(y**2) + np.linalg.norm(zt, 2) ** 2 * np.sum(x**2))
+            assert delta2 * (1 - 3 * epc._QP_TOL) - slack <= res <= delta2 + slack
+
 
 def weighted_update(k1, z, w, delta):
     """The bounded factor update ``epc_correct`` runs, on dense inputs."""
@@ -334,6 +372,30 @@ def test_epc_bound_holds_every_sweep(problem, noise, loosen, seed):
         out, trace = epc_correct(t, model, delta=delta)
     assert all(rec["error"] <= delta * (1 + 1e-9) for rec in trace)
     assert np.linalg.norm(t - out.to_tensor()) <= delta * (1 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    problem=well_posed_cp_problems(),
+    noise=st.sampled_from([0.0, 1e-3, 0.1]),
+    loosen=st.floats(1.01, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_epc_bound_holds_exactly_off_the_exact_fit_limit(problem, noise, loosen, seed):
+    # a ball wider than the error of the ALS fit leaves each update room
+    # beyond the solver's tolerance, so the bound holds with no slack
+    dims, rank = problem
+    rng = np.random.default_rng(seed)
+    t, _ = random_cp_tensor(rng, dims, rank)
+    t = t + noise * np.linalg.norm(t) * rng.standard_normal(dims) / np.sqrt(t.size)
+    with mock.patch.object(cpd, "_MAX_SWEEPS", 50):
+        model = cpd_als(t, rank, seed=seed).model
+    err0 = np.linalg.norm(t - model.to_tensor())
+    delta = loosen * max(err0, 1e-6 * np.linalg.norm(t))
+    with mock.patch.object(epc, "_MAX_SWEEPS", 30):
+        out, trace = epc_correct(t, model, delta=delta)
+    assert all(rec["error"] <= delta for rec in trace)
+    assert np.linalg.norm(t - out.to_tensor()) <= delta
 
 
 def with_dead_columns(f, dead):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hybrid_structured_tensor, random_cp_tensor
-from convfactor import cpd_als
+from convfactor import cpd_als, hybrid, pipeline
 from convfactor.errors import InfeasibleBoundError
 from convfactor.pipeline import fit
 
@@ -34,7 +34,7 @@ def test_cpd_epc_bound_ends_als(seed):
     res = cpd_als(t, 3, seed=seed, delta=delta_rel * np.linalg.norm(t))
     assert res.stop == "bound"
     assert report["before"]["rel_error"] == res.rel_error
-    assert report["rel_error"] <= delta_rel * (1 + 1e-9)
+    assert report["rel_error"] <= delta_rel
 
 
 @pytest.mark.parametrize("method, d, kwargs", [
@@ -61,6 +61,24 @@ def test_unreachable_epc_bound_keeps_the_solvers_attributes():
     assert e.bound == pytest.approx((0.6 * np.linalg.norm(t)) ** 2)
     assert e.min_residual > e.bound
     assert f"{np.sqrt(e.min_residual) / np.linalg.norm(t):.3g}" in str(e)
+
+
+@pytest.mark.parametrize("method", ["cpd-epc", "tkd-cpd-epc"])
+def test_infeasible_correction_without_delta_keeps_the_solvers_message(
+        monkeypatch, method):
+    # with no --delta there is nothing to restate; EPC's own message names
+    # the factor
+    def infeasible(tensor, model, delta=None):
+        raise InfeasibleBoundError("the least-squares update of factor B cannot "
+                                   "meet the bound", min_residual=2.0, bound=1.0,
+                                   factor="B")
+
+    monkeypatch.setattr(pipeline, "epc_correct", infeasible)
+    monkeypatch.setattr(hybrid, "epc_correct", infeasible)
+    t = np.random.default_rng(0).standard_normal((9, 12, 10))
+    kwargs = {"ranks": (4, 4)} if method == "tkd-cpd-epc" else {}
+    with pytest.raises(InfeasibleBoundError, match="^the least-squares update of factor B"):
+        fit(t, method, 2, **kwargs)
 
 
 @pytest.mark.parametrize("method, rank, kwargs, merged", [
