@@ -12,7 +12,6 @@ its exit code.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -20,8 +19,10 @@ import sys
 import numpy as np
 
 from . import fileio
-from .convblocks import ConvSpec, block_factors, block_metrics, block_to_kernel
-from .convblocks import compose_forward, conv2d_reference, count_params_flops
+from .convblocks import ConvSpec, _out_hw, block_basis, block_factors, block_metrics
+from .convblocks import compose_forward, conv2d_reference
+# not used here: the benchmark's span tracer (benchmarks/tracing.py) wraps this name
+from .convblocks import block_to_kernel  # noqa: F401
 from .cpd import rel_error
 from .errors import TensorFileError
 from .pipeline import METHODS, decompose_to_block
@@ -65,15 +66,33 @@ def _differs(value, recorded):
                 and abs(value - recorded) <= 1e-8 + 1e-6 * max(recorded, 1e-30))
 
 
-def _load_kernel(path):
-    kernel = fileio.read_tensor(path).astype(np.float64, copy=False)
-    if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
+def _check_kernel_shape(path, shape):
+    if len(shape) != 4 or shape[0] != shape[1]:
         raise TensorFileError(
-            f"{path}: expected a D x D x S x T kernel, got shape {kernel.shape}"
-        )
-    if not np.isfinite(kernel).all():
+            f"{path}: expected a D x D x S x T kernel, got shape {shape}")
+
+
+def _finite(path, array):
+    """`array` as float64; TensorFileError if any entry is non-finite."""
+    if not np.isfinite(array).all():
         raise TensorFileError(f"{path}: kernel contains non-finite values")
-    return kernel
+    return array.astype(np.float64, copy=False)
+
+
+def _load_kernel(path):
+    kernel = fileio.read_tensor(path)
+    _check_kernel_shape(path, kernel.shape)
+    return _finite(path, kernel)
+
+
+def _kernel_taps(path, shape):
+    """The kernel file's (S, T) taps as float64, drawn one at a time, once its
+    shape is checked to be `shape`."""
+    found, taps = fileio.read_tensor_matrices(path)
+    _check_kernel_shape(path, found)
+    if found != shape:
+        raise TensorFileError(f"{path}: kernel shape {found}, the block's spec {shape}")
+    return (_finite(path, tap) for tap in taps)
 
 
 def _load_tensor_and_spec(args):
@@ -156,26 +175,34 @@ def cmd_rank_search(args):
 
 
 def cmd_verify(args):
+    """Check a block against its source kernel.
+
+    Recomputes every recorded metric, ``rel_error`` from the kernel's taps
+    read one at a time, then compares the layer chain with the block's conv
+    on `--trials` random `--hw` inputs.  The reference conv runs in the
+    block's factor basis (:func:`~convfactor.convblocks.block_basis`):
+    ``conv2d_reference(x @ Q_B, G) @ Q_Cᵀ + bias``.  So no kernel-sized
+    array is held: neither the kernel read nor the kernel the block
+    realizes.  A chain whose output size at `--hw` is not the block conv's
+    fails before any trial.
+    """
     # ValueError for a negative --trials or --seed, before any file is read
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
     block = fileio.read_block(args.block)
+    spec = block.spec
+    h, w = args.hw
     # ValueError for an --hw the layer chain cannot take, before the kernel is read
-    count_params_flops(block.layers, args.hw)
-    spec = dataclasses.replace(block.spec, bias=block.layers[-1].bias)
-    kernel = _load_kernel(args.input)
+    chain_hw = args.hw
+    for layer in block.layers:
+        chain_hw = _out_hw(*chain_hw, *layer.kernel, layer.stride, layer.pad)
     d = spec.kernel_size
-    shape = (d, d, spec.in_channels, spec.out_channels)
-    if kernel.shape != shape:
-        raise TensorFileError(
-            f"{args.input}: kernel shape {kernel.shape}, the block's spec {shape}"
-        )
-    rel = rel_error(reshape_kernel(kernel), block_factors(block.layers, block.kind))
-    del kernel  # one kernel-sized array at a time: the block's comes next
+    conv_hw = _out_hw(h, w, d, d, spec.stride, spec.pad)
+    taps = _kernel_taps(args.input, (d, d, spec.in_channels, spec.out_channels))
+    rel = rel_error(taps, block_factors(block.layers, block.kind))
     metrics = block_metrics(block.layers, block.kind, block.metrics["input_hw"])
-    equivalent = block_to_kernel(block.layers, block.kind)
     recorded = block.metrics.get("rel_error")
     shown = f"{recorded:.6e}" if type(recorded) is float else recorded
     print(f"rel_error: recomputed {rel:.6e}, recorded {shown}")
@@ -185,18 +212,29 @@ def cmd_verify(args):
         if key != "input_hw" and _differs(value, block.metrics.get(key))
     ]
 
-    h, w = args.hw
-    max_dev = 0.0
-    rng = np.random.default_rng(args.seed)
-    for _ in range(args.trials):
-        x = rng.standard_normal((h, w, spec.in_channels))
-        ref = conv2d_reference(x, spec, equivalent)
-        got = compose_forward(block.layers, x)
-        dev = float(np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(x)))
-        max_dev = max(max_dev, dev)
-    print(f"trials: {args.trials}, max forward deviation: {max_dev:.6e}")
-    if args.trials and max_dev > 1e-8:
-        failures.append(f"forward deviation {max_dev:.3e} exceeds 1e-8")
+    if chain_hw != conv_hw:
+        failures.append(
+            f"layer chain output {chain_hw[0]}x{chain_hw[1]} on a {h}x{w} input, "
+            f"the block's conv {conv_hw[0]}x{conv_hw[1]}"
+        )
+    else:
+        q_b, core, q_c = block_basis(block.layers, block.kind)
+        core_spec = ConvSpec(q_b.shape[1], q_c.shape[1], d, stride=spec.stride,
+                             pad=spec.pad)
+        bias = block.layers[-1].bias
+        max_dev = 0.0
+        rng = np.random.default_rng(args.seed)
+        for _ in range(args.trials):
+            x = rng.standard_normal((h, w, spec.in_channels))
+            ref = conv2d_reference(x @ q_b, core_spec, core) @ q_c.T
+            if bias is not None:
+                ref += bias
+            got = compose_forward(block.layers, x)
+            dev = float(np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(x)))
+            max_dev = max(max_dev, dev)
+        print(f"trials: {args.trials}, max forward deviation: {max_dev:.6e}")
+        if args.trials and max_dev > 1e-8:
+            failures.append(f"forward deviation {max_dev:.3e} exceeds 1e-8")
 
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)

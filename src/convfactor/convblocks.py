@@ -10,7 +10,8 @@ chain of cheap layers:
 
 The chain computes exactly the convolution with the kernel the model
 reconstructs, which is what the equivalence tests assert.
-:func:`block_factors` reads the CP factors back from the layers and
+:func:`block_factors` reads the CP factors back from the layers,
+:func:`block_basis` writes the block's kernel in their column spaces and
 :func:`block_metrics` derives the metrics a block file records.  The
 reference forward pass is a direct evaluation of the convolution sum with
 zero padding, one GEMM per kernel tap: the tap's (H'W', S) window rows times
@@ -36,6 +37,7 @@ __all__ = [
     "emit_svd_block",
     "block_factors",
     "block_to_kernel",
+    "block_basis",
     "block_metrics",
     "count_params_flops",
 ]
@@ -340,6 +342,24 @@ def block_to_kernel(layers, kind):
     """Dense (D, D, S, T) kernel equivalent to an emitted block."""
     m = block_factors(layers, kind)
     return restore_kernel(reconstruct_cp(m.A, m.B, m.C), math.isqrt(m.shape[0]))
+
+
+def block_basis(layers, kind):
+    """The block's kernel in the column spaces of its factors.
+
+    With ``(A, B, C) = block_factors(layers, kind)``, ``B = Q_B R_B`` and
+    ``C = Q_C R_C`` (thin QR), returns ``(Q_B, G, Q_C)``: orthonormal Q_B
+    (S, k1) and Q_C (T, k2) and the (D, D, k1, k2) core
+    ``G[i, j] = R_B diag(A[i*D + j]) R_Cᵀ``, where ``k1 = min(S, R)`` and
+    ``k2 = min(T, R)``.  The block's kernel is exactly ``G ×₃ Q_B ×₄ Q_C``,
+    so a conv with it is ``conv(x @ Q_B, G) @ Q_Cᵀ`` and no (D, D, S, T)
+    array is formed.
+    """
+    m = block_factors(layers, kind)
+    q_b, r_b = np.linalg.qr(m.B)
+    q_c, r_c = np.linalg.qr(m.C)
+    core = restore_kernel(reconstruct_cp(m.A, r_b, r_c), math.isqrt(m.shape[0]))
+    return q_b, core, q_c
 
 
 def block_metrics(layers, kind, input_hw):

@@ -22,7 +22,8 @@ import numpy as np
 from .convblocks import ConvSpec, LayerDescriptor, block_factors, count_params_flops
 from .errors import TensorFileError
 
-__all__ = ["Block", "read_tensor", "write_tensor", "read_block", "write_block"]
+__all__ = ["Block", "read_tensor", "read_tensor_matrices", "write_tensor", "read_block",
+           "write_block"]
 
 MAGIC = b"KTEN1\n"
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
@@ -55,21 +56,17 @@ def write_tensor(path, array):
     _atomic_write(path, MAGIC + header + payload)
 
 
-def read_tensor(path):
-    """Read a tensor file back into an ndarray (native byte order)."""
+def _read_header(fh, path):
+    """Check the magic line and header of an open tensor file; returns its
+    (dtype tag, shape), with `fh` at the start of the payload."""
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise TensorFileError(f"{path}: bad magic {magic!r}")
+    header_line = fh.readline()
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise TensorFileError(f"{path}: bad magic {magic!r}")
-            header_line = fh.readline()
-            try:
-                header = json.loads(header_line)
-            except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
-                raise TensorFileError(f"{path}: unparsable header: {e}") from None
-            payload = np.fromfile(fh, dtype=np.uint8)
-    except OSError as e:
-        raise TensorFileError(f"{path}: {e}") from None
+        header = json.loads(header_line)
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
+        raise TensorFileError(f"{path}: unparsable header: {e}") from None
     if not isinstance(header, dict):
         raise TensorFileError(f"{path}: header is not a JSON object")
     dtype = header.get("dtype")
@@ -83,18 +80,68 @@ def read_tensor(path):
         raise TensorFileError(f"{path}: invalid header {header}")
     if header.get("order", "C") != "C":
         raise TensorFileError(f"{path}: unsupported order {header.get('order')!r}")
-    count = math.prod(shape)
-    itemsize = np.dtype(_DTYPES[dtype]).itemsize
-    if payload.size != count * itemsize:
-        raise TensorFileError(
-            f"{path}: payload is {payload.size} bytes, expected {count * itemsize}"
-        )
+    return dtype, tuple(shape)
+
+
+def _check_payload(path, nbytes, dtype, shape):
+    expected = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
+    if nbytes != expected:
+        raise TensorFileError(f"{path}: payload is {nbytes} bytes, expected {expected}")
+
+
+def read_tensor(path):
+    """Read a tensor file back into an ndarray (native byte order)."""
+    try:
+        with open(path, "rb") as fh:
+            dtype, shape = _read_header(fh, path)
+            payload = np.fromfile(fh, dtype=np.uint8)
+    except OSError as e:
+        raise TensorFileError(f"{path}: {e}") from None
+    _check_payload(path, payload.size, dtype, shape)
     # read straight into an array: no bytes object, and no copy in native order
     data = payload.view(_DTYPES[dtype]).astype(_DTYPES[dtype][1:], copy=False)
     try:
         return data.reshape(shape)
     except ValueError as e:  # more dimensions or a larger extent than numpy allows
         raise TensorFileError(f"{path}: unsupported shape: {e}") from None
+
+
+def read_tensor_matrices(path):
+    """Read a tensor file one matrix at a time.
+
+    Returns ``(shape, matrices)`` once the header and the payload size are
+    checked.  `matrices` yields the (rows, cols) slices ``T[i, ..., :, :]``
+    of an order >= 2 tensor in row-major order of the leading indices, in
+    native byte order, reading each from the file as it is drawn, so the
+    tensor is never held whole.  The slices of a (D, D, S, T) kernel are
+    its taps, in the order of :func:`~convfactor.tensorops.reshape_kernel`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            dtype, shape = _read_header(fh, path)
+            offset = fh.tell()
+            nbytes = os.fstat(fh.fileno()).st_size - offset
+    except OSError as e:
+        raise TensorFileError(f"{path}: {e}") from None
+    _check_payload(path, nbytes, dtype, shape)
+    if len(shape) < 2:
+        raise TensorFileError(
+            f"{path}: expected an order >= 2 tensor, got shape {shape}")
+
+    def matrices():
+        rows, cols = shape[-2:]
+        try:
+            with open(path, "rb") as fh:
+                fh.seek(offset)
+                for _ in range(math.prod(shape[:-2])):
+                    m = np.fromfile(fh, dtype=_DTYPES[dtype], count=rows * cols)
+                    if m.size != rows * cols:
+                        raise TensorFileError(f"{path}: payload ends early")
+                    yield m.reshape(rows, cols).astype(_DTYPES[dtype][1:], copy=False)
+        except OSError as e:
+            raise TensorFileError(f"{path}: {e}") from None
+
+    return shape, matrices()
 
 
 @dataclass

@@ -18,6 +18,7 @@ from convfactor.convblocks import (
     LayerDescriptor,
     _out_hw,
     _tap_windows,
+    block_basis,
     block_factors,
     block_to_kernel,
     layer_forward,
@@ -425,3 +426,48 @@ class TestBlockFactors:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             block_factors([], "nope")
+
+
+class TestBlockBasis:
+    """``block_basis`` is the block's kernel in its factors' column spaces:
+    the conv ``verify`` runs on it is the conv with the dense kernel."""
+
+    @staticmethod
+    def block(kind, rng, stride, pad):
+        """(layers, spec) of a block with a bias; kind ``cpd-over-rank`` is a
+        cpd block of rank 9 on 6 input and 7 output channels."""
+        bias = rng.standard_normal(7)
+        if kind == "svd":
+            spec = ConvSpec(5, 7, 1, stride=stride, pad=pad, bias=bias)
+            return emit_svd_block(svd_model(rng.standard_normal((7, 5)), 3), spec), spec
+        spec = ConvSpec(6, 7, 3, stride=stride, pad=pad, bias=bias)
+        if kind == "tkd-cpd":  # CP rank 4 not below both ranks: unmerged
+            h = TestTkdCpdBlock().make_hybrid(rng, 3, 6, 7, 2, 3, 4)
+            return emit_tkd_cpd_block(h, spec), spec
+        rank = {"cpd": 4, "cpd-over-rank": 9}[kind]
+        return emit_cpd_block(random_model(rng, 3, 6, 7, rank), spec), spec
+
+    @pytest.mark.parametrize("stride, pad", itertools.product((1, 2), (0, 1)))
+    @pytest.mark.parametrize("kind, channels", [
+        ("cpd", (4, 4)), ("cpd-over-rank", (6, 7)), ("tkd-cpd", (4, 4)),
+        ("svd", (3, 3)),
+    ])
+    def test_reference_in_the_basis_is_the_dense_conv(self, kind, channels,
+                                                      stride, pad):
+        rng = np.random.default_rng(40)
+        layers, spec = self.block(kind, rng, stride, pad)
+        kind = kind.removesuffix("-over-rank")
+        d = spec.kernel_size
+        q_b, g, q_c = block_basis(layers, kind)
+        # G has min(S, R) input and min(T, R) output channels
+        assert g.shape == (d, d, *channels)
+        assert q_b.shape == (spec.in_channels, channels[0])
+        assert q_c.shape == (spec.out_channels, channels[1])
+        dense = block_to_kernel(layers, kind)
+        assert np.allclose(np.einsum("ijab,sa,tb->ijst", g, q_b, q_c), dense,
+                           rtol=0, atol=1e-12 * np.abs(dense).max())
+        x = rng.standard_normal((7, 6, spec.in_channels))
+        core = ConvSpec(*channels, d, stride=stride, pad=pad)
+        got = conv2d_reference(x @ q_b, core, g) @ q_c.T + spec.bias
+        want = conv2d_reference(x, spec, dense)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,6 +17,8 @@ from conftest import degenerate_pair, hybrid_structured_tensor, random_cp_tensor
 from convfactor import (
     ConvSpec,
     CPModel,
+    compose_forward,
+    conv2d_reference,
     count_params_flops,
     emit_cpd_block,
     monte_carlo_sensitivity,
@@ -23,6 +26,7 @@ from convfactor import (
     restore_kernel,
     sensitivity,
 )
+from convfactor import cli, convblocks
 from convfactor.cli import main
 from convfactor.convblocks import block_factors, block_to_kernel
 from convfactor.cpd import balance_components, rel_error
@@ -32,6 +36,7 @@ from convfactor.fileio import (
     Block,
     read_block,
     read_tensor,
+    read_tensor_matrices,
     write_block,
     write_tensor,
 )
@@ -88,6 +93,40 @@ class TestTensorFile:
         path.write_bytes(data[:-8])
         with pytest.raises(TensorFileError):
             read_tensor(path)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matrices_are_the_slices_of_the_tensor(self, tmp_path, dtype):
+        arr = np.random.default_rng(2).standard_normal((3, 2, 4, 5)).astype(dtype)
+        path = tmp_path / "t.kten"
+        write_tensor(path, arr)
+        shape, matrices = read_tensor_matrices(path)
+        assert shape == (3, 2, 4, 5)
+        got = list(matrices)
+        assert len(got) == 6
+        for m, want in zip(got, arr.reshape(6, 4, 5)):
+            assert m.dtype == dtype
+            assert np.array_equal(m, want)
+
+    def test_matrices_of_a_truncated_payload(self, tmp_path):
+        path = tmp_path / "t.kten"
+        write_tensor(path, np.zeros((2, 4, 4)))
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(TensorFileError, match="payload is 248 bytes, expected 256"):
+            read_tensor_matrices(path)
+        # a file cut short after the check fails when the cut is reached
+        path.write_bytes(data)
+        _, matrices = read_tensor_matrices(path)
+        path.write_bytes(data[:-8])
+        assert next(matrices).shape == (4, 4)
+        with pytest.raises(TensorFileError, match="payload ends early"):
+            next(matrices)
+
+    def test_matrices_need_order_two(self, tmp_path):
+        path = tmp_path / "t.kten"
+        write_tensor(path, np.zeros(4))
+        with pytest.raises(TensorFileError, match="order >= 2"):
+            read_tensor_matrices(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.kten"
@@ -521,6 +560,25 @@ class TestCliVerify:
         assert code == 2
         assert "the block's spec (3, 3, 5, 6)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        ("truncate", "payload is 2152 bytes, expected 2160"),
+        ("order-3", "expected a D x D x S x T kernel, got shape (9, 5, 6)"),
+    ])
+    def test_kernel_read_tap_by_tap_is_checked_first(self, tmp_path, capsys,
+                                                       edit, message):
+        rng = np.random.default_rng(19)
+        kpath, bpath = self.decompose(tmp_path, rng)
+        if edit == "truncate":
+            kpath.write_bytes(kpath.read_bytes()[:-8])
+        else:
+            write_tensor(kpath, reshape_kernel(read_tensor(kpath)))
+        capsys.readouterr()
+        code = main(["verify", "--block", str(bpath), "--input", str(kpath)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_broken_chain_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
         kpath, bpath = self.decompose(tmp_path, rng)
@@ -641,17 +699,152 @@ class TestCliVerify:
         ])
         assert code == 0
 
+    # a 3x3 kernel whose taps are scaled 1 to 9, as in the CI entry-point
+    # steps: a block that reads its taps in another order does not match it
+    ASYMMETRIC = ("cpd", ("--rank", "4")), ("tkd-cpd-epc", ("--ranks", "4,4",
+                                                             "--rank", "6"))
+
+    def strided_block(self, tmp_path, method, extra):
+        rng = np.random.default_rng(34)
+        taps = np.arange(1.0, 10.0).reshape(3, 3, 1, 1)
+        kpath = tmp_path / "k.kten"
+        write_tensor(kpath, taps * rng.standard_normal((3, 3, 5, 6)))
+        out = tmp_path / "blk"
+        assert main(["decompose", "--input", str(kpath), "--method", method,
+                     *extra, "--stride", "2", "--pad", "1", "--out", str(out)]) == 0
+        return kpath, out / "block.json"
+
+    @staticmethod
+    def move_to(bpath, field, target):
+        """Move the depthwise layer's `field` to layer `target` and record the
+        flops of the edited chain, so no metric check fails."""
+        doc = json.loads(bpath.read_text())
+        layers = doc["layers"]
+        depthwise = next(l for l in layers if l["kernel"] == [3, 3])
+        layers[target][field], depthwise[field] = (depthwise[field],
+                                                   layers[target][field])
+        bpath.write_text(json.dumps(doc))
+        block = read_block(bpath)
+        doc["metrics"]["flops"] = count_params_flops(block.layers, (56, 56))[1]
+        bpath.write_text(json.dumps(doc))
+        return block
+
+    @pytest.mark.parametrize("trials", ["0", "5"])
+    @pytest.mark.parametrize("method, extra", ASYMMETRIC, ids=["cpd", "tkd-cpd"])
+    def test_chain_of_another_output_size_fails_before_any_trial(
+            self, tmp_path, capsys, method, extra, trials):
+        kpath, bpath = self.strided_block(tmp_path, method, extra)
+        # the pad on the last 1x1 layer: 9x9 -> 4x4 -> 6x6, the conv's 5x5
+        self.move_to(bpath, "pad", -1)
+        capsys.readouterr()
+        code = main(["verify", "--block", str(bpath), "--input", str(kpath),
+                     "--hw", "9,9", "--trials", trials])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ("FAIL: layer chain output 6x6 on a 9x9 input, "
+                       "the block's conv 5x5\n")
+        assert out.endswith("verify: FAILED\n")
+        assert "trials:" not in out
+
+    @pytest.mark.parametrize("method, extra", ASYMMETRIC, ids=["cpd", "tkd-cpd"])
+    def test_forward_check_catches_transposed_depthwise_taps(
+            self, tmp_path, capsys, monkeypatch, method, extra):
+        # the factors, and so every metric, are right; only the layer
+        # forward reads the depthwise taps as (j, i)
+        kpath, bpath = self.strided_block(tmp_path, method, extra)
+        depthwise = next(l for l in read_block(bpath).layers if l.groups > 1)
+        assert not np.allclose(depthwise.weights, depthwise.weights.swapaxes(2, 3))
+        layer_forward = convblocks.layer_forward
+
+        def transposed_taps(x, layer):
+            if layer.groups > 1:
+                layer = dataclasses.replace(layer,
+                                            weights=layer.weights.swapaxes(2, 3))
+            return layer_forward(x, layer)
+
+        monkeypatch.setattr(convblocks, "layer_forward", transposed_taps)
+        capsys.readouterr()
+        code = main(["verify", "--block", str(bpath), "--input", str(kpath)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("FAIL: forward deviation ")
+        assert err.count("FAIL") == 1
+        assert out.endswith("verify: FAILED\n")
+
+    def test_forward_check_catches_the_stride_on_the_first_layer(
+            self, tmp_path, capsys):
+        # same output size and metrics, another conv; the deviation is the
+        # one against the dense kernel the block realizes
+        kpath, bpath = self.strided_block(tmp_path, *self.ASYMMETRIC[0])
+        block = self.move_to(bpath, "stride", 0)
+        capsys.readouterr()
+        code = main(["verify", "--block", str(bpath), "--input", str(kpath)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("FAIL: forward deviation ")
+        assert err.count("FAIL") == 1
+        dense = block_to_kernel(block.layers, block.kind)
+        rng = np.random.default_rng(0)
+        want = 0.0
+        for _ in range(5):
+            x = rng.standard_normal((16, 16, 5))
+            diff = (compose_forward(block.layers, x)
+                    - conv2d_reference(x, block.spec, dense))
+            want = max(want, np.linalg.norm(diff) / (1.0 + np.linalg.norm(x)))
+        got = float(out.split("max forward deviation: ")[1].split()[0])
+        assert got == pytest.approx(want, rel=1e-6)
+        assert want > 1.0
+
+    @pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("method, dims, rank, kwargs, kind", [
+        ("cpd", (9, 5, 6), 2, {}, "cpd"),
+        ("cpd", (9, 5, 6), 8, {}, "cpd"),  # over-rank: R > S, T
+        ("tkd-cpd-epc", (9, 5, 6), 4, {"ranks": (2, 2)}, "tkd-cpd"),
+        ("svd", (1, 5, 6), 2, {}, "svd"),
+    ], ids=["cpd", "cpd-over-rank", "tkd-cpd", "svd"])
+    def test_reference_is_the_dense_conv_without_the_dense_kernel(
+            self, tmp_path, capsys, monkeypatch, method, dims, rank, kwargs,
+            kind, stride, pad):
+        # a chain replaced by the dense kernel's conv deviates from verify's
+        # reference by roundoff alone, and verify never builds that kernel
+        rng = np.random.default_rng(35)
+        t, _ = random_cp_tensor(rng, dims, 3)
+        d = int(np.sqrt(dims[0]))
+        write_tensor(tmp_path / "k.kten", restore_kernel(t, d))
+        spec = ConvSpec(5, 6, d, stride=stride, pad=pad, bias=rng.standard_normal(6))
+        block, _ = decompose_to_block(t, method, rank, spec, **kwargs)
+        assert block.kind == kind
+        write_block(tmp_path / "blk", block)
+        dense = block_to_kernel(block.layers, block.kind)
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return block_to_kernel(*args)
+
+        monkeypatch.setattr(cli, "block_to_kernel", spy)
+        monkeypatch.setattr(convblocks, "block_to_kernel", spy)
+        monkeypatch.setattr(cli, "compose_forward",
+                            lambda layers, x: conv2d_reference(x, spec, dense))
+        code = main(["verify", "--block", str(tmp_path / "blk" / "block.json"),
+                     "--input", str(tmp_path / "k.kten"), "--hw", "7,6"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert float(out.split("max forward deviation: ")[1].split()[0]) < 1e-12
+        assert built == []
+
 
 class TestPeakMemory:
     """Traced peak of 256-channel jobs, in units of the kernel's bytes.
     Every job holds one kernel-sized array at a time.  ``decompose`` holds
     the kernel, whose (D^2, S, T) tensor is a view of it: the Tucker-2
     steps and the core read it through its slices, the CP solvers through
-    views, and every error check sums over its slices.  ``verify`` releases
-    the kernel once ``rel_error`` is known, before it builds the dense
-    kernel the block realizes.  Copying an unfolding, forming a
-    kernel-sized difference or holding both dense kernels takes a job to
-    about 2 kernels or more."""
+    views, and every error check sums over its slices.  ``verify`` holds
+    no kernel-sized array: it reads the kernel one tap at a time for
+    ``rel_error`` and runs its forward trials in the block's factor basis,
+    so it never builds the dense kernel the block realizes.  Copying an
+    unfolding, forming a kernel-sized difference or holding two dense
+    kernels takes a job to about 2 kernels or more."""
 
     BOUND = 1.6
 
@@ -697,6 +890,11 @@ class TestPeakMemory:
                                          "decompose-cpd-epc"])
     def test_at_most_two_kernels_alive(self, peaks, command):
         assert peaks[command] < self.BOUND
+
+    def test_verify_holds_no_kernel_sized_array(self, peaks):
+        # a tap, its difference from the model and the trials' arrays; the
+        # whole kernel or the block's dense kernel would add one kernel
+        assert peaks["verify"] < 0.6
 
 
 class TestCliRankSearch:
