@@ -25,6 +25,7 @@ __all__ = [
     "AlsResult",
     "cpd_als",
     "balance_components",
+    "sign_components",
     "rel_error",
     "intensity",
     "sensitivity",
@@ -316,6 +317,23 @@ def balance_components(model):
     b[:, nz] *= np.sqrt(tb[nz]) / nb[nz]
     c[:, nz] *= np.sqrt(tc[nz]) / nc[nz]
     return CPModel(a, b, c)
+
+
+def sign_components(model):
+    """`model` with each component's signs fixed: in B and C each column's
+    largest-magnitude entry is positive, and A takes the flips, so the
+    reconstruction, the balance and the sensitivity are unchanged.
+
+    ALS inherits its components' signs from the ``eigh`` seed of restart 0,
+    and LAPACK picks those signs differently with the BLAS thread count;
+    after this rule the model does not depend on them.
+    """
+    def signs(f):
+        return np.where(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] < 0,
+                        -1.0, 1.0)
+
+    sb, sc = signs(model.B), signs(model.C)
+    return CPModel(model.A * (sb * sc), model.B * sb, model.C * sc)
 
 
 def _gram_error(e2, slack):

@@ -13,7 +13,7 @@ from .convblocks import (
     emit_svd_block,
     emit_tkd_cpd_block,
 )
-from .cpd import CPModel, cpd_als, intensity, rel_error, sensitivity
+from .cpd import CPModel, cpd_als, intensity, rel_error, sensitivity, sign_components
 from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .fileio import Block
@@ -52,7 +52,9 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     "rel_error", which :func:`~convfactor.cpd.rel_error` computes for every
     method from the CP factors (for the hybrid, those of
     :func:`~convfactor.hybrid.to_equivalent_cp`), and, for cpd-epc,
-    diagnostics before and after EPC.
+    diagnostics before and after EPC.  Every CP model but the svd one (for
+    the hybrid, the core's) passes :func:`~convfactor.cpd.sign_components`
+    once, so the delivered factors do not depend on the signs LAPACK picks.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if method not in METHODS:
@@ -101,6 +103,10 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
                 min_residual=e.min_residual, bound=e.bound, factor=e.factor,
             ) from e
 
+    if isinstance(model, HybridModel):
+        model = HybridModel(model.U, model.V, sign_components(model.core_cp))
+    elif method != "svd":  # the svd model keeps its singular values positive
+        model = sign_components(model)
     cp = to_equivalent_cp(model) if isinstance(model, HybridModel) else model
     report["rel_error"] = rel_error(tensor, cp)
     if method == "cpd-epc":

@@ -7,9 +7,14 @@ solver picks them greedily to meet a Frobenius error bound, alternating
 eigendecompositions of the two projected Gram matrices ``P' P``, ``P`` the
 stacked slices ``V' K(d)'`` or ``U' K(d)``; each keeps as few eigenvectors
 as the whole bound allows, so the ranks need not give the smallest model.
-The tensor is read only through its slices ``K(d)``: a tall ``P`` sums its
-Gram over them (``sum_d K(d) K(d)'`` when V = I, with no copy), a wide one
-takes the thin SVD of the small projected stack.
+The tensor is read only through its slices ``K(d)``, and each step works at
+the size of the stack's thin side.  A tall ``P`` sums its n x n Gram over
+them (``sum_d K(d) K(d)'`` when V = I, with no copy); with a free cut, a
+block subspace iteration finds the kept eigenvectors and certifies that its
+cut is the one the full spectrum gives, and only an uncertified result
+takes a full ``eigh``.  A wide one takes ``eigh`` of the small m x m
+``P P'``.  numpy does all of it: importing ``scipy.linalg`` would double
+the peak memory of a ``convfactor`` process.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +35,14 @@ __all__ = [
 _ORTHO_TOL = 1e-6
 _TIE_TOL = 1e-12  # relative gap under which eigenvalues tie with the cut
 _ALTERNATIONS = 2  # U-step/V-step pairs of the bounded solver
+_BLOCK = 32  # columns of the block iteration of a tall step's Gram
+_BLOCK_ITERS = 4  # block iterations before the full eigh takes over
+_CUT_ITERS = 2  # iterations within which the block must certify the cut
+_RESIDUAL_TOL = 1e-10  # Ritz residual a block result may keep, over its gap
+# largest ratio of the first to the last kept eigenvalue of P P' for which a
+# wide step takes its right vectors from P' u: eigh gives each eigenvalue to
+# about eps times the first, so the last kept one to about 2e-10 relative
+_WIDE_SPAN = 1e6
 
 
 @dataclass
@@ -166,17 +179,86 @@ def _leading_eigvecs(q, energy_bound, rank=None):
     return _signed(vecs[:, :rank]), energy
 
 
+def _block_eigvecs(q, energy_bound):
+    """:func:`_leading_eigvecs` of the symmetric PSD `q` with a free cut, by
+    block subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp,
+    SIAM Review 2011), or None when the result is not certified.
+
+    The block is ``_BLOCK`` columns, started from the columns of `q` with the
+    largest diagonal entries (no random start), then ``X <- qr(q X)``.  With
+    Ritz values ``theta`` and ``rest = tr(q) - sum(theta)``, the energy of
+    `q` outside ``span(X)``, interlacing and Ky Fan give ``theta_i <=
+    lambda_i``, ``sum(lambda[:k]) <= sum(theta[:k]) + rest`` and
+    ``lambda_(r+1) <= theta_(r+1) + rest``.  So the Ritz cut r is the cut of
+    the full spectrum when ``sum(theta[:r])`` reaches the bound,
+    ``sum(theta[:r-1]) + rest`` stays below it, and ``theta_(r+1) + rest``
+    is not tied with ``theta_r``.  Each margin must also clear ``8 n b eps
+    tr(q)``, above the roundoff of the Ritz values and of a full ``eigh``.
+    The kept Ritz vectors are returned once their residual is within
+    ``_RESIDUAL_TOL`` of the certified gap ``theta_r - theta_(r+1) - rest``:
+    by Davis-Kahan, they then span the leading eigenspace to that accuracy.
+
+    None, for the full ``eigh``, when the cut needs ``_BLOCK`` or more Ritz
+    values, is not certified within ``_CUT_ITERS`` iterations, or its
+    vectors not within ``_BLOCK_ITERS``.
+    """
+    n = q.shape[0]
+    if energy_bound <= 0:
+        return np.zeros((n, 0)), 0.0
+    trace = float(np.trace(q))
+    target = energy_bound - 1e-12 * max(trace, 1.0)  # _cut's slack
+    allow = 8 * n * _BLOCK * np.finfo(np.float64).eps * trace
+    start = np.argsort(-q.diagonal(), kind="stable")[:_BLOCK]
+    x = np.linalg.qr(q[:, start])[0]
+    for it in range(_BLOCK_ITERS):
+        qx = q @ x
+        theta, y = _eigh_desc(x.T @ qx)
+        rank = int(np.searchsorted(np.cumsum(theta) - allow, target) + 1)
+        if rank >= _BLOCK:
+            return None
+        rest = trace - float(np.sum(theta)) + allow
+        lower = theta[rank - 1] - allow  # <= lambda_r
+        upper = theta[rank] + rest  # >= lambda_(r+1)
+        if (float(np.sum(theta[: rank - 1])) + rest + allow < target
+                and upper < lower * (1 - _TIE_TOL)):
+            vecs = x @ y[:, :rank]
+            residual = np.linalg.norm(qx @ y[:, :rank] - vecs * theta[:rank])
+            if residual <= _RESIDUAL_TOL * (lower - upper):
+                return _signed(vecs), float(np.sum(theta[:rank]))
+        elif it >= _CUT_ITERS - 1:
+            return None
+        x = np.linalg.qr(qx)[0]
+    return None
+
+
 def _leading_right_vecs(stack, energy_bound, rank=None):
     """:func:`_leading_eigvecs` of ``P' P`` for ``P`` the slices of `stack`
-    stacked by rows, m x n, from its thin side.  A tall or square ``P`` sums
-    the n x n Gram over the slices.  A wide one takes the thin SVD of ``P``
-    instead, m x n rather than n x n: the squared singular values, padded
-    with n - m zeros, are the Gram's eigenvalues, so the cut sees the same
-    n of them, and a cut past m keeps null-space vectors of the full SVD."""
+    stacked by rows, m x n, at the size of its thin side.
+
+    A tall or square ``P`` sums the n x n Gram over the slices; with a free
+    cut and ``n >= 4 _BLOCK`` it tries :func:`_block_eigvecs` before the
+    full ``eigh``.  A wide one takes ``eigh`` of the m x m ``P P'``: its
+    eigenvalues, padded with n - m zeros, are the Gram's, so the cut sees the
+    same n of them.  The kept right vectors are ``P' u / sigma``, taken as
+    the QR of ``P' u``: the QR keeps their span and makes them orthonormal
+    to roundoff, which ``P' u / sigma`` is only to about ``eps`` times the
+    ratio of the first to the last kept eigenvalue.  A ratio above
+    ``_WIDE_SPAN`` takes the thin SVD of ``P`` instead, and a cut past m the
+    full SVD, whose null-space vectors complete the basis.
+    """
     m, n = stack.shape[0] * stack.shape[1], stack.shape[2]
     if m >= n:
-        return _leading_eigvecs(_gram(stack), energy_bound, rank)
+        q = _gram(stack)
+        if rank is None and n >= 4 * _BLOCK:
+            found = _block_eigvecs(q, energy_bound)
+            if found is not None:
+                return found
+        return _leading_eigvecs(q, energy_bound, rank)
     p = stack.reshape(m, n)
+    w, u = _eigh_desc(p @ p.T)
+    kept, energy = _cut(np.concatenate([w, np.zeros(n - m)]), energy_bound, rank)
+    if kept == 0 or (kept <= m and 0 < w[0] <= _WIDE_SPAN * w[kept - 1]):
+        return _signed(np.linalg.qr(p.T @ u[:, :kept])[0]), energy
     _, sv, vt = np.linalg.svd(p, full_matrices=False)
     rank, energy = _cut(np.concatenate([sv**2, np.zeros(n - m)]), energy_bound, rank)
     if rank > m:
@@ -220,12 +302,22 @@ def tucker2_bounded(tensor, delta, ranks=None):
     last kept one), so the error stays within `delta` after every step, or
     with ``ranks=(R1, R2)`` exactly R1 or R2 of them.  The first U-step thus
     spends the whole budget, and the ranks need not give the fewest
-    parameters that meet it.  A step whose ``P`` has fewer rows than columns
-    takes them from the thin SVD of ``P`` rather than an ``eigh`` of the
-    n x n Gram, since only ``P``'s right singular subspace is needed; the
-    eigenpairs, and hence the ranks and energies, are the same.  Each kept
-    column's largest-magnitude entry is positive, so U and V do not depend
-    on the signs LAPACK picks.
+    parameters that meet it.  No step takes the whole n x n spectrum when it
+    can avoid it, while the ranks and energies stay those of a full
+    ``eigh`` of the Gram:
+
+    * a step whose ``P`` has fewer rows than columns takes ``eigh`` of the
+      m x m ``P P'`` and the right vectors ``P' u`` (orthonormalized by a
+      QR), or the SVD of ``P`` when the kept eigenvalues span more than
+      ``_WIDE_SPAN`` or the cut passes m;
+    * a tall step with a free cut and n of at least ``4 _BLOCK`` runs a few
+      block iterations on its Gram, started from the Gram's largest-diagonal
+      columns, and keeps their Ritz vectors only under a certificate that
+      the cut is exact (see :func:`_block_eigvecs`); otherwise it takes the
+      full ``eigh``.
+
+    Each kept column's largest-magnitude entry is positive, so U and V do
+    not depend on the signs LAPACK picks.
 
     Returns a :class:`Tucker2Model`; ``model.history`` holds per-step
     records ``{"step", "ranks", "energy", "sq_error"}``, where energy is

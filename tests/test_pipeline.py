@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 
 from conftest import hybrid_structured_tensor, random_cp_tensor
-from convfactor import cpd_als, hybrid, pipeline
+from convfactor import ConvSpec, cpd_als, hybrid, pipeline
+from convfactor.cpd import sign_components
 from convfactor.errors import InfeasibleBoundError
-from convfactor.pipeline import fit
+from convfactor.pipeline import decompose_to_block, fit
 
 
 @pytest.mark.parametrize("seed", [0, 4])
 def test_cpd_fit_is_cpd_als(seed):
-    # the solver settings have one source: fit adds nothing to cpd_als
+    # the solver settings have one source: fit adds nothing to cpd_als but
+    # the sign rule
     rng = np.random.default_rng(7)
     t, _ = random_cp_tensor(rng, (9, 6, 5), 3)
     t += 0.05 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
     model, report = fit(t, "cpd", 4, seed=seed)
     res = cpd_als(t, 4, seed=seed)
-    for got, want in ((model.A, res.model.A), (model.B, res.model.B),
-                      (model.C, res.model.C)):
+    signed = sign_components(res.model)
+    for got, want in ((model.A, signed.A), (model.B, signed.B),
+                      (model.C, signed.C)):
         assert np.array_equal(got, want)
     assert report["rel_error"] == res.rel_error
 
@@ -118,3 +121,41 @@ def test_unreachable_hybrid_bound_is_restated_relative_to_the_norm(
         f"{reached} reached, {allowed} allowed): ")
     assert f"{np.sqrt(e.min_residual) / norm_t:.3g}" == reached
     assert f"{np.sqrt(e.bound) / norm_t:.3g}" == allowed
+
+
+@pytest.mark.parametrize("method, rank, kwargs", [
+    ("cpd", 3, {}),
+    ("cpd-epc", 3, {"delta_rel": 0.2}),
+    ("tkd-cpd-epc", 3, {"delta_rel": 0.2}),
+    ("tkd-cpd-epc", 4, {"ranks": (3, 3)}),
+], ids=["cpd", "cpd-epc", "tkd-merged", "tkd-unmerged"])
+def test_blocks_do_not_depend_on_the_seeds_lapack_signs(monkeypatch, method, rank,
+                                                        kwargs):
+    # ALS takes its restart-0 seed from eigh, whose signs LAPACK picks (and
+    # picks differently with the BLAS thread count); flipping every other
+    # eigenvector must not change the emitted layers
+    t = hybrid_structured_tensor(np.random.default_rng(3), (9, 7, 6), (4, 4), 3,
+                                 noise=0.05)
+    spec = ConvSpec(7, 6, 3, pad=1)
+    ref, _ = decompose_to_block(t, method, rank, spec, **kwargs)
+    eigh = np.linalg.eigh
+
+    def flipped_eigh(a, *args, **kw):
+        w, vecs = eigh(a, *args, **kw)
+        return w, vecs * np.where(np.arange(vecs.shape[1]) % 2, -1.0, 1.0)
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped_eigh)
+    got, _ = decompose_to_block(t, method, rank, spec, **kwargs)
+    assert got.kind == ref.kind
+    for layer, want in zip(got.layers, ref.layers, strict=True):
+        scale = np.max(np.abs(want.weights))
+        assert np.max(np.abs(layer.weights - want.weights)) <= 1e-12 * scale
+
+
+def test_delivered_cp_components_have_positive_peaks_in_b_and_c():
+    t = hybrid_structured_tensor(np.random.default_rng(3), (9, 7, 6), (4, 4), 3,
+                                 noise=0.05)
+    for model in (fit(t, "cpd-epc", 3, delta_rel=0.2)[0],
+                  fit(t, "tkd-cpd-epc", 4, ranks=(3, 3))[0].core_cp):
+        for f in (model.B, model.C):
+            assert np.all(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] > 0)

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import convfactor
@@ -72,3 +75,36 @@ def test_cli_commands_leave_exit_codes_to_main():
             assert not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Name)
                         and node.func.id == "_fail"), command.name
+
+
+def test_package_never_imports_scipy(tmp_path):
+    # numpy alone does the package's linear algebra: on a 2-core Linux host,
+    # `import scipy.linalg` after `import convfactor.cli` raised a process's
+    # ru_maxrss from 26.9-29.1 MB to 55.2-55.8 MB, and a prototype whose
+    # Tucker-2 first step called scipy.linalg.eigh read 89.0 MB tkd-512
+    # peak_rss_mb against 71.0 MB.  The decompose runs the hybrid on a
+    # low-rank 3x3x136x130 kernel, so the Tucker-2 block iteration and wide
+    # steps run.
+    code = """
+import sys
+import numpy as np
+import convfactor.cli
+from convfactor.fileio import write_tensor
+rng = np.random.default_rng(0)
+f = [rng.standard_normal((n, 6)) for n in (9, 136, 130)]
+k = np.einsum("dr,sr,tr->dst", *f).reshape(3, 3, 136, 130)
+k += 0.01 * np.linalg.norm(k) * rng.standard_normal(k.shape) / np.sqrt(k.size)
+write_tensor(sys.argv[1], k)
+code = convfactor.cli.main(["decompose", "--input", sys.argv[1], "--method",
+                            "tkd-cpd-epc", "--rank", "6", "--delta", "0.1",
+                            "--out", sys.argv[2]])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "k.kten"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "0 []"

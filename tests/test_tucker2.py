@@ -14,6 +14,7 @@ from convfactor import (
 from convfactor.errors import InfeasibleBoundError
 from convfactor.tucker2 import (
     _ALTERNATIONS,
+    _BLOCK,
     _cut,
     _leading_eigvecs,
     _leading_right_vecs,
@@ -449,5 +450,158 @@ def test_factors_do_not_depend_on_lapack_signs(monkeypatch, dims, delta_rel, ran
     monkeypatch.setattr(np.linalg, "svd", negated_svd)
     monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
     flipped = tucker2_bounded(t, delta, ranks=ranks)
+    for got, want in ((flipped.U, ref.U), (flipped.V, ref.V), (flipped.G, ref.G)):
+        assert np.array_equal(got, want)
+
+
+def channel_spectrum_tensor(rng, dims, sq_sigma, w=None):
+    """Tensor whose mode-1 Gram (V = I) is exactly ``W diag(sq_sigma) W'``:
+    slices ``K(d) = W diag(sigma) Z_d V'`` with ``[Z_1 ... Z_D]`` of
+    orthonormal rows and W (random unless given), V orthonormal."""
+    d2, s, t = dims
+    r = len(sq_sigma)
+    r2 = min(t, -(-r // d2) + 4)
+    if w is None:
+        w = np.linalg.qr(rng.standard_normal((s, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((t, r2)))[0]
+    z = np.linalg.qr(rng.standard_normal((d2 * r2, r)))[0].T.reshape(r, d2, r2)
+    sigma = np.sqrt(np.asarray(sq_sigma, dtype=np.float64))
+    return np.einsum("sr,r,rdq,tq->dst", w, sigma, z, v)
+
+
+def power_law_tensor(rng, dims, exponent=0.75):
+    """Gaussian core with channel spectra ``i^-exponent`` on both modes: a
+    slow spectrum, as in trained kernels."""
+    d2, s, t = dims
+    u = np.linalg.qr(rng.standard_normal((s, s)))[0] * np.arange(1, s + 1) ** -exponent
+    v = np.linalg.qr(rng.standard_normal((t, t)))[0] * np.arange(1, t + 1) ** -exponent
+    return u @ rng.standard_normal(dims) @ v.T
+
+
+def spectrum_case(kind, rng, dims):
+    """(tensor, delta) of one family of the block-path property."""
+    if kind == "zero":
+        return np.zeros(dims), float(rng.uniform(0, 1))
+    if kind == "slow":
+        t = power_law_tensor(rng, dims)
+        return t, float(rng.uniform(0.1, 0.5)) * np.linalg.norm(t)
+    if kind == "tie":
+        # the cut falls on the first of two eigenvalues a relative gap apart
+        k = int(rng.integers(2, 12))
+        sq = np.sort(rng.uniform(1, 4, k + 8))[::-1]
+        sq[k] = sq[k - 1] * (1 - rng.choice([0.0, 1e-14, 1e-9, 1e-6]))
+        t = channel_spectrum_tensor(rng, dims, sq)
+        bound = np.sum(sq[:k]) - 0.5 * sq[k - 1]
+        return t, float(np.sqrt(np.sum(sq) - bound))
+    ranks = (int(rng.integers(1, 21)), int(rng.integers(1, 21)))
+    t, _ = random_tucker2_tensor(rng, dims, ranks)
+    if kind == "noisy":
+        noise = rng.standard_normal(dims)
+        level = rng.choice([1e-3, 1e-2, 5e-2])
+        t += level * np.linalg.norm(t) * noise / np.linalg.norm(noise)
+    return t, float(rng.uniform(0.02, 0.5)) * np.linalg.norm(t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["noisy", "exact", "tie", "slow", "zero"]),
+    dims=st.tuples(st.integers(1, 4), st.integers(4 * _BLOCK, 4 * _BLOCK + 40),
+                   st.integers(4 * _BLOCK, 4 * _BLOCK + 40)),
+    seed=st.integers(0, 2**16),
+)
+def test_block_path_matches_full_gram_oracle(kind, dims, seed):
+    # the first U-step's Gram is n x n with n >= 4 _BLOCK, so the block
+    # iteration runs; certified or not, every step must be eigh's
+    t, delta = spectrum_case(kind, np.random.default_rng(seed), dims)
+    norm2 = np.sum(t**2)
+    u_ref, v_ref, hist_ref = hooi_oracle(t, delta)
+    model = tucker2_bounded(t, delta)
+    assert [rec["ranks"] for rec in model.history] == [rec["ranks"] for rec in hist_ref]
+    for got, want in zip(model.history, hist_ref):
+        assert abs(got["energy"] - want["energy"]) <= 1e-12 * want["energy"]
+        assert got["sq_error"] <= delta**2 + 1e-10 * norm2
+    for got, want in ((model.U, u_ref), (model.V, v_ref)):
+        assert np.max(np.abs(got @ got.T - want @ want.T), initial=0) <= 1e-10
+        assert np.max(np.abs(got.T @ got - np.eye(got.shape[1])), initial=0) <= 1e-12
+
+
+def eigh_sizes(monkeypatch):
+    """Record the order of every matrix np.linalg.eigh factors."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def test_low_rank_256_channel_kernel_takes_no_full_eigh(monkeypatch):
+    # rank 12 plus 1% noise at 9 x 256 x 256: the first U-step is certified
+    # from the block, and every later step is wide (m = 9 * 12 < 256)
+    rng = np.random.default_rng(5)
+    t, _ = random_tucker2_tensor(rng, (9, 256, 256), (12, 12))
+    noise = rng.standard_normal(t.shape)
+    t += 0.01 * np.linalg.norm(t) * noise / np.linalg.norm(noise)
+    sizes = eigh_sizes(monkeypatch)
+    model = tucker2_bounded(t, 0.05 * np.linalg.norm(t))
+    assert model.ranks == (12, 12)
+    assert sizes and max(sizes) < 256
+
+
+@pytest.mark.parametrize("kind, certified", [
+    ("noisy", True), ("exact", True), ("tie", False), ("slow", False),
+])
+def test_block_path_certifies_separated_cuts_only(monkeypatch, kind, certified):
+    # a separated cut is certified; a tied or slowly decaying spectrum
+    # takes the full eigh of the first U-step's 140 x 140 Gram
+    dims = (3, 140, 150)
+    t, delta = spectrum_case(kind, np.random.default_rng(1), dims)
+    if kind == "tie":  # exactly tied
+        sq = np.linspace(4, 1, 14)
+        sq[6] = sq[5]
+        t = channel_spectrum_tensor(np.random.default_rng(1), dims, sq)
+        delta = np.sqrt(np.sum(sq[6:]) + 0.5 * sq[5])
+    sizes = eigh_sizes(monkeypatch)
+    tucker2_bounded(t, delta)
+    assert (140 not in sizes) is certified
+
+
+def test_block_start_blind_to_the_top_eigenvector_is_not_certified(monkeypatch):
+    # the start columns (largest diagonal) lie in span(e_0 .. e_39), an
+    # invariant subspace of the Gram, while the top eigenvector lives on
+    # the other coordinates: the iteration converges, to the wrong
+    # subspace, and only the energy left outside the block shows it
+    n = 4 * _BLOCK
+    w = np.zeros((n, 41))
+    w[:40, :40] = np.eye(40)
+    w[40:, 40] = 1 / np.sqrt(n - 40)
+    sq = np.concatenate([np.linspace(9, 1, 40), [30.0]])
+    t = channel_spectrum_tensor(np.random.default_rng(4), (3, n, n + 10), sq, w=w)
+    delta = np.sqrt(0.3 * np.sum(sq))
+    u_ref, _, hist_ref = hooi_oracle(t, delta)
+    sizes = eigh_sizes(monkeypatch)
+    model = tucker2_bounded(t, delta)
+    assert n in sizes
+    assert [rec["ranks"] for rec in model.history] == [rec["ranks"] for rec in hist_ref]
+    assert np.max(np.abs(model.U @ model.U.T - u_ref @ u_ref.T)) <= 1e-10
+
+
+def test_block_path_factors_do_not_depend_on_lapack_signs(monkeypatch):
+    rng = np.random.default_rng(2)
+    t, _ = random_tucker2_tensor(rng, (2, 4 * _BLOCK, 4 * _BLOCK + 8), (5, 6))
+    t += 1e-3 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
+    delta = 0.1 * np.linalg.norm(t)
+    ref = tucker2_bounded(t, delta)
+    eigh = np.linalg.eigh
+
+    def negated_eigh(a, *args, **kwargs):
+        w, vecs = eigh(a, *args, **kwargs)
+        return w, -vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
+    flipped = tucker2_bounded(t, delta)
     for got, want in ((flipped.U, ref.U), (flipped.V, ref.V), (flipped.G, ref.G)):
         assert np.array_equal(got, want)
