@@ -190,7 +190,10 @@ def layer_forward(x, layer):
     """Apply one :class:`LayerDescriptor` to an (H, W, C) input.
 
     Each tap is one batched GEMM over the groups: the (groups, H'W',
-    C/groups) window times the (groups, C/groups, out/groups) weights.
+    C/groups) window times the (groups, C/groups, out/groups) weights.  A
+    depthwise layer (one input and one output channel per group) scales
+    each tap's (H', W', C) window by its per-channel weights instead,
+    where the GEMMs would be C products of a column with a 1x1 matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[2] != layer.in_channels:
@@ -198,15 +201,21 @@ def layer_forward(x, layer):
             f"layer expects {layer.in_channels} channels, got {x.shape[2]}"
         )
     g = layer.groups
-    # (out, in/g, kh, kw) -> (kh, kw, g, in/g, out/g)
-    taps = np.transpose(
-        layer.weights.reshape(g, -1, *layer.weights.shape[1:]), (3, 4, 0, 2, 1)
-    )
     ho, wo = _out_hw(x.shape[0], x.shape[1], *layer.kernel, layer.stride, layer.pad)
+    windows = _tap_windows(x, *layer.kernel, layer.stride, layer.pad)
     out = 0.0
-    for tap, window in _tap_windows(x, *layer.kernel, layer.stride, layer.pad):
-        out += window.reshape(ho * wo, g, -1).transpose(1, 0, 2) @ taps[tap]
-    out = out.transpose(1, 0, 2).reshape(ho, wo, layer.out_channels)
+    if g == layer.in_channels == layer.out_channels:
+        taps = np.transpose(layer.weights[:, 0], (1, 2, 0))  # (kh, kw, C)
+        for tap, window in windows:
+            out += window * taps[tap]
+    else:
+        # (out, in/g, kh, kw) -> (kh, kw, g, in/g, out/g)
+        taps = np.transpose(
+            layer.weights.reshape(g, -1, *layer.weights.shape[1:]), (3, 4, 0, 2, 1)
+        )
+        for tap, window in windows:
+            out += window.reshape(ho * wo, g, -1).transpose(1, 0, 2) @ taps[tap]
+        out = out.transpose(1, 0, 2).reshape(ho, wo, layer.out_channels)
     if layer.bias is not None:
         out = out + layer.bias
     return out

@@ -5,7 +5,10 @@ canceling components), re-optimize the factors to minimize sensitivity
 subject to ``||t - [[A, B, C]]||_F <= delta``.  Each factor update is an
 exact minimum-weighted-norm least-squares problem with a residual-ball
 constraint, solved in closed form through a one-dimensional secular
-equation in the Lagrange multiplier.
+equation in the Lagrange multiplier.  Sweeps after the first start from
+extrapolated fixed factors (Nesterov momentum), kept only when they lower
+the sensitivity and otherwise restarted with a plain sweep, so every kept
+sweep still meets the bound and the sensitivity never rises.
 """
 
 import numpy as np
@@ -160,18 +163,31 @@ def epc_correct(tensor, model, delta=None):
     error of the input model.
 
     Sweeps A -> B -> C cyclically; each update is the exact constrained
-    minimizer of the sensitivity terms involving that factor, so both the
-    error bound and sensitivity monotonicity hold after every accepted
-    update.  The bound holds as stated whenever the ball is wider than the
-    update's least-squares residual by more than the secular solve's
-    tolerance (see :func:`spherical_qp`); at the exact-fit limit the
-    least-squares update is returned, within ``1e-10 max(||T||^2, 1)`` of
-    the bound.  A sweep that would raise the sensitivity, which only the
-    solver's margin at the bound can cause, is rejected and ends the
-    correction.  Components are magnitude-balanced across factors up
-    front (free sensitivity reduction, reconstruction unchanged).  Every
-    correction runs at most ``_MAX_SWEEPS = 100`` sweeps and stops once a
-    sweep lowers the sensitivity by at most ``_SS_TOL = 1e-6`` relative.
+    minimizer of the sensitivity terms involving that factor, so the error
+    bound holds after every update.  The bound holds as stated whenever
+    the ball is wider than the update's least-squares residual by more
+    than the secular solve's tolerance (see :func:`spherical_qp`); at the
+    exact-fit limit the least-squares update is returned, within
+    ``1e-10 max(||T||^2, 1)`` of the bound.  Components are
+    magnitude-balanced across factors up front and after every sweep (free
+    sensitivity reduction, reconstruction unchanged).
+
+    Each sweep after an accepted one starts from extrapolated fixed
+    factors ``B + beta (B - B_old)`` and ``C + beta (C - C_old)``, where
+    B_old, C_old are those of the accepted point before (Nesterov momentum
+    with restart; Mitchell, Ye & De Sterck, arXiv:1810.05846).  A needs
+    none, since the sweep computes it from them first.  ``beta = (k - 1) /
+    (k + 2)`` with k the points accepted since the last restart, that
+    point included.  An extrapolated sweep is kept only if it lowers the
+    balanced sensitivity; when it does not, or one of its updates finds
+    the bound infeasible, it is discarded, k restarts at 1 and a plain
+    sweep from the accepted point follows.  A plain sweep that would raise
+    the sensitivity, which only the solver's margin at the bound can
+    cause, ends the correction.  So every accepted sweep is three exact
+    bounded updates and the sensitivity never rises.  Every correction
+    computes at most ``_MAX_SWEEPS = 100`` sweeps, discarded ones included,
+    and stops once an accepted sweep lowers the sensitivity by at most
+    ``_SS_TOL = 1e-6`` relative.
 
     A factor update needs only the factor's MTTKRP (see
     :class:`~convfactor.tensorops.Mttkrp`), the Hadamard product of the two
@@ -189,8 +205,11 @@ def epc_correct(tensor, model, delta=None):
     -------
     (CPModel, trace)
         The corrected model, balanced (:func:`balance_components`), and a
-        list of per-sweep records ``{"error": float, "ss": float}``,
-        starting with the balanced input state.
+        list of records ``{"error": float, "ss": float}``, one for the
+        balanced input state and one per accepted sweep.  A sweep's record
+        also holds ``"extrapolated"`` (bool), whether it started from the
+        extrapolated factors, and ``"rejected"`` (int), how many
+        extrapolated sweeps were discarded since the record before.
     """
     if delta is not None and not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
@@ -224,10 +243,12 @@ def epc_correct(tensor, model, delta=None):
             ) from e
 
     i, j, k = tensor.shape
-    gb, gc = b.T @ b, c.T @ c
-    prev_ss = trace[0]["ss"]
-    for _ in range(_MAX_SWEEPS):
-        start = (a, b, c)
+
+    def sweep(b, c):
+        """A -> B -> C from the fixed factors B and C: the balanced model,
+        its sensitivity and the Gram-form squared error with its roundoff
+        allowance."""
+        gb, gc = b.T @ b, c.T @ c
         w = mt.partial_c(c)
         a = update(mt.mode0(w, b), gb, gc, j, k, "A")
         ga = a.T @ a
@@ -235,23 +256,44 @@ def epc_correct(tensor, model, delta=None):
         gb = b.T @ b
         m_c = mt.mode2(a, b)
         c = update(m_c, ga, gb, i, j, "C")
-        gc = c.T @ c
-        e2, slack = cp_residual_sq(norm_t2, m_c, c, (ga, gb, gc))
+        e2, slack = cp_residual_sq(norm_t2, m_c, c, (ga, gb, c.T @ c))
         # single-factor updates cannot move magnitude between factors;
         # rebalancing is free (reconstruction unchanged, ss non-increasing)
         balanced = balance_components(CPModel(a, b, c))
-        ss = sensitivity(balanced)
-        if ss > prev_ss:
-            # an error-preserving start at an ALS optimum leaves no room in
-            # the bound: keep the previous sweep
-            a, b, c = start
-            break
+        return balanced, sensitivity(balanced), e2, slack
+
+    prev_ss = trace[0]["ss"]
+    b_old, c_old = b, c  # fixed factors of the accepted point before this one
+    points = 1  # points accepted since the last restart, that one included
+    rejected = 0
+    for _ in range(_MAX_SWEEPS):
+        beta = (points - 1) / (points + 2)
+        if beta > 0:
+            try:
+                balanced, ss, e2, slack = sweep(b + beta * (b - b_old),
+                                                c + beta * (c - c_old))
+            except InfeasibleBoundError:
+                ss = np.inf
+            if not ss < prev_ss:
+                # restart: the next sweep is a plain one from the accepted point
+                rejected += 1
+                points = 1
+                continue
+        else:
+            balanced, ss, e2, slack = sweep(b, c)
+            if ss > prev_ss:
+                # an error-preserving start at an ALS optimum leaves no room
+                # in the bound: keep the accepted point
+                break
+        b_old, c_old = b, c
         a, b, c = balanced.A, balanced.B, balanced.C
-        gb, gc = b.T @ b, c.T @ c
         err, margin = _gram_error(e2, slack)
         if margin > _ERROR_RTOL * err:
             err = rel_error(tensor, balanced) * norm_t
-        trace.append({"error": float(err), "ss": float(ss)})
+        trace.append({"error": float(err), "ss": float(ss),
+                      "extrapolated": beta > 0, "rejected": rejected})
+        rejected = 0
+        points += 1
         if prev_ss <= 0 or abs(prev_ss - ss) <= _SS_TOL * max(prev_ss, 1e-300):
             break
         prev_ss = ss

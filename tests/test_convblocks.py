@@ -84,6 +84,23 @@ class TestLayerForward:
         assert np.max(np.abs(layer_forward(x, layer) - ref)) < 1e-12
 
 
+    @pytest.mark.parametrize("stride, pad", itertools.product((1, 2), (0, 1)))
+    def test_depthwise_against_the_dense_kernel_of_its_block(self, stride, pad):
+        # the depthwise layer between two identity 1x1 layers is a cpd block,
+        # whose dense kernel is diagonal in the channels
+        rng = np.random.default_rng(31)
+        r = 5
+        layer = LayerDescriptor(
+            r, r, (3, 3), rng.standard_normal((r, 1, 3, 3)), groups=r,
+            stride=stride, pad=pad, bias=rng.standard_normal(r),
+        )
+        eye = LayerDescriptor(r, r, (1, 1), np.eye(r)[:, :, None, None])
+        dense = block_to_kernel([eye, layer, eye], "cpd")
+        spec = ConvSpec(r, r, 3, stride=stride, pad=pad, bias=layer.bias)
+        x = rng.standard_normal((7, 8, r))
+        ref = conv2d_reference(x, spec, dense)
+        assert np.max(np.abs(layer_forward(x, layer) - ref)) < 1e-12
+
 def test_tap_windows_are_slices_of_the_padded_input():
     # the windows are filled from the unpadded input, zero in the padding,
     # including taps that see no input row or column at all (a 7-wide
