@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np  # numpy only: importing scipy.linalg adds ~0.4 s to CLI start-up
 
-from .tensorops import Mttkrp, cp_residual_sq, reconstruct_cp
+from .tensorops import _column_signs, _finite_norm, cp_sweep, reconstruct_cp
 # not used here: the benchmark's span tracer (benchmarks/tracing.py) wraps this name
 from .tensorops import khatri_rao  # noqa: F401
 
@@ -95,12 +95,15 @@ _RESTARTS = 3  # restart 0 is SVD-seeded, the others random
 # Largest tr(g) tr(g^-1) (an upper bound on cond(g)) for which _solve_psd
 # uses the inverse; beyond it the eigh pseudo-inverse decides the null space.
 _COND_MAX = 1e10
+# Eigenvalues of a PSD Gram below this fraction of the largest are null, in
+# the pseudo-inverse here and in EPC's secular solve.
+_NULL_RTOL = 1e-12
 
 
 def _pinv_psd(g):
     """Pseudo-inverse of a symmetric PSD matrix via eigendecomposition."""
     w, v = np.linalg.eigh((g + g.T) / 2)
-    cutoff = 1e-12 * max(w[-1], 0.0)
+    cutoff = _NULL_RTOL * max(w[-1], 0.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (v * inv) @ v.T
 
@@ -131,16 +134,22 @@ def _solve_psd(m, g):
     return m @ inv
 
 
-def _init_factors(shape, rank, svd, rng, mt):
+def _ls_update(m, g1, g2, name):
+    """ALS's factor update for :func:`~convfactor.tensorops.cp_sweep`: the
+    least-squares solve ``m pinv(g1 * g2)``."""
+    return _solve_psd(m, g1 * g2)
+
+
+def _init_factors(tensor, rank, svd, rng):
     if not svd:
-        return [rng.standard_normal((n, rank)) for n in shape]
-    i, j, k = shape
-    t_i = mt.t_k.reshape(i, j * k)
+        return [rng.standard_normal((n, rank)) for n in tensor.shape]
+    i, j, k = tensor.shape
+    t_i, t_k = tensor.reshape(i, j * k), tensor.reshape(i * j, k)
     # the J x J Gram summed over slices: no (I*K, J) unfolding is copied
-    g_j = sum(t_d @ t_d.T for t_d in mt.t_k.reshape(shape))
-    grams = (t_i @ t_i.T, g_j, mt.t_k.T @ mt.t_k)
+    g_j = sum(t_d @ t_d.T for t_d in tensor)
+    grams = (t_i @ t_i.T, g_j, t_k.T @ t_k)
     factors = []
-    for n, other, gram in zip(shape, (j * k, i * k, i * j), grams):
+    for n, other, gram in zip(tensor.shape, (j * k, i * k, i * j), grams):
         # leading left singular vectors of the unfolding, as the eigenvectors
         # of its Gram: no unfolding copy and no SVD workspace
         u = np.linalg.eigh(gram)[1][:, ::-1][:, : min(n, other)]
@@ -156,18 +165,17 @@ def _init_factors(shape, rank, svd, rng, mt):
 def cpd_als(tensor, rank, seed=0, delta=None):
     """Rank-`rank` CP decomposition of an order-3 tensor by ALS.
 
-    Each sweep solves the exact least-squares update for A, B, C in turn,
+    Each sweep is :func:`~convfactor.tensorops.cp_sweep`, the sweep EPC
+    runs too, with the exact least-squares update for A, B, C in turn,
     ``A <- M_A pinv(B'B * C'C)`` and cyclic analogues, where ``M_A`` is
     the MTTKRP of mode 0 (``T_(0)`` times the Khatri-Rao product of C and
     B) and ``*`` the Hadamard product, so the relative error is
     non-increasing per sweep.  For an I x J x K tensor a sweep costs
-    ``O(I J K R)`` in GEMMs (see :class:`~convfactor.tensorops.Mttkrp`; the
-    contraction with C is shared by the A and B updates) plus
-    ``O((I+J+K) R^2 + R^3)`` for the Grams and the three normal-equation
-    solves, and builds no tensor-sized array.  Each solve is one ``inv``
-    and one GEMM (:func:`_solve_psd`); it falls back to the ``eigh``
-    pseudo-inverse when the inverse fails or ``tr(G) tr(G^-1)`` is not in
-    ``(0, _COND_MAX]``, ``_COND_MAX = 1e10``.
+    ``O(I J K R)`` in GEMMs plus ``O((I+J+K) R^2 + R^3)`` for the Grams
+    and the three normal-equation solves, and builds no tensor-sized
+    array.  Each solve is one ``inv`` and one GEMM (:func:`_solve_psd`);
+    it falls back to the ``eigh`` pseudo-inverse when the inverse fails or
+    ``tr(G) tr(G^-1)`` is not in ``(0, _COND_MAX]``, ``_COND_MAX = 1e10``.
 
     Every fit has the settings of the module constants: up to
     ``_RESTARTS = 3`` restarts of at most ``_MAX_SWEEPS = 1000`` sweeps,
@@ -206,32 +214,27 @@ def cpd_als(tensor, rank, seed=0, delta=None):
         ``stop`` says why the returned restart ended: ``"bound"``,
         ``"tol"`` or ``"cap"``.
     """
-    tensor = np.asarray(tensor, dtype=np.float64)
+    tensor = np.ascontiguousarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if not np.all(np.isfinite(tensor)):
-        raise ValueError("tensor contains non-finite values")
+    norm_t = _finite_norm(tensor)
     if delta is not None and not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
 
-    norm_t = np.linalg.norm(tensor)
-    shape = tensor.shape
     if norm_t == 0.0:
         # Zero-tensor convention: rel_error 0, zero model.
-        zero = CPModel(*(np.zeros((n, rank)) for n in shape))
+        zero = CPModel(*(np.zeros((n, rank)) for n in tensor.shape))
         return AlsResult(zero, 0.0, [0.0], n_iters=0, stop="tol")
 
-    mt = Mttkrp(tensor)
     norm_t2 = norm_t**2
     bound = -np.inf if delta is None else delta / norm_t
 
     best = None
     for restart in range(_RESTARTS):
         rng = np.random.default_rng((seed, restart))
-        a, b, c = _init_factors(shape, rank, restart == 0, rng, mt)
-        gb, gc = b.T @ b, c.T @ c
+        a, b, c = _init_factors(tensor, rank, restart == 0, rng)
         errors = []
         prev_err = np.inf
         dense = False
@@ -239,16 +242,8 @@ def cpd_als(tensor, rank, seed=0, delta=None):
         stop = "cap"
         for sweep in range(_MAX_SWEEPS):
             prev = (a, b, c)
-            w = mt.partial_c(c)
-            a = _solve_psd(mt.mode0(w, b), gb * gc)
-            ga = a.T @ a
-            b = _solve_psd(mt.mode1(w, a), ga * gc)
-            gb = b.T @ b
-            m_c = mt.mode2(a, b)
-            c = _solve_psd(m_c, ga * gb)
-            gc = c.T @ c
+            a, b, c, e2, slack = cp_sweep(tensor, norm_t2, b, c, _ls_update)
             if not dense:
-                e2, slack = cp_residual_sq(norm_t2, m_c, c, (ga, gb, gc))
                 err, margin = (x / norm_t for x in _gram_error(e2, slack))
                 # switch for good where the Gram form cannot resolve this step
                 dense = (e2 <= slack or abs(prev_err - err) <= _TOL + margin
@@ -328,11 +323,7 @@ def sign_components(model):
     and LAPACK picks those signs differently with the BLAS thread count;
     after this rule the model does not depend on them.
     """
-    def signs(f):
-        return np.where(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] < 0,
-                        -1.0, 1.0)
-
-    sb, sc = signs(model.B), signs(model.C)
+    sb, sc = _column_signs(model.B), _column_signs(model.C)
     return CPModel(model.A * (sb * sc), model.B * sb, model.C * sc)
 
 

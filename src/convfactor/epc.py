@@ -13,16 +13,16 @@ sweep still meets the bound and the sensitivity never rises.
 
 import numpy as np
 
-from .cpd import CPModel, _gram_error, balance_components, rel_error, sensitivity
+from .cpd import (_NULL_RTOL, CPModel, _gram_error, balance_components, rel_error,
+                  sensitivity)
 from .errors import InfeasibleBoundError
-from .tensorops import Mttkrp, cp_residual_sq
+from .tensorops import _ROUNDOFF, _finite_norm, cp_sweep
 # not used here: the benchmark's span tracer (benchmarks/tracing.py) wraps this name
 from .tensorops import khatri_rao  # noqa: F401
 
 # The Gram-form error is recorded only where its roundoff margin is at most
 # this fraction of it, close enough to the dense error to check against delta.
 _ERROR_RTOL = 1e-10
-_SECULAR_ROUNDOFF = 16 * np.finfo(np.float64).eps
 _QP_TOL = 1e-10  # relative tolerance of the secular root and feasibility tests
 _QP_MAX_ITERS = 200  # Newton steps of the secular root-find
 _MAX_SWEEPS = 100  # sweep cap of every correction
@@ -87,7 +87,7 @@ def _secular_solve(yz, gram, norm_y2, delta):
     p = yz @ q                          # columns in the eigenbasis
     s = np.sum(p**2, axis=0)            # component energies
     # eigenvalues below the relative cutoff carry no usable signal
-    cutoff = 1e-12 * (ev[-1] if ev.size else 0.0)
+    cutoff = _NULL_RTOL * (ev[-1] if ev.size else 0.0)
     live = ev > cutoff
     ev_l = ev[live]
     c = s[live] / ev_l
@@ -106,7 +106,7 @@ def _secular_solve(yz, gram, norm_y2, delta):
     # cancels): aim inside the ball by that much plus the acceptance
     # tolerance, so that an accepted residual is at most delta^2 - roundoff
     tol = _QP_TOL * delta2
-    target = delta2 - tol - _SECULAR_ROUNDOFF * norm_y2
+    target = delta2 - tol - _ROUNDOFF * norm_y2
     if delta2 <= r_min + _QP_TOL * scale or target <= r_min:
         # active bound sits at the exact-fit limit: min-norm LS solution
         coef = np.zeros_like(ev)
@@ -162,13 +162,14 @@ def epc_correct(tensor, model, delta=None):
     within `delta`, the absolute Frobenius error bound; None keeps the
     error of the input model.
 
-    Sweeps A -> B -> C cyclically; each update is the exact constrained
-    minimizer of the sensitivity terms involving that factor, so the error
-    bound holds after every update.  The bound holds as stated whenever
-    the ball is wider than the update's least-squares residual by more
-    than the secular solve's tolerance (see :func:`spherical_qp`); at the
-    exact-fit limit the least-squares update is returned, within
-    ``1e-10 max(||T||^2, 1)`` of the bound.  Components are
+    Each sweep is :func:`~convfactor.tensorops.cp_sweep`, the A -> B -> C
+    sweep ALS runs too, with the least-squares factor update replaced by
+    the exact constrained minimizer of the sensitivity terms involving that
+    factor, so the error bound holds after every update.  The bound holds
+    as stated whenever the ball is wider than the update's least-squares
+    residual by more than the secular solve's tolerance (see
+    :func:`spherical_qp`); at the exact-fit limit the least-squares update
+    is returned, within ``1e-10 max(||T||^2, 1)`` of the bound.  Components are
     magnitude-balanced across factors up front and after every sweep (free
     sensitivity reduction, reconstruction unchanged).
 
@@ -189,17 +190,16 @@ def epc_correct(tensor, model, delta=None):
     and stops once an accepted sweep lowers the sensitivity by at most
     ``_SS_TOL = 1e-6`` relative.
 
-    A factor update needs only the factor's MTTKRP (see
-    :class:`~convfactor.tensorops.Mttkrp`), the Hadamard product of the two
-    fixed factors' Grams and ``||T||^2``.  For an I x J x K tensor a sweep
-    therefore costs ``O(I J K R)`` in GEMMs plus ``O((I+J+K) R^2 + R^3)``
-    for the Grams and the three secular solves, and builds no tensor-sized
-    array.  The starting error is :func:`~convfactor.cpd.rel_error`; the
-    per-sweep error is the Gram form of
-    :func:`~convfactor.tensorops.cp_residual_sq`, or ``rel_error`` where
-    that form cannot resolve it to ``1e-10`` relative (close fits and large
-    cancelling components), so every recorded error can be checked against
-    the bound.
+    A factor update needs only the factor's MTTKRP and the two fixed
+    factors' Grams, which ``cp_sweep`` hands it, and ``||T||^2``.  For an
+    I x J x K tensor a sweep therefore costs ``O(I J K R)`` in GEMMs plus
+    ``O((I+J+K) R^2 + R^3)`` for the Grams and the three secular solves, as
+    an ALS sweep does, and builds no tensor-sized array.  The starting
+    error is :func:`~convfactor.cpd.rel_error`; the per-sweep error is the
+    Gram form of :func:`~convfactor.tensorops.cp_residual_sq`, or
+    ``rel_error`` where that form cannot resolve it to ``1e-10`` relative
+    (close fits and large cancelling components), so every recorded error
+    can be checked against the bound.
 
     Returns
     -------
@@ -213,25 +213,28 @@ def epc_correct(tensor, model, delta=None):
     """
     if delta is not None and not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
-    tensor = np.asarray(tensor, dtype=np.float64)
+    tensor = np.ascontiguousarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     if model.shape != tensor.shape:
         raise ValueError(f"model shape {model.shape} != tensor shape {tensor.shape}")
 
-    norm_t = np.linalg.norm(tensor)
+    norm_t = _finite_norm(tensor)
     norm_t2 = norm_t**2
     model = balance_components(model)
     a, b, c = model.A, model.B, model.C
-    mt = Mttkrp(tensor)
 
     err0 = float(rel_error(tensor, model) * norm_t)
     delta = err0 if delta is None else float(delta)
     trace = [{"error": err0, "ss": sensitivity(CPModel(a, b, c))}]
 
-    def update(mttkrp, g1, g2, dim1, dim2, name):
-        """Bounded update of one factor from its MTTKRP; g1, g2 are the
-        Grams of the two fixed factors, of extents dim1, dim2."""
+    i, j, k = tensor.shape
+    fixed_dims = {"A": (j, k), "B": (i, k), "C": (i, j)}
+
+    def update(mttkrp, g1, g2, name):
+        """Bounded update of factor `name` from its MTTKRP; g1, g2 are the
+        Grams of the two fixed factors."""
+        dim1, dim2 = fixed_dims[name]
         try:
             return _factor_update(mttkrp, g1 * g2,
                                   dim2 * np.diag(g1) + dim1 * np.diag(g2),
@@ -242,21 +245,11 @@ def epc_correct(tensor, model, delta=None):
                 min_residual=e.min_residual, bound=e.bound, factor=name,
             ) from e
 
-    i, j, k = tensor.shape
-
     def sweep(b, c):
         """A -> B -> C from the fixed factors B and C: the balanced model,
         its sensitivity and the Gram-form squared error with its roundoff
         allowance."""
-        gb, gc = b.T @ b, c.T @ c
-        w = mt.partial_c(c)
-        a = update(mt.mode0(w, b), gb, gc, j, k, "A")
-        ga = a.T @ a
-        b = update(mt.mode1(w, a), ga, gc, i, k, "B")
-        gb = b.T @ b
-        m_c = mt.mode2(a, b)
-        c = update(m_c, ga, gb, i, j, "C")
-        e2, slack = cp_residual_sq(norm_t2, m_c, c, (ga, gb, c.T @ c))
+        a, b, c, e2, slack = cp_sweep(tensor, norm_t2, b, c, update)
         # single-factor updates cannot move magnitude between factors;
         # rebalancing is free (reconstruction unchanged, ss non-increasing)
         balanced = balance_components(CPModel(a, b, c))

@@ -14,6 +14,7 @@ import numpy as np
 from .cpd import CPModel, cpd_als
 from .epc import epc_correct
 from .errors import InfeasibleBoundError
+from .tensorops import _finite_norm
 from .tucker2 import tucker2_bounded
 
 __all__ = ["HybridModel", "tkd_cpd_epc", "should_merge", "to_equivalent_cp"]
@@ -94,7 +95,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    norm_t = np.linalg.norm(tensor)
+    norm_t = _finite_norm(tensor)
     if delta_total is None:
         if ranks is None:
             raise ValueError(

@@ -18,6 +18,7 @@ from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .fileio import Block
 from .hybrid import HybridModel, should_merge, tkd_cpd_epc, to_equivalent_cp
+from .tensorops import _finite_norm
 
 __all__ = ["decompose_to_block", "fit", "METHODS"]
 
@@ -65,7 +66,7 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         raise ValueError(f"{method} takes no error bound (--delta)")
     if ranks is not None and method != "tkd-cpd-epc":
         raise ValueError(f"{method} takes no multilinear ranks (--ranks)")
-    norm_t = np.linalg.norm(tensor)
+    norm_t = _finite_norm(tensor)
     delta = None if delta_rel is None else float(delta_rel) * norm_t
     report = {"method": method, "rank": int(rank)}
 

@@ -9,14 +9,15 @@ convention ``T_(0)`` of a Kruskal tensor ``[[A, B, C]]`` equals
 All decomposition work is done in float64; float32 is accepted at the
 boundaries and promoted.
 
-The CP solvers work on an I x J x K tensor (a ``D^2 x S x T`` kernel)
-through :class:`Mttkrp` and :func:`cp_residual_sq`.  One sweep over the
-three factors costs O(D^2 S T R) in GEMMs, ``(IJ x K) @ (K x R)`` and
-one ``(R x J) @ (J x K)`` per first-mode slice, plus O((I+J+K) R^2) of
-Gram algebra.  The Khatri-Rao matrices of the textbook MTTKRP, and copies
-of the tensor, are never built, and the residual norm is evaluated from
-the factor Grams instead of a dense reconstruction (Kolda & Bader, SIAM
-Rev. 2009, sec. 3.4).
+The CP solvers, ALS and EPC, both run :func:`cp_sweep` on an I x J x K
+tensor (a ``D^2 x S x T`` kernel) and differ only in the factor update they
+pass it.  One sweep over the three factors costs O(D^2 S T R) in GEMMs,
+``(IJ x K) @ (K x R)`` and one ``(R x J) @ (J x K)`` per first-mode slice,
+plus O((I+J+K) R^2) of Gram algebra.  The Khatri-Rao matrices of the
+textbook MTTKRP, and copies of the tensor, are never built, and the
+residual norm is evaluated from the factor Grams instead of a dense
+reconstruction (:func:`cp_residual_sq`; Kolda & Bader, SIAM Rev. 2009,
+sec. 3.4).
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 __all__ = [
     "khatri_rao",
     "reconstruct_cp",
-    "Mttkrp",
+    "cp_sweep",
     "cp_residual_sq",
     "mode_product",
     "reshape_kernel",
@@ -84,49 +85,56 @@ def reconstruct_cp(a, b, c):
 
 
 # Roundoff allowance, in units of machine epsilon times the magnitude of the
-# terms, for the cancelling sum in :func:`cp_residual_sq`.
-_GRAM_ROUNDOFF = 16 * np.finfo(np.float64).eps
+# terms, for a cancelling sum: the Gram-form residual of
+# :func:`cp_residual_sq` and EPC's secular residual.
+_ROUNDOFF = 16 * np.finfo(np.float64).eps
 
 
-class Mttkrp:
-    """Matricized-tensor-times-Khatri-Rao products of one order-3 tensor.
+def _finite_norm(tensor):
+    """``||tensor||_F``, or ValueError when it is not finite (a nan or inf
+    entry, or overflow): the one input check every solver entry makes."""
+    norm = np.linalg.norm(tensor)
+    if not np.isfinite(norm):
+        raise ValueError("tensor norm is not finite (nan, inf or overflow)")
+    return norm
 
-    ``mode0(w, B) == T_(0) @ khatri_rao(C, B)`` and cyclic analogues,
-    computed as partial contractions of the one ``(I*J, K)`` view of the
-    tensor (no copy for a C-contiguous float64 input).  The contraction
-    with C, ``W = T x_3 C'`` of shape (I, J, R), serves both modes 0 and 1
-    as long as C is unchanged (Phan, Tichavsky & Cichocki, IEEE TSP 2013);
-    mode 2 contracts ``T x_2 B'``, one ``B' T[i]`` GEMM per first-mode
-    slice, with A.  Each product costs ``O(I J K R)`` in GEMMs plus an
-    ``O(I J R)`` or ``O(I K R)`` contraction, with no Khatri-Rao temporary.
+
+def _column_signs(f):
+    """``+-1`` per column of `f`: the factor that makes the column's
+    largest-magnitude entry positive.  A basis or factor scaled by it does
+    not depend on the signs LAPACK picks."""
+    return np.where(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] < 0,
+                    -1.0, 1.0)
+
+
+def cp_sweep(tensor, norm_t2, b, c, update):
+    """One A -> B -> C sweep of a rank-R CP fit of an order-3 tensor.
+
+    `tensor` is a C-contiguous float64 I x J x K array, so its ``(I*J, K)``
+    reshape is a view; `norm_t2` is ``||T||^2``.  Each factor in turn is
+    ``update(m, g1, g2, name)``, with `name` "A", "B" or "C", `m` its MTTKRP
+    from the latest other two factors (``T_(0) @ khatri_rao(C, B)`` for A,
+    cyclic analogues for B and C) and `g1`, `g2` the Grams of those two, in
+    mode order.  The contraction ``W = T x_3 C'``, of shape (I, J, R),
+    serves the A and B updates (Phan, Tichavsky & Cichocki, IEEE TSP 2013);
+    the C update contracts ``B' T[i]``, one GEMM per first-mode slice, with
+    A.  No Khatri-Rao temporary and no copy of the tensor is built.
+
+    Returns
+    -------
+    (a, b, c, e2, slack)
+        The new factors and :func:`cp_residual_sq` of their model.
     """
-
-    def __init__(self, tensor):
-        tensor = _as_f64(tensor)
-        if tensor.ndim != 3:
-            raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
-        self.shape = tensor.shape
-        i, j, k = tensor.shape
-        self.t_k = tensor.reshape(i * j, k)
-
-    def partial_c(self, c):
-        """``W[i, j, r] = sum_k T[i, j, k] C[k, r]``, shared by modes 0 and 1."""
-        return (self.t_k @ c).reshape(self.shape[0], self.shape[1], -1)
-
-    @staticmethod
-    def mode0(w, b):
-        """MTTKRP of mode 0 from ``W = partial_c(C)``: ``(I, R)``."""
-        return np.einsum("ijr,jr->ir", w, b)
-
-    @staticmethod
-    def mode1(w, a):
-        """MTTKRP of mode 1 from ``W = partial_c(C)``: ``(J, R)``."""
-        return np.einsum("ijr,ir->jr", w, a)
-
-    def mode2(self, a, b):
-        """MTTKRP of mode 2: ``(K, R)``."""
-        v = np.matmul(b.T, self.t_k.reshape(self.shape))  # (I, R, K)
-        return np.einsum("irk,ir->kr", v, a)
+    i, j, k = tensor.shape
+    gb, gc = b.T @ b, c.T @ c
+    w = (tensor.reshape(i * j, k) @ c).reshape(i, j, -1)
+    a = update(np.einsum("ijr,jr->ir", w, b), gb, gc, "A")
+    ga = a.T @ a
+    b = update(np.einsum("ijr,ir->jr", w, a), ga, gc, "B")
+    gb = b.T @ b
+    m_c = np.einsum("irk,ir->kr", np.matmul(b.T, tensor), a)
+    c = update(m_c, ga, gb, "C")
+    return (a, b, c, *cp_residual_sq(norm_t2, m_c, c, (ga, gb, c.T @ c)))
 
 
 def cp_residual_sq(norm_t2, m_c, c, grams):
@@ -147,7 +155,7 @@ def cp_residual_sq(norm_t2, m_c, c, grams):
     inner = float(np.vdot(m_c, c))
     had = grams[0] * grams[1] * grams[2]
     e2 = norm_t2 - 2.0 * inner + float(np.sum(had))
-    slack = _GRAM_ROUNDOFF * (norm_t2 + 2.0 * abs(inner) + float(np.sum(np.abs(had))))
+    slack = _ROUNDOFF * (norm_t2 + 2.0 * abs(inner) + float(np.sum(np.abs(had))))
     return e2, slack
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleBoundError
+from .tensorops import _column_signs, _finite_norm
 
 __all__ = [
     "Tucker2Model",
@@ -164,19 +165,13 @@ def _cut(w, energy_bound, rank=None):
     return rank, float(np.sum(w[:rank]))
 
 
-def _signed(vecs):
-    """`vecs` with each column flipped so that its largest-magnitude entry
-    is positive: the basis then does not depend on the sign LAPACK picks."""
-    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    return np.where(peak < 0, -vecs, vecs)
-
-
 def _leading_eigvecs(q, energy_bound, rank=None):
     """Leading eigenvectors of the symmetric `q`, kept by :func:`_cut`, and
     the sum of their eigenvalues."""
     w, vecs = _eigh_desc(q)
     rank, energy = _cut(w, energy_bound, rank)
-    return _signed(vecs[:, :rank]), energy
+    vecs = vecs[:, :rank]
+    return vecs * _column_signs(vecs), energy
 
 
 def _block_eigvecs(q, energy_bound):
@@ -224,7 +219,7 @@ def _block_eigvecs(q, energy_bound):
             vecs = x @ y[:, :rank]
             residual = np.linalg.norm(qx @ y[:, :rank] - vecs * theta[:rank])
             if residual <= _RESIDUAL_TOL * (lower - upper):
-                return _signed(vecs), float(np.sum(theta[:rank]))
+                return vecs * _column_signs(vecs), float(np.sum(theta[:rank]))
         elif it >= _CUT_ITERS - 1:
             return None
         x = np.linalg.qr(qx)[0]
@@ -258,12 +253,15 @@ def _leading_right_vecs(stack, energy_bound, rank=None):
     w, u = _eigh_desc(p @ p.T)
     kept, energy = _cut(np.concatenate([w, np.zeros(n - m)]), energy_bound, rank)
     if kept == 0 or (kept <= m and 0 < w[0] <= _WIDE_SPAN * w[kept - 1]):
-        return _signed(np.linalg.qr(p.T @ u[:, :kept])[0]), energy
-    _, sv, vt = np.linalg.svd(p, full_matrices=False)
-    rank, energy = _cut(np.concatenate([sv**2, np.zeros(n - m)]), energy_bound, rank)
-    if rank > m:
-        vt = np.linalg.svd(p)[2]
-    return _signed(vt[:rank].T), energy
+        vecs = np.linalg.qr(p.T @ u[:, :kept])[0]
+    else:
+        _, sv, vt = np.linalg.svd(p, full_matrices=False)
+        rank, energy = _cut(np.concatenate([sv**2, np.zeros(n - m)]), energy_bound,
+                            rank)
+        if rank > m:
+            vt = np.linalg.svd(p)[2]
+        vecs = vt[:rank].T
+    return vecs * _column_signs(vecs), energy
 
 
 def minimal_rank_eigvecs(q, energy_bound):
@@ -329,7 +327,7 @@ def tucker2_bounded(tensor, delta, ranks=None):
     if not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
     _, s, t = tensor.shape
-    norm2 = float(np.linalg.norm(tensor)) ** 2
+    norm2 = float(_finite_norm(tensor)) ** 2
     bound = norm2 - delta**2
 
     fixed = None if ranks is None else {"U": int(ranks[0]), "V": int(ranks[1])}

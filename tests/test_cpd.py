@@ -208,9 +208,9 @@ class TestStopRules:
         calls = []
         init = cpd._init_factors
 
-        def spy(shape, rank, svd, rng, mt):
+        def spy(tensor, rank, svd, rng):
             calls.append(svd)
-            return init(shape, rank, svd, rng, mt)
+            return init(tensor, rank, svd, rng)
 
         monkeypatch.setattr(cpd, "_init_factors", spy)
         return calls
@@ -220,6 +220,25 @@ class TestStopRules:
         res = cpd_als(noisy_rank3(0), 3)
         assert calls == [True]
         assert res.stop == "tol"
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_n_iters_counts_the_sweeps(self, monkeypatch, seed, bounded):
+        # one cp_sweep per sweep of the returned restart 0, and one trace
+        # entry each, so n_iters can stand for the sweeps a fit computed
+        t = noisy_rank3(seed)
+        delta = None
+        if bounded:
+            delta = 1.1 * cpd_als(t, 3, seed=seed).rel_error * np.linalg.norm(t)
+        inits = self.count_inits(monkeypatch)
+        sweeps = []
+        cp_sweep = cpd.cp_sweep
+        monkeypatch.setattr(cpd, "cp_sweep",
+                            lambda *args: sweeps.append(None) or cp_sweep(*args))
+        res = cpd_als(t, 3, seed=seed, delta=delta)
+        assert inits == [True]
+        assert res.stop == ("bound" if bounded else "tol")
+        assert len(sweeps) == res.n_iters == len(res.rel_errors)
 
     def test_capped_restart_zero_runs_every_restart(self, monkeypatch):
         calls = self.count_inits(monkeypatch)

@@ -23,7 +23,7 @@ from convfactor import (
 from convfactor.cpd import balance_components
 from convfactor.epc import spherical_qp
 from convfactor.errors import InfeasibleBoundError
-from convfactor.tensorops import Mttkrp, khatri_rao
+from convfactor.tensorops import khatri_rao
 
 
 def reference_epc(tensor, model, delta, sweeps, momentum=True):
@@ -335,11 +335,11 @@ class TestEpcCorrect:
         assert np.linalg.norm(t - out.to_tensor()) <= trace[0]["error"] * (1 + 1e-12)
 
     def test_shape_mismatch_error(self):
+        model = CPModel(np.zeros((4, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            epc_correct(
-                np.zeros((3, 3, 3)),
-                CPModel(np.zeros((4, 1)), np.zeros((3, 1)), np.zeros((3, 1))),
-            )
+            epc_correct(np.zeros((3, 3, 3)), model)
+        with pytest.raises(ValueError, match="order-3"):
+            epc_correct(np.zeros((3, 3)), model)
 
     @pytest.mark.parametrize("delta", [-1.0, np.nan])
     def test_invalid_delta_rejected(self, delta):
@@ -487,11 +487,11 @@ def test_error_preserving_epc_repairs_a_cancelling_pair(seed):
 def test_epc_computes_fewer_sweeps_than_plain_sweeps(monkeypatch):
     # 9 x 24 x 24 kernels of decaying CP rank 12 plus 5% noise, fitted at
     # rank 8 and corrected within 10%, like the cpd-epc benchmark job; one
-    # partial_c per sweep computed, extrapolated or plain, kept or not
+    # cp_sweep per sweep computed, extrapolated or plain, kept or not
     calls = []
-    partial_c = Mttkrp.partial_c
-    monkeypatch.setattr(Mttkrp, "partial_c",
-                        lambda self, c: calls.append(None) or partial_c(self, c))
+    cp_sweep = epc.cp_sweep
+    monkeypatch.setattr(epc, "cp_sweep",
+                        lambda *args: calls.append(None) or cp_sweep(*args))
     computed = plain_computed = 0
     traces = []
     for seed in range(8):

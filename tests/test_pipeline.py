@@ -1,10 +1,24 @@
 """The one fit path: :func:`convfactor.pipeline.fit`."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import hybrid_structured_tensor, random_cp_tensor
-from convfactor import ConvSpec, cpd_als, hybrid, pipeline
+from convfactor import (
+    ConvSpec,
+    CPModel,
+    cpd_als,
+    epc_correct,
+    hybrid,
+    pipeline,
+    tkd_cpd_epc,
+    tucker2_bounded,
+)
 from convfactor.cpd import sign_components
 from convfactor.errors import InfeasibleBoundError
 from convfactor.pipeline import decompose_to_block, fit
@@ -159,3 +173,49 @@ def test_delivered_cp_components_have_positive_peaks_in_b_and_c():
                   fit(t, "tkd-cpd-epc", 4, ranks=(3, 3))[0].core_cp):
         for f in (model.B, model.C):
             assert np.all(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] > 0)
+
+
+def _epc(t, delta):
+    return epc_correct(t, CPModel(*(np.ones((n, 2)) for n in t.shape)), delta=delta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda t: cpd_als(t, 2),
+    lambda t: _epc(t, None),
+    lambda t: _epc(t, 1.0),
+    lambda t: tucker2_bounded(t, 1.0),
+    lambda t: tkd_cpd_epc(t, 1.0, 2),
+], ids=["cpd_als", "epc_correct", "epc_correct-delta", "tucker2_bounded",
+        "tkd_cpd_epc"])
+def test_non_finite_tensor_rejected_at_every_entry(entry, bad):
+    # each entry checks the norm it computes anyway
+    t = np.ones((1, 6, 5))
+    t[0, 2, 3] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        entry(t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_tensor(bad):
+    # without the check the svd path returns a NaN model for an inf entry,
+    # or with some LAPACK builds never returns: hence a subprocess with a
+    # timeout
+    code = """
+import sys
+import numpy as np
+from convfactor.pipeline import fit
+t = np.ones((1, 6, 5))
+t[0, 2, 3] = float(sys.argv[1])
+try:
+    fit(t, "svd", 2)
+except ValueError as e:
+    print("ValueError:", e)
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, str(bad)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "ValueError:" in proc.stdout and "not finite" in proc.stdout

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,7 @@ from convfactor import (
     reshape_kernel,
     restore_kernel,
 )
-from convfactor.tensorops import Mttkrp, cp_residual_sq, khatri_rao
+from convfactor.tensorops import cp_residual_sq, cp_sweep, khatri_rao
 
 
 def cp_loop(a, b, c):
@@ -149,36 +151,51 @@ class TestReconstructCp:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-class TestMttkrp:
+class TestCpSweep:
     @pytest.mark.parametrize("dims, rank", [((9, 16, 12), 5), ((1, 4, 6), 3),
                                             ((4, 1, 3), 7), ((3, 5, 1), 2)])
-    def test_matches_khatri_rao_products(self, dims, rank):
+    def test_updates_see_khatri_rao_products(self, dims, rank):
+        # each update gets its MTTKRP from the latest other two factors and
+        # their Grams; the returned error is that of the new factors
         rng = np.random.default_rng(rank)
         t = rng.standard_normal(dims)
-        a, b, c = (rng.standard_normal((n, rank)) for n in dims)
-        mt = Mttkrp(t)
-        w = mt.partial_c(c)
-        cases = [
-            (mt.mode0(w, b), unfold(t, 0) @ khatri_rao(c, b)),
-            (mt.mode1(w, a), unfold(t, 1) @ khatri_rao(c, a)),
-            (mt.mode2(a, b), unfold(t, 2) @ khatri_rao(b, a)),
-        ]
-        for got, ref in cases:
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        b, c = (rng.standard_normal((n, rank)) for n in dims[1:])
+        new = {name: rng.standard_normal((n, rank)) for name, n in zip("ABC", dims)}
+        seen = {}
 
-    def test_tensor_views(self):
-        t = np.random.default_rng(0).standard_normal((2, 3, 4))
-        mt = Mttkrp(t)
-        assert np.shares_memory(mt.t_k, t)  # (I*J, K) is a view
-        assert mt.t_k[1 * 3 + 2, 3] == t[1, 2, 3]
-        # no copy of the tensor is held: every array attribute is a view
-        arrays = [v for v in vars(mt).values() if isinstance(v, np.ndarray)]
-        assert arrays and all(np.shares_memory(v, t) for v in arrays)
+        def update(m, g1, g2, name):
+            seen[name] = (m, g1, g2)
+            return new[name]
 
-    def test_order_error(self):
-        with pytest.raises(ValueError):
-            Mttkrp(np.zeros((2, 2)))
+        a1, b1, c1, e2, slack = cp_sweep(t, np.sum(t**2), b, c, update)
+        assert all(f is new[name] for f, name in zip((a1, b1, c1), "ABC"))
+        expect = {
+            "A": (unfold(t, 0) @ khatri_rao(c, b), b, c),
+            "B": (unfold(t, 1) @ khatri_rao(c, a1), a1, c),
+            "C": (unfold(t, 2) @ khatri_rao(b1, a1), a1, b1),
+        }
+        for name, (m_ref, f1, f2) in expect.items():
+            m, g1, g2 = seen[name]
+            assert m.shape == m_ref.shape
+            assert np.max(np.abs(m - m_ref)) <= 1e-12 * max(1.0, np.max(np.abs(m_ref)))
+            assert np.array_equal(g1, f1.T @ f1) and np.array_equal(g2, f2.T @ f2)
+        dense = np.sum((t - reconstruct_cp(a1, b1, c1)) ** 2)
+        assert abs(e2 - dense) <= slack
+
+    def test_no_tensor_sized_temporary(self):
+        # the (I*J, K) view of a C-contiguous tensor is contracted in place:
+        # a sweep at rank 3 allocates far less than one copy of the tensor
+        rng = np.random.default_rng(0)
+        t = rng.standard_normal((8, 60, 80))
+        b, c = rng.standard_normal((60, 3)), rng.standard_normal((80, 3))
+        norm_t2 = np.sum(t**2)
+        tracemalloc.start()
+        try:
+            cp_sweep(t, norm_t2, b, c, lambda m, g1, g2, name: m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * t.nbytes
 
 
 class TestCpResidualSq:
@@ -190,7 +207,7 @@ class TestCpResidualSq:
         t = rng.standard_normal((4, 5, 6))
         a, b, c = (rng.standard_normal((n, 3)) for n in t.shape)
         a, b = a * scale, b / scale
-        m_c = Mttkrp(t).mode2(a, b)
+        m_c = unfold(t, 2) @ khatri_rao(b, a)
         e2, slack = cp_residual_sq(np.sum(t**2), m_c, c,
                                    (a.T @ a, b.T @ b, c.T @ c))
         dense = np.sum((t - reconstruct_cp(a, b, c)) ** 2)
@@ -201,7 +218,7 @@ class TestCpResidualSq:
         rng = np.random.default_rng(4)
         a, b, c = (rng.standard_normal((n, 2)) for n in (3, 4, 5))
         t = CPModel(a, b, c).to_tensor()
-        e2, slack = cp_residual_sq(np.sum(t**2), Mttkrp(t).mode2(a, b), c,
+        e2, slack = cp_residual_sq(np.sum(t**2), unfold(t, 2) @ khatri_rao(b, a), c,
                                    (a.T @ a, b.T @ b, c.T @ c))
         assert abs(e2) <= slack
 

@@ -18,9 +18,9 @@ from convfactor.tucker2 import (
     _cut,
     _leading_eigvecs,
     _leading_right_vecs,
-    _signed,
     minimal_rank_eigvecs,
 )
+from convfactor.tensorops import _column_signs
 
 
 def q1_loop(tensor, v):
@@ -342,7 +342,8 @@ def hooi_oracle(tensor, delta, ranks=None):
         history.append({"step": label,
                         "ranks": (rank, other) if label == "U" else (other, rank),
                         "energy": energy, "sq_error": max(norm2 - energy, 0.0)})
-        return _signed(vecs[:, ::-1][:, :rank])
+        vecs = vecs[:, ::-1][:, :rank]
+        return vecs * _column_signs(vecs)
 
     v = np.eye(t)
     for _ in range(_ALTERNATIONS):
