@@ -4,9 +4,10 @@ Subcommands: ``decompose`` (factorize a kernel file into a block
 directory), ``rank-search`` (binary search for the smallest acceptable
 rank) and ``verify`` (check a block against its source kernel).
 
-Exit codes: 0 success, 1 infeasible bound, invalid argument value,
-invalid method/shape combination or an output that cannot be written,
-2 malformed or inconsistent input files, 3 external evaluator contract
+Exit codes: 0 success, 1 infeasible bound, usage error or invalid
+argument value (a rank too large to allocate included), invalid
+method/shape combination or an output that cannot be written, 2
+malformed or inconsistent input files, 3 external evaluator contract
 violations.  The commands raise; :func:`main` alone maps an exception to
 its exit code.
 """
@@ -123,17 +124,11 @@ def cmd_decompose(args):
     if "ranks" in report:
         print(f" ranks={report['ranks']} merged={report['merged']}", end="")
     print()
-    if "before" in report:
-        b, a = report["before"], report["after"]
-        print(
-            f"before EPC: rel_error={b['rel_error']:.6e} "
-            f"ss={b['sensitivity']:.6e} sn={b['intensity']:.6e}"
-        )
-        print(
-            f"after  EPC: rel_error={a['rel_error']:.6e} "
-            f"ss={a['sensitivity']:.6e} sn={a['intensity']:.6e}"
-        )
     m = block.metrics
+    if "before" in report:
+        for label, d in (("before", report["before"]), ("after ", m)):
+            print(f"{label} EPC: rel_error={d['rel_error']:.6e} "
+                  f"ss={d['sensitivity']:.6e} sn={d['intensity']:.6e}")
     print(
         f"rel_error={m['rel_error']:.6e} ss={m['sensitivity']:.6e} "
         f"sn={m['intensity']:.6e} params={m['params']} flops={m['flops']}"
@@ -242,8 +237,17 @@ def cmd_verify(args):
     return EXIT_OK if not failures else EXIT_INFEASIBLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as an invalid argument
+    value does, where argparse exits 2, the code of a malformed file."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INFEASIBLE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convfactor",
         description="Factorize convolution kernels into stable low-rank blocks",
     )
@@ -306,7 +310,9 @@ def main(argv=None):
         return code
     except TensorFileError as e:
         return _fail(EXIT_BADFILE, e)
-    except (ValueError, OSError) as e:  # InfeasibleBoundError is a ValueError
+    # InfeasibleBoundError is a ValueError; a MemoryError is an array too large
+    # to allocate, as a huge --rank or --rmax asks for
+    except (ValueError, OSError, MemoryError) as e:
         return _fail(EXIT_INFEASIBLE, e)
 
 

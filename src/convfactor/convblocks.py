@@ -117,42 +117,20 @@ def _out_hw(h, w, kh, kw, stride, pad):
     return ho, wo
 
 
-def _in_bounds(offset, n, n_out, stride, pad):
-    """Slices of the output positions ``p`` whose input ``p*stride + offset -
-    pad`` lies in [0, n), and of those inputs; None when there are none."""
-    first = max(0, -((offset - pad) // stride))
-    last = min(n_out, (n - 1 + pad - offset) // stride + 1)
-    if last <= first:
-        return None
-    start = first * stride + offset - pad
-    return slice(first, last), slice(start, start + (last - first - 1) * stride + 1,
-                                     stride)
-
-
 def _tap_windows(x, kh, kw, stride, pad):
     """Yield ``((i, j), window)`` per kernel tap: the strided (H', W', C)
-    window of the zero-padded (H, W, C) input that tap (i, j) multiplies.
-
-    Every window is copied into one reused contiguous buffer, zero where the
-    tap falls in the padding, and is valid until the next one is drawn; no
-    padded copy of the input is made.  A 1x1 tap at stride 1 without
-    padding yields the input itself.
-    """
+    window that tap (i, j) multiplies, a view of one zero-padded copy of the
+    (H, W, C) input (of the input itself when `pad` is 0)."""
     h, w, c = x.shape
     ho, wo = _out_hw(h, w, kh, kw, stride, pad)
-    if (kh, kw, stride, pad) == (1, 1, 1, 0):
-        yield (0, 0), x
-        return
-    window = np.empty((ho, wo, c))
+    if pad:
+        padded = np.zeros((h + 2 * pad, w + 2 * pad, c))
+        padded[pad:-pad, pad:-pad] = x
+        x = padded
     for i in range(kh):
-        rows = _in_bounds(i, h, ho, stride, pad)
         for j in range(kw):
-            cols = _in_bounds(j, w, wo, stride, pad)
-            if pad:
-                window.fill(0.0)
-            if rows and cols:
-                window[rows[0], cols[0]] = x[rows[1], cols[1]]
-            yield (i, j), window
+            yield (i, j), x[i : i + (ho - 1) * stride + 1 : stride,
+                            j : j + (wo - 1) * stride + 1 : stride]
 
 
 def conv2d_reference(x, spec, kernel):

@@ -214,12 +214,9 @@ def cpd_als(tensor, rank, seed=0, delta=None):
         ``stop`` says why the returned restart ended: ``"bound"``,
         ``"tol"`` or ``"cap"``.
     """
-    tensor = np.ascontiguousarray(tensor, dtype=np.float64)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
+    tensor, norm_t = _finite_norm(tensor)
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    norm_t = _finite_norm(tensor)
     if delta is not None and not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
 

@@ -213,13 +213,10 @@ def epc_correct(tensor, model, delta=None):
     """
     if delta is not None and not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
-    tensor = np.ascontiguousarray(tensor, dtype=np.float64)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
+    tensor, norm_t = _finite_norm(tensor)
     if model.shape != tensor.shape:
         raise ValueError(f"model shape {model.shape} != tensor shape {tensor.shape}")
 
-    norm_t = _finite_norm(tensor)
     norm_t2 = norm_t**2
     model = balance_components(model)
     a, b, c = model.A, model.B, model.C

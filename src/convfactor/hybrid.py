@@ -90,12 +90,9 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     seed : int
         Seed of the core's :func:`~convfactor.cpd.cpd_als` fit.
     """
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
+    tensor, norm_t = _finite_norm(tensor)
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    norm_t = _finite_norm(tensor)
     if delta_total is None:
         if ranks is None:
             raise ValueError(

@@ -18,19 +18,11 @@ from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .fileio import Block
 from .hybrid import HybridModel, should_merge, tkd_cpd_epc, to_equivalent_cp
-from .tensorops import _finite_norm
+from .tensorops import _column_signs, _finite_norm
 
 __all__ = ["decompose_to_block", "fit", "METHODS"]
 
 METHODS = ("cpd", "cpd-epc", "tkd-cpd-epc", "svd")
-
-
-def _diagnostics(rel, model):
-    return {
-        "rel_error": rel,
-        "sensitivity": sensitivity(model),
-        "intensity": intensity(model),
-    }
 
 
 def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
@@ -46,18 +38,21 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     alone.  An argument the method would ignore, `delta_rel` for cpd or
     svd or `ranks` for any other method, raises ValueError.
 
-    Returns (model, report).  The model is a HybridModel for tkd-cpd-epc
-    and a CPModel otherwise (for svd, the truncated SVD of the 1x1
-    kernel's matrix: singular values in A, right singular vectors in B,
-    left ones in C).  The report carries the model's relative error as
-    "rel_error", which :func:`~convfactor.cpd.rel_error` computes for every
-    method from the CP factors (for the hybrid, those of
-    :func:`~convfactor.hybrid.to_equivalent_cp`), and, for cpd-epc,
-    diagnostics before and after EPC.  Every CP model but the svd one (for
-    the hybrid, the core's) passes :func:`~convfactor.cpd.sign_components`
-    once, so the delivered factors do not depend on the signs LAPACK picks.
+    Returns (model, report): the model :func:`decompose_to_block` ships, and
+    the kind of its block as ``report["block"]``.  That is a HybridModel
+    ("tkd-cpd") for an unmerged tkd-cpd-epc and a CPModel ("cpd")
+    otherwise: the equivalent CP (:func:`~convfactor.hybrid.to_equivalent_cp`)
+    of a merged hybrid, or ("svd") the truncated SVD of the 1x1 kernel's
+    matrix, singular values in A, right singular vectors in B, left ones in
+    C.  The report carries the model's relative error as "rel_error",
+    which :func:`~convfactor.cpd.rel_error` computes for every method from
+    the CP factors (for the hybrid, those of its equivalent CP), and, for
+    cpd-epc, the diagnostics of the ALS fit EPC starts from as "before".
+    Every CP model but the svd one (for the hybrid, the core's) passes
+    :func:`~convfactor.cpd.sign_components` once, and the svd pairs take the
+    signs that make each column of B peak positive, so the delivered
+    factors do not depend on the signs LAPACK picks.
     """
-    tensor = np.asarray(tensor, dtype=np.float64)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if rank < 1:
@@ -66,9 +61,10 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         raise ValueError(f"{method} takes no error bound (--delta)")
     if ranks is not None and method != "tkd-cpd-epc":
         raise ValueError(f"{method} takes no multilinear ranks (--ranks)")
-    norm_t = _finite_norm(tensor)
+    tensor, norm_t = _finite_norm(tensor)
     delta = None if delta_rel is None else float(delta_rel) * norm_t
-    report = {"method": method, "rank": int(rank)}
+    report = {"method": method, "rank": int(rank),
+              "block": "svd" if method == "svd" else "cpd"}
 
     if method == "svd":
         if tensor.shape[0] != 1:
@@ -76,7 +72,8 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         u, s_vals, vt = np.linalg.svd(tensor[0].T, full_matrices=False)
         if rank > s_vals.size:
             raise ValueError(f"rank must lie in [1, {s_vals.size}]")
-        model = CPModel(s_vals[None, :rank], vt[:rank].T, u[:, :rank])
+        signs = _column_signs(vt[:rank].T)
+        model = CPModel(s_vals[None, :rank], vt[:rank].T * signs, u[:, :rank] * signs)
 
     elif method == "cpd":
         model = cpd_als(tensor, rank, seed=seed).model
@@ -85,7 +82,9 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         try:
             if method == "cpd-epc":
                 res = cpd_als(tensor, rank, seed=seed, delta=delta)
-                report["before"] = _diagnostics(res.rel_error, res.model)
+                report["before"] = {"rel_error": res.rel_error,
+                                    "sensitivity": sensitivity(res.model),
+                                    "intensity": intensity(res.model)}
                 model, _ = epc_correct(tensor, res.model, delta=delta)
             else:  # tkd-cpd-epc
                 model = tkd_cpd_epc(tensor, delta, rank, theta=theta, ranks=ranks,
@@ -104,15 +103,15 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
                 min_residual=e.min_residual, bound=e.bound, factor=e.factor,
             ) from e
 
+    cp = model
     if isinstance(model, HybridModel):
         model = HybridModel(model.U, model.V, sign_components(model.core_cp))
-    elif method != "svd":  # the svd model keeps its singular values positive
-        model = sign_components(model)
-    cp = to_equivalent_cp(model) if isinstance(model, HybridModel) else model
+        cp = to_equivalent_cp(model)
+        report["block"] = "cpd" if report["merged"] else "tkd-cpd"
+    elif method != "svd":  # the svd pairs took their signs above
+        model = cp = sign_components(model)
     report["rel_error"] = rel_error(tensor, cp)
-    if method == "cpd-epc":
-        report["after"] = _diagnostics(report["rel_error"], model)
-    return model, report
+    return (model if report["block"] == "tkd-cpd" else cp), report
 
 
 def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5,
@@ -126,17 +125,11 @@ def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5
     """
     model, report = fit(tensor, method, rank, seed=seed, ranks=ranks, theta=theta,
                         delta_rel=delta_rel)
-    if method == "svd":
-        kind = "svd"
-        layers = emit_svd_block(model, spec)
-    elif method == "tkd-cpd-epc" and not report["merged"]:
-        kind = "tkd-cpd"
-        layers = emit_tkd_cpd_block(model, spec)
-    else:
-        kind = "cpd"
-        if method == "tkd-cpd-epc":
-            model = to_equivalent_cp(model)
-        layers = emit_cpd_block(model, spec)
+    kind = report["block"]
+    # looked up per call: the benchmark's span tracer wraps the emitters' names
+    emit = {"cpd": emit_cpd_block, "tkd-cpd": emit_tkd_cpd_block,
+            "svd": emit_svd_block}[kind]
+    layers = emit(model, spec)
     metrics = {"rel_error": float(report["rel_error"]),
                **block_metrics(layers, kind, input_hw)}
     return Block(kind, spec, layers, metrics), report

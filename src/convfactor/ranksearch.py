@@ -132,7 +132,7 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
     ranks = _search_ranks(tensor, method, ranks)
     if r_max is None:
         d2, s, t = np.shape(tensor)
-        r1, r2 = ranks if method == "tkd-cpd-epc" else (s, t)
+        r1, r2 = ranks or (s, t)
         r_max = min(d2 * r1, d2 * r2, r1 * r2)
     if r_min < 1 or r_min > r_max:
         raise ValueError(f"need 1 <= r_min <= r_max, got [{r_min}, {r_max}]")

@@ -91,12 +91,17 @@ _ROUNDOFF = 16 * np.finfo(np.float64).eps
 
 
 def _finite_norm(tensor):
-    """``||tensor||_F``, or ValueError when it is not finite (a nan or inf
-    entry, or overflow): the one input check every solver entry makes."""
+    """``(tensor, ||tensor||_F)`` with `tensor` as a C-contiguous float64
+    array, or ValueError when it is not of order 3 or its norm is not finite
+    (a nan or inf entry, or overflow): the one input check every solver
+    entry makes."""
+    tensor = np.ascontiguousarray(tensor, dtype=np.float64)
+    if tensor.ndim != 3:
+        raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     norm = np.linalg.norm(tensor)
     if not np.isfinite(norm):
         raise ValueError("tensor norm is not finite (nan, inf or overflow)")
-    return norm
+    return tensor, norm
 
 
 def _column_signs(f):

@@ -321,13 +321,11 @@ def tucker2_bounded(tensor, delta, ranks=None):
     records ``{"step", "ranks", "energy", "sq_error"}``, where energy is
     the sum of the kept eigenvalues.
     """
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
+    tensor, norm_t = _finite_norm(tensor)
     if not delta >= 0:  # rejects NaN
         raise ValueError("delta must be >= 0")
     _, s, t = tensor.shape
-    norm2 = float(_finite_norm(tensor)) ** 2
+    norm2 = float(norm_t) ** 2
     bound = norm2 - delta**2
 
     fixed = None if ranks is None else {"U": int(ranks[0]), "V": int(ranks[1])}

@@ -412,6 +412,18 @@ class TestCliDecompose:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_failed_rename_exits_1_and_leaves_no_temporary(self, tmp_path, capsys):
+        # the block file's final rename fails when its name is a directory
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(30))
+        out = tmp_path / "out"
+        (out / "block.json").mkdir(parents=True)
+        assert main([
+            "decompose", "--input", str(kpath), "--method", "cpd", "--rank", "2",
+            "--out", str(out),
+        ]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(out.glob(".tmp-kten-*")) == []
+
     def test_unreachable_delta_is_reported_in_the_flags_units(self, tmp_path):
         kpath = tmp_path / "k.kten"
         write_tensor(kpath, np.random.default_rng(0).standard_normal((3, 3, 12, 10)))
@@ -496,6 +508,15 @@ class TestCliVerify:
         ])
         assert code == 0
         assert "trials: 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "unparsable"])
+    def test_unreadable_block_file_exits_2(self, tmp_path, capsys, text):
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(14))
+        bpath = tmp_path / "block.json"
+        if text is not None:
+            bpath.write_text(text)
+        assert main(["verify", "--block", str(bpath), "--input", str(kpath)]) == 2
+        assert f"error: {bpath}: " in capsys.readouterr().err
 
     def test_negative_trials_rejected_before_any_file_is_read(
             self, tmp_path, capsys):
@@ -1089,15 +1110,26 @@ class TestCliArgumentValues:
         ["verify", "--hw", "0,0"],
         ["verify", "--seed", "-1"],
         ["verify", "--trials", "-1"],
+        # usage errors, which argparse exits 2 for
+        ["decompose", "--method", "cpd", "--rank", "abc"],
+        ["decompose", "--method", "cpd", "--rank", "2", "--hw", "5"],
+        ["decompose", "--method", "bogus", "--rank", "2"],
+        ["verify", "--trials", "x"],
+        # ranks numpy refuses to allocate for
+        ["decompose", "--method", "cpd", "--rank", str(10**15)],
+        ["decompose", "--method", "tkd-cpd-epc", "--rank", str(10**15), "--delta",
+         "0.5"],
+        ["rank-search", "--method", "cpd-epc", "--eps", "0.1", "--rmax", str(10**15)],
     ], ids=" ".join)
     def test_exits_1_without_traceback(self, files, argv):
         tmp, kpath, block = files
         extra = {"decompose": ["--out", str(tmp / "o")],
                  "rank-search": ["--rmax", "3"],
                  "verify": ["--block", str(block)]}[argv[0]]
+        # the extra arguments go first, so a flag in `argv` overrides them
         proc = subprocess.run(
-            [sys.executable, "-m", "convfactor.cli", *argv, "--input", str(kpath),
-             *extra],
+            [sys.executable, "-m", "convfactor.cli", argv[0], *extra, *argv[1:],
+             "--input", str(kpath)],
             env=subprocess_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 1

@@ -142,23 +142,35 @@ def test_unreachable_hybrid_bound_is_restated_relative_to_the_norm(
     ("cpd-epc", 3, {"delta_rel": 0.2}),
     ("tkd-cpd-epc", 3, {"delta_rel": 0.2}),
     ("tkd-cpd-epc", 4, {"ranks": (3, 3)}),
-], ids=["cpd", "cpd-epc", "tkd-merged", "tkd-unmerged"])
+    ("svd", 3, {}),
+], ids=["cpd", "cpd-epc", "tkd-merged", "tkd-unmerged", "svd"])
 def test_blocks_do_not_depend_on_the_seeds_lapack_signs(monkeypatch, method, rank,
                                                         kwargs):
-    # ALS takes its restart-0 seed from eigh, whose signs LAPACK picks (and
-    # picks differently with the BLAS thread count); flipping every other
-    # eigenvector must not change the emitted layers
+    # ALS takes its restart-0 seed from eigh, and the svd method its pairs
+    # from svd, whose signs LAPACK picks (and picks differently with the BLAS
+    # thread count); flipping every other eigenvector and every other
+    # singular pair must not change the emitted layers
     t = hybrid_structured_tensor(np.random.default_rng(3), (9, 7, 6), (4, 4), 3,
                                  noise=0.05)
     spec = ConvSpec(7, 6, 3, pad=1)
+    if method == "svd":
+        t, spec = t[:1], ConvSpec(7, 6, 1)
     ref, _ = decompose_to_block(t, method, rank, spec, **kwargs)
-    eigh = np.linalg.eigh
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def flip(vecs):
+        return vecs * np.where(np.arange(vecs.shape[1]) % 2, -1.0, 1.0)
 
     def flipped_eigh(a, *args, **kw):
         w, vecs = eigh(a, *args, **kw)
-        return w, vecs * np.where(np.arange(vecs.shape[1]) % 2, -1.0, 1.0)
+        return w, flip(vecs)
+
+    def flipped_svd(a, *args, **kw):
+        u, s, vt = svd(a, *args, **kw)
+        return flip(u), s, flip(vt.T).T
 
     monkeypatch.setattr(np.linalg, "eigh", flipped_eigh)
+    monkeypatch.setattr(np.linalg, "svd", flipped_svd)
     got, _ = decompose_to_block(t, method, rank, spec, **kwargs)
     assert got.kind == ref.kind
     for layer, want in zip(got.layers, ref.layers, strict=True):
