@@ -5,8 +5,9 @@ directory), ``rank-search`` (binary search for the smallest acceptable
 rank) and ``verify`` (check a block against its source kernel).
 
 Exit codes: 0 success, 1 infeasible bound, usage error or invalid
-argument value (a rank too large to allocate included), invalid
-method/shape combination or an output that cannot be written, 2
+argument value (a rank too large to allocate or a kernel norm out of
+range included), invalid method/shape combination or an output that
+cannot be written, 2
 malformed or inconsistent input files, 3 external evaluator contract
 violations.  The commands raise; :func:`main` alone maps an exception to
 its exit code.
@@ -267,8 +268,8 @@ def build_parser():
     p = sub.add_parser("decompose", parents=[fit],
                        help="factorize a kernel file into a block")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--theta", type=float, default=0.5,
-                   help="share of the squared budget for the Tucker stage")
+    p.add_argument("--theta", type=float, default=None,
+                   help="the Tucker stage's budget share (free ranks; default 0.5)")
     p.add_argument("--delta", type=float, default=None,
                    help="error bound as a fraction of the kernel norm")
     p.add_argument("--hw", type=lambda s: _parse_pair(s, "--hw"), default=(56, 56),

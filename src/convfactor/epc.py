@@ -54,7 +54,7 @@ def spherical_qp(y, zt, delta):
     -------
     (X, mu) : (ndarray, float)
         mu is 0 when the origin is feasible, inf at the exact-fit limit:
-        when the bound is within ``1e-10 max(||Y||^2, 1)`` of the
+        when the bound is within ``1e-10 ||Y||^2`` of the
         least-squares residual, the least-squares solution is returned.
 
     Raises
@@ -94,8 +94,7 @@ def _secular_solve(yz, gram, norm_y2, delta):
 
     # least-squares residual: energy outside the reachable subspace
     r_min = max(norm_y2 - float(np.sum(c)), 0.0)
-    scale = max(norm_y2, 1.0)
-    if r_min > delta2 + _QP_TOL * scale:
+    if r_min > delta2 + _QP_TOL * norm_y2:
         raise InfeasibleBoundError(
             f"least-squares residual {r_min:.6g} exceeds bound {delta2:.6g}",
             min_residual=r_min,
@@ -107,7 +106,7 @@ def _secular_solve(yz, gram, norm_y2, delta):
     # tolerance, so that an accepted residual is at most delta^2 - roundoff
     tol = _QP_TOL * delta2
     target = delta2 - tol - _ROUNDOFF * norm_y2
-    if delta2 <= r_min + _QP_TOL * scale or target <= r_min:
+    if delta2 <= r_min + _QP_TOL * norm_y2 or target <= r_min:
         # active bound sits at the exact-fit limit: min-norm LS solution
         coef = np.zeros_like(ev)
         coef[live] = 1.0 / ev_l
@@ -169,7 +168,7 @@ def epc_correct(tensor, model, delta=None):
     as stated whenever the ball is wider than the update's least-squares
     residual by more than the secular solve's tolerance (see
     :func:`spherical_qp`); at the exact-fit limit the least-squares update
-    is returned, within ``1e-10 max(||T||^2, 1)`` of the bound.  Components are
+    is returned, within ``1e-10 ||T||^2`` of the bound.  Components are
     magnitude-balanced across factors up front and after every sweep (free
     sensitivity reduction, reconstruction unchanged).
 

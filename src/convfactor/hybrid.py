@@ -84,7 +84,8 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     rank : int
         CP rank of the core.
     theta : float
-        Fraction of the squared budget given to the Tucker stage.
+        Fraction of the squared budget given to the Tucker stage; fixed
+        `ranks` ignore it.
     ranks : (R1, R2), optional
         Fix the multilinear ranks instead of deriving them from the bound.
     seed : int
@@ -105,10 +106,9 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
 
     # no budget means fixed ranks, where tucker2_bounded ignores its bound
     delta_tkd = 0.0 if delta_total is None else np.sqrt(theta) * delta_total
-    tkd = tucker2_bounded(tensor, delta_tkd, ranks=ranks)
-    if min(tkd.ranks) == 0:
-        # an empty core (vacuous bound, zero tensor) has no CP: keep one per mode
-        tkd = tucker2_bounded(tensor, delta_tkd, ranks=(1, 1))
+    # an empty core (vacuous bound, zero tensor) has no CP: keep one per mode
+    vacuous = ranks is None and norm_t**2 - delta_tkd**2 <= 0
+    tkd = tucker2_bounded(tensor, delta_tkd, ranks=(1, 1) if vacuous else ranks)
     core = tkd.G
     norm_core = np.linalg.norm(core)
     delta_core = None  # no budget: EPC keeps the core fit's error
@@ -117,7 +117,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
         if err_tkd2 > delta_total**2 * (1 + 1e-9) + 1e-12 * norm_t**2:
             raise InfeasibleBoundError(
                 "the Tucker stage alone already exceeds the total budget; "
-                "increase theta or use fixed larger multilinear ranks",
+                "use larger fixed multilinear ranks",
                 min_residual=err_tkd2,
                 bound=delta_total**2,
             )
@@ -126,15 +126,14 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     r1, r2 = tkd.ranks
     res = cpd_als(core, rank, seed=seed, delta=delta_core)
     err_core = res.rel_error * norm_core
-    slack = 1e-9 * max(norm_core, 1.0)
     model = res.model
-    if delta_core is not None and err_core > delta_core + slack:
+    if delta_core is not None and err_core > delta_core + 1e-9 * norm_core:
         if rank >= r1 * r2:
             model = _exact_core_model(core, rank)
         else:
+            share = "" if ranks else " or give the Tucker stage a smaller share (theta)"
             raise InfeasibleBoundError(
-                f"CP rank {rank} cannot meet the core budget; raise the rank "
-                f"or give the Tucker stage a smaller share (theta)",
+                f"CP rank {rank} cannot meet the core budget; raise the rank{share}",
                 min_residual=err_core**2,
                 bound=delta_core**2,
             )

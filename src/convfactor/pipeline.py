@@ -25,7 +25,7 @@ __all__ = ["decompose_to_block", "fit", "METHODS"]
 METHODS = ("cpd", "cpd-epc", "tkd-cpd-epc", "svd")
 
 
-def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
+def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
     """Decompose a (D^2, S, T) tensor with `method` at CP rank `rank`.
 
     Every CP fit is ``cpd_als(..., seed=seed)`` and every correction
@@ -34,9 +34,10 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     as a fraction of the tensor norm.  The bound goes to both solvers: ALS
     stops at its first sweep inside it and EPC trades what is left of it
     for lower sensitivity.  When omitted, ALS runs to convergence and EPC
-    preserves the error the fit achieved.  `ranks` and `theta` shape tkd-cpd-epc
-    alone.  An argument the method would ignore, `delta_rel` for cpd or
-    svd or `ranks` for any other method, raises ValueError.
+    preserves the error the fit achieved.  `ranks` shapes tkd-cpd-epc alone,
+    `theta` (None: the hybrid's default) only its free ranks, and an
+    argument the method would ignore, such as these or `delta_rel` for cpd
+    or svd, raises ValueError.
 
     Returns (model, report): the model :func:`decompose_to_block` ships, and
     the kind of its block as ``report["block"]``.  That is a HybridModel
@@ -61,6 +62,9 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
         raise ValueError(f"{method} takes no error bound (--delta)")
     if ranks is not None and method != "tkd-cpd-epc":
         raise ValueError(f"{method} takes no multilinear ranks (--ranks)")
+    if theta is not None and (method != "tkd-cpd-epc" or ranks is not None):
+        what = method if ranks is None else f"{method} with fixed ranks"
+        raise ValueError(f"{what} takes no budget share (--theta)")
     tensor, norm_t = _finite_norm(tensor)
     delta = None if delta_rel is None else float(delta_rel) * norm_t
     report = {"method": method, "rank": int(rank),
@@ -87,8 +91,9 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
                                     "intensity": intensity(res.model)}
                 model, _ = epc_correct(tensor, res.model, delta=delta)
             else:  # tkd-cpd-epc
-                model = tkd_cpd_epc(tensor, delta, rank, theta=theta, ranks=ranks,
-                                    seed=seed)
+                share = {} if theta is None else {"theta": theta}
+                model = tkd_cpd_epc(tensor, delta, rank, ranks=ranks, seed=seed,
+                                    **share)
                 report["ranks"] = model.ranks
                 report["merged"] = should_merge(model.ranks)
         except InfeasibleBoundError as e:
@@ -114,7 +119,7 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=0.5, delta_rel=None):
     return (model if report["block"] == "tkd-cpd" else cp), report
 
 
-def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=0.5,
+def decompose_to_block(tensor, method, rank, spec, seed=0, ranks=None, theta=None,
                        delta_rel=None, input_hw=(56, 56)):
     """Decompose a (D^2, S, T) tensor (see :func:`fit`) and emit the
     matching layer block.

@@ -88,19 +88,25 @@ def reconstruct_cp(a, b, c):
 # terms, for a cancelling sum: the Gram-form residual of
 # :func:`cp_residual_sq` and EPC's secular residual.
 _ROUNDOFF = 16 * np.finfo(np.float64).eps
+# Norms a nonzero tensor may have: every solver tolerance is relative, and
+# fits of every method were scale-free from about 1e-114 to 1e114 in a probe
+_NORM_RANGE = (1e-50, 1e50)
 
 
 def _finite_norm(tensor):
     """``(tensor, ||tensor||_F)`` with `tensor` as a C-contiguous float64
-    array, or ValueError when it is not of order 3 or its norm is not finite
-    (a nan or inf entry, or overflow): the one input check every solver
-    entry makes."""
+    array, or ValueError when it is not of order 3, its norm is not finite
+    (nan, inf or overflow) or, nonzero, outside ``_NORM_RANGE`` (underflow
+    included): the one input check every solver entry makes."""
     tensor = np.ascontiguousarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     norm = np.linalg.norm(tensor)
     if not np.isfinite(norm):
         raise ValueError("tensor norm is not finite (nan, inf or overflow)")
+    if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1] and (norm > 0 or tensor.any()):
+        raise ValueError(f"tensor norm {norm:.3g} of a nonzero tensor is outside "
+                         f"{_NORM_RANGE}; rescale it")
     return tensor, norm
 
 

@@ -13,8 +13,8 @@ them (``sum_d K(d) K(d)'`` when V = I, with no copy); with a free cut, a
 block subspace iteration finds the kept eigenvectors and certifies that its
 cut is the one the full spectrum gives, and only an uncertified result
 takes a full ``eigh``.  A wide one takes ``eigh`` of the small m x m
-``P P'``.  numpy does all of it: importing ``scipy.linalg`` would double
-the peak memory of a ``convfactor`` process.
+``P P'`` and one QR of ``P' u``.  numpy does all of it: importing
+``scipy.linalg`` would double the peak memory of a ``convfactor`` process.
 """
 
 from dataclasses import dataclass, field
@@ -40,10 +40,7 @@ _BLOCK = 32  # columns of the block iteration of a tall step's Gram
 _BLOCK_ITERS = 4  # block iterations before the full eigh takes over
 _CUT_ITERS = 2  # iterations within which the block must certify the cut
 _RESIDUAL_TOL = 1e-10  # Ritz residual a block result may keep, over its gap
-# largest ratio of the first to the last kept eigenvalue of P P' for which a
-# wide step takes its right vectors from P' u: eigh gives each eigenvalue to
-# about eps times the first, so the last kept one to about 2e-10 relative
-_WIDE_SPAN = 1e6
+_CUT_SLACK = 1e-12  # a free cut's slack below its energy bound, over the trace
 
 
 @dataclass
@@ -148,8 +145,8 @@ def _cut(w, energy_bound, rank=None):
     w = np.maximum(w, 0.0)
     if rank is None:
         total = float(np.sum(w))
-        slack = 1e-12 * max(total, 1.0)
-        if energy_bound > total * (1 + 1e-10) + slack:
+        target = energy_bound - _CUT_SLACK * total
+        if target > total * (1 + 1e-10):
             raise InfeasibleBoundError(
                 f"energy bound {energy_bound:.6g} exceeds tr(Q) = {total:.6g}",
                 min_residual=total,
@@ -157,8 +154,7 @@ def _cut(w, energy_bound, rank=None):
             )
         rank = 0
         if energy_bound > 0:
-            rank = min(int(np.searchsorted(np.cumsum(w), energy_bound - slack) + 1),
-                       len(w))
+            rank = min(int(np.searchsorted(np.cumsum(w), target) + 1), len(w))
             lam_cut = w[rank - 1]
             while rank < len(w) and w[rank] >= lam_cut * (1 - _TIE_TOL) and w[rank] > 0:
                 rank += 1
@@ -201,7 +197,7 @@ def _block_eigvecs(q, energy_bound):
     if energy_bound <= 0:
         return np.zeros((n, 0)), 0.0
     trace = float(np.trace(q))
-    target = energy_bound - 1e-12 * max(trace, 1.0)  # _cut's slack
+    target = energy_bound - _CUT_SLACK * trace  # _cut's target
     allow = 8 * n * _BLOCK * np.finfo(np.float64).eps * trace
     start = np.argsort(-q.diagonal(), kind="stable")[:_BLOCK]
     x = np.linalg.qr(q[:, start])[0]
@@ -237,9 +233,8 @@ def _leading_right_vecs(stack, energy_bound, rank=None):
     same n of them.  The kept right vectors are ``P' u / sigma``, taken as
     the QR of ``P' u``: the QR keeps their span and makes them orthonormal
     to roundoff, which ``P' u / sigma`` is only to about ``eps`` times the
-    ratio of the first to the last kept eigenvalue.  A ratio above
-    ``_WIDE_SPAN`` takes the thin SVD of ``P`` instead, and a cut past m the
-    full SVD, whose null-space vectors complete the basis.
+    ratio of the first to the last kept eigenvalue.  A cut past m takes the
+    complete QR, whose extra columns lie in the null space of ``P``.
     """
     m, n = stack.shape[0] * stack.shape[1], stack.shape[2]
     if m >= n:
@@ -251,16 +246,9 @@ def _leading_right_vecs(stack, energy_bound, rank=None):
         return _leading_eigvecs(q, energy_bound, rank)
     p = stack.reshape(m, n)
     w, u = _eigh_desc(p @ p.T)
-    kept, energy = _cut(np.concatenate([w, np.zeros(n - m)]), energy_bound, rank)
-    if kept == 0 or (kept <= m and 0 < w[0] <= _WIDE_SPAN * w[kept - 1]):
-        vecs = np.linalg.qr(p.T @ u[:, :kept])[0]
-    else:
-        _, sv, vt = np.linalg.svd(p, full_matrices=False)
-        rank, energy = _cut(np.concatenate([sv**2, np.zeros(n - m)]), energy_bound,
-                            rank)
-        if rank > m:
-            vt = np.linalg.svd(p)[2]
-        vecs = vt[:rank].T
+    rank, energy = _cut(np.concatenate([w, np.zeros(n - m)]), energy_bound, rank)
+    mode = "complete" if rank > m else "reduced"
+    vecs = np.linalg.qr(p.T @ u[:, :rank], mode=mode)[0][:, :rank]
     return vecs * _column_signs(vecs), energy
 
 
@@ -305,9 +293,8 @@ def tucker2_bounded(tensor, delta, ranks=None):
     ``eigh`` of the Gram:
 
     * a step whose ``P`` has fewer rows than columns takes ``eigh`` of the
-      m x m ``P P'`` and the right vectors ``P' u`` (orthonormalized by a
-      QR), or the SVD of ``P`` when the kept eigenvalues span more than
-      ``_WIDE_SPAN`` or the cut passes m;
+      m x m ``P P'`` and the right vectors ``P' u``, orthonormalized by one
+      QR, complete when the cut passes m;
     * a tall step with a free cut and n of at least ``4 _BLOCK`` runs a few
       block iterations on its Gram, started from the Gram's largest-diagonal
       columns, and keeps their Ritz vectors only under a certificate that

@@ -1099,6 +1099,9 @@ class TestCliArgumentValues:
         ["decompose", "--method", "cpd-epc", "--rank", "2", "--ranks", "2,2"],
         ["decompose", "--method", "tkd-cpd-epc", "--rank", "2", "--delta", "0.1",
          "--theta", "1.5"],
+        ["decompose", "--method", "cpd", "--rank", "2", "--theta", "0.5"],
+        ["decompose", "--method", "tkd-cpd-epc", "--rank", "2", "--ranks", "2,2",
+         "--theta", "0.1"],
         # the Tucker stage alone is over the budget
         ["decompose", "--method", "tkd-cpd-epc", "--rank", "2", "--delta", "0.01",
          "--ranks", "1,1"],
@@ -1135,6 +1138,22 @@ class TestCliArgumentValues:
         assert proc.returncode == 1
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-60, 1e60])
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--method", "cpd-epc", "--rank", "2", "--delta", "0.5"],
+        ["decompose", "--method", "tkd-cpd-epc", "--rank", "2", "--delta", "0.5"],
+        ["rank-search", "--method", "cpd", "--eps", "0.1"],
+    ], ids=" ".join)
+    def test_kernel_outside_the_norm_range_exits_1(self, files, capsys, scale, argv):
+        # at 1e-200 the norm underflows to 0, and the solvers would ship a
+        # zero model; outside the range their tolerances no longer scale
+        tmp, kpath, _ = files
+        scaled = tmp / f"scaled-{scale:g}.kten"
+        write_tensor(scaled, scale * read_tensor(kpath))
+        extra = ["--out", str(tmp / "o")] if argv[0] == "decompose" else []
+        assert main([*argv, *extra, "--input", str(scaled)]) == 1
+        assert capsys.readouterr().err.startswith("error: tensor norm ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -14,6 +14,7 @@ from convfactor import (
     should_merge,
     tkd_cpd_epc,
     to_equivalent_cp,
+    tucker2_bounded,
 )
 from convfactor.cpd import AlsResult
 from convfactor.errors import InfeasibleBoundError
@@ -151,6 +152,34 @@ class TestTkdCpdEpc:
         g = core_closed_form(t, model.U, model.V)
         raw = cpd_als(g, 5).model
         assert sensitivity(model.core_cp) <= sensitivity(raw) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("kernel, theta", [
+        (np.zeros((4, 5, 6)), 0.5),
+        (np.random.default_rng(6).standard_normal((4, 5, 6)), 1.0),
+    ], ids=["zero-kernel", "vacuous-delta"])
+    def test_vacuous_tucker_bound_solved_once(self, monkeypatch, kernel, theta):
+        # a Tucker share at ||t|| keeps no rank: the stage is solved once, at
+        # one rank per mode, so that the core has a CP
+        calls = []
+
+        def spy(tensor, delta, ranks=None):
+            calls.append(ranks)
+            return tucker2_bounded(tensor, delta, ranks=ranks)
+
+        monkeypatch.setattr("convfactor.hybrid.tucker2_bounded", spy)
+        model = tkd_cpd_epc(kernel, np.linalg.norm(kernel), rank=2, theta=theta)
+        assert calls == [(1, 1)]
+        assert model.ranks == (1, 1, 2)
+
+    def test_fixed_ranks_errors_do_not_advise_theta(self):
+        # fixed ranks ignore theta, so neither stage's error suggests it
+        t, _ = random_tucker2_tensor(np.random.default_rng(2), (6, 8, 7), (3, 3))
+        norm = np.linalg.norm(t)
+        with pytest.raises(InfeasibleBoundError, match="exceeds the total") as e:
+            tkd_cpd_epc(t, 0.01 * norm, rank=2, ranks=(1, 1))
+        assert "theta" not in str(e.value)
+        with pytest.raises(InfeasibleBoundError, match="raise the rank$") as e:
+            tkd_cpd_epc(t, 1e-10 * norm, rank=1, ranks=(3, 3))
 
     def test_errors(self):
         t = np.zeros((2, 2, 2))

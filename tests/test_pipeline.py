@@ -1,12 +1,16 @@
 """The one fit path: :func:`convfactor.pipeline.fit`."""
 
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hybrid_structured_tensor, random_cp_tensor
 from convfactor import (
@@ -21,7 +25,8 @@ from convfactor import (
 )
 from convfactor.cpd import sign_components
 from convfactor.errors import InfeasibleBoundError
-from convfactor.pipeline import decompose_to_block, fit
+from convfactor.pipeline import METHODS, decompose_to_block, fit
+from convfactor.tensorops import _NORM_RANGE
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -60,7 +65,11 @@ def test_cpd_epc_bound_ends_als(seed):
     ("cpd", 3, {"ranks": (2, 2)}),
     ("cpd-epc", 3, {"ranks": (2, 2)}),
     ("svd", 1, {"ranks": (2, 2)}),
-], ids=["cpd-delta", "svd-delta", "cpd-ranks", "cpd-epc-ranks", "svd-ranks"])
+    ("cpd", 3, {"theta": 0.5}),
+    ("cpd-epc", 3, {"delta_rel": 0.5, "theta": 0.5}),
+    ("tkd-cpd-epc", 3, {"ranks": (2, 2), "theta": 0.5}),
+], ids=["cpd-delta", "svd-delta", "cpd-ranks", "cpd-epc-ranks", "svd-ranks",
+        "cpd-theta", "cpd-epc-theta", "tkd-fixed-ranks-theta"])
 def test_argument_the_method_ignores_rejected(method, d, kwargs):
     t = np.random.default_rng(8).standard_normal((d * d, 4, 5))
     with pytest.raises(ValueError, match="takes no"):
@@ -231,3 +240,45 @@ except ValueError as e:
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "ValueError:" in proc.stdout and "not finite" in proc.stdout
+
+
+# one setting per method; the hybrid's core keeps at least 0.977 of ||t||
+# at this bound, and 2^_K_MIN is 1.07e-50, so the core's norm, which the core
+# solvers check too, is within the range wherever the kernel's is here
+_SCALED_FITS = {"cpd": (9, {}), "cpd-epc": (9, {"delta_rel": 0.3}),
+                "tkd-cpd-epc": (9, {"delta_rel": 0.3}), "svd": (1, {})}
+# the powers of two inside the norm range: 2^k t has norm 2^k
+_K_MIN = math.ceil(math.log2(_NORM_RANGE[0]))
+_K_MAX = math.floor(math.log2(_NORM_RANGE[1]))
+
+
+def _fit_outcome(t, method, kwargs):
+    """(block kind, multilinear ranks, rel_error) of a fit, or its error's type."""
+    try:
+        _, report = fit(t, method, 3, **kwargs)
+    except InfeasibleBoundError:
+        return "infeasible", None, None
+    return report["block"], report.get("ranks"), report["rel_error"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.integers(_K_MIN, _K_MAX), seed=st.integers(0, 2**16))
+def test_fit_is_scale_free_across_the_norm_range(method, k, seed):
+    # every tolerance is relative, so scaling by a power of two, which is
+    # exact, moves no rank and no relative error; outside the range fit
+    # raises instead of returning what roundoff and underflow leave
+    d2, kwargs = _SCALED_FITS[method]
+    t = hybrid_structured_tensor(np.random.default_rng(seed), (d2, 6, 5), (3, 3), 3,
+                                 noise=0.1)
+    t /= np.linalg.norm(t)
+    want = _fit_outcome(t, method, kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _fit_outcome(2.0**k * t, method, kwargs)
+    assert got[:2] == want[:2]
+    if want[2] is not None:
+        assert abs(got[2] - want[2]) <= 1e-10
+    for outside in (_K_MIN - 1, _K_MAX + 1):
+        with pytest.raises(ValueError, match="outside"):
+            fit(2.0**outside * t, method, 3, **kwargs)

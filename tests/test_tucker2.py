@@ -360,8 +360,8 @@ def hooi_oracle(tensor, delta, ranks=None):
     seed=st.integers(0, 2**16),
 )
 def test_bounded_matches_full_gram_oracle(dims, frac, fixed, seed):
-    # wide projected unfoldings take the thin SVD, tall ones the Gram: both
-    # must give the steps of eigh on the full Gram
+    # wide projected unfoldings take eigh of P P' and a QR, tall ones the
+    # Gram: both must give the steps of eigh on the full Gram
     rng = np.random.default_rng(seed)
     t = rng.standard_normal(dims)
     d2 = dims[0]
@@ -386,7 +386,7 @@ def test_bounded_matches_full_gram_oracle(dims, frac, fixed, seed):
 
 def test_fixed_ranks_above_the_wide_side_kept():
     # the V-steps factor a 2 x 7 unfolding, yet 5 columns are asked for:
-    # they come from the null space of the full SVD
+    # they come from the null space, through the complete QR
     rng = np.random.default_rng(0)
     t = rng.standard_normal((1, 6, 7))
     model = tucker2_bounded(t, 0.0, ranks=(2, 5))
@@ -407,6 +407,31 @@ def test_wide_cut_sees_the_grams_n_eigenvalues(rows):
     assert basis.shape == ref.shape == (5, 5)
     assert np.max(np.abs(basis.T @ basis - np.eye(5))) < 1e-12
     assert energy == pytest.approx(ref_energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("rank", [6, 9], ids=["every-row", "past-m"])
+@pytest.mark.parametrize("span", [1e12, 1e15])
+def test_wide_step_keeps_a_wide_span_with_one_qr(monkeypatch, span, rank):
+    # a 6 x 11 P whose singular values fall geometrically, so that the kept
+    # eigenvalues of P P' span `span`: P' u of the smallest is about eps
+    # times the largest off the exact direction, and the QR must still give
+    # an orthonormal basis holding the reported energy, with no SVD
+    rng = np.random.default_rng(5)
+    sigma = span ** (-np.arange(6) / 10)
+    u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    v = np.linalg.qr(rng.standard_normal((11, 6)))[0]
+    p = (u * sigma) @ v.T
+    norm2 = np.sum(sigma**2)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a wide step took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    basis, energy = _leading_right_vecs(p[None], 0.0, rank)
+    assert basis.shape == (11, rank)
+    assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) < 1e-12
+    assert abs(np.sum((p @ basis) ** 2) - energy) <= 1e-12 * norm2
+    assert energy == pytest.approx(norm2, rel=1e-12)
 
 
 @pytest.mark.parametrize("make", [
@@ -432,23 +457,18 @@ def test_slice_stack_step_matches_the_stacked_grams_eigvecs(make, share):
 
 @pytest.mark.parametrize("dims, delta_rel, ranks", [
     ((2, 12, 10), 0.3, None),      # tall first step, wide later ones
-    ((1, 6, 7), 0.0, (2, 5)),      # wide steps completed by the full SVD
+    ((1, 6, 7), 0.0, (2, 5)),      # wide steps completed by the complete QR
 ], ids=["bounded", "completed"])
 def test_factors_do_not_depend_on_lapack_signs(monkeypatch, dims, delta_rel, ranks):
     t = np.random.default_rng(1).standard_normal(dims)
     delta = delta_rel * np.linalg.norm(t)
     ref = tucker2_bounded(t, delta, ranks=ranks)
-    svd, eigh = np.linalg.svd, np.linalg.eigh
-
-    def negated_svd(a, *args, **kwargs):
-        u, s, vt = svd(a, *args, **kwargs)
-        return -u, s, -vt
+    eigh = np.linalg.eigh
 
     def negated_eigh(a, *args, **kwargs):
         w, vecs = eigh(a, *args, **kwargs)
         return w, -vecs
 
-    monkeypatch.setattr(np.linalg, "svd", negated_svd)
     monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
     flipped = tucker2_bounded(t, delta, ranks=ranks)
     for got, want in ((flipped.U, ref.U), (flipped.V, ref.V), (flipped.G, ref.G)):
