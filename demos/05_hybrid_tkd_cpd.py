@@ -10,7 +10,6 @@ import numpy as np
 
 from convfactor import (
     core_closed_form,
-    mode_product,
     reconstruct_cp,
     should_merge,
     tkd_cpd_epc,
@@ -28,7 +27,7 @@ core = reconstruct_cp(
 )
 u, _ = np.linalg.qr(rng.standard_normal((s, 4)))
 v, _ = np.linalg.qr(rng.standard_normal((t, 4)))
-tensor = mode_product(mode_product(core, u, 1), v, 2)
+tensor = u @ core @ v.T
 bump = rng.standard_normal(tensor.shape)
 tensor += 0.05 * np.linalg.norm(tensor) * bump / np.linalg.norm(bump)
 norm = np.linalg.norm(tensor)
@@ -38,7 +37,7 @@ model = tkd_cpd_epc(tensor, budget, rank=5, theta=0.5)
 print(f"budget 0.2||t||, theta=0.5 -> ranks (R1, R2, R) = {model.ranks}")
 
 g = core_closed_form(tensor, model.U, model.V)
-tkd_recon = mode_product(mode_product(g, model.U, 1), model.V, 2)
+tkd_recon = model.U @ g @ model.V.T
 err_tkd2 = np.sum((tensor - tkd_recon) ** 2)
 err_core2 = np.sum((g - model.core_cp.to_tensor()) ** 2)
 err_total2 = np.sum((tensor - model.to_tensor()) ** 2)

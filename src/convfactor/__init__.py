@@ -22,7 +22,7 @@ from .cpd import CPModel, cpd_als, intensity, monte_carlo_sensitivity, sensitivi
 from .epc import epc_correct
 from .hybrid import should_merge, tkd_cpd_epc, to_equivalent_cp
 from .ranksearch import Evaluator, binary_search_rank
-from .tensorops import mode_product, reconstruct_cp, reshape_kernel, restore_kernel
+from .tensorops import reconstruct_cp, reshape_kernel, restore_kernel
 from .tucker2 import build_q1, build_q2, core_closed_form, tucker2_bounded
 
 __version__ = "0.1.0"

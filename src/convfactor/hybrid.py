@@ -14,7 +14,7 @@ import numpy as np
 from .cpd import CPModel, cpd_als
 from .epc import epc_correct
 from .errors import InfeasibleBoundError
-from .tensorops import _finite_norm
+from .tensorops import _Checked, _finite_norm
 from .tucker2 import tucker2_bounded
 
 __all__ = ["HybridModel", "tkd_cpd_epc", "should_merge", "to_equivalent_cp"]
@@ -74,7 +74,8 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     ----------
     tensor : ndarray (D2, S, T)
     delta_total : float or None
-        Absolute Frobenius error budget for the whole model.  What the
+        Absolute Frobenius error budget for the whole model, finite and
+        >= 0; one of at least ``||tensor||`` is vacuous.  What the
         Tucker stage leaves of it is the core's budget, which ends the
         core's ALS fit at its first sweep inside it (see
         :func:`~convfactor.cpd.cpd_als`) and bounds the core's EPC.  None
@@ -91,7 +92,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     seed : int
         Seed of the core's :func:`~convfactor.cpd.cpd_als` fit.
     """
-    tensor, norm_t = _finite_norm(tensor)
+    tensor, norm_t = checked = _finite_norm(tensor)
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if delta_total is None:
@@ -99,8 +100,8 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
             raise ValueError(
                 "tkd-cpd-epc needs an error bound (--delta) or fixed ranks (--ranks)"
             )
-    elif not 0 <= delta_total <= norm_t * (1 + 1e-12) + 1e-300:
-        raise ValueError(f"delta_total must lie in [0, ||t||] = [0, {norm_t:.6g}]")
+    elif not 0 <= delta_total < np.inf:  # rejects NaN
+        raise ValueError("delta_total must be finite and >= 0")
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
 
@@ -108,12 +109,12 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     delta_tkd = 0.0 if delta_total is None else np.sqrt(theta) * delta_total
     # an empty core (vacuous bound, zero tensor) has no CP: keep one per mode
     vacuous = ranks is None and norm_t**2 - delta_tkd**2 <= 0
-    tkd = tucker2_bounded(tensor, delta_tkd, ranks=(1, 1) if vacuous else ranks)
-    core = tkd.G
-    norm_core = np.linalg.norm(core)
+    tkd = tucker2_bounded(checked, delta_tkd, ranks=(1, 1) if vacuous else ranks)
+    # a projection of the checked kernel: the core solvers do not check it again
+    core = _Checked(tkd.G, np.linalg.norm(tkd.G))
     delta_core = None  # no budget: EPC keeps the core fit's error
     if delta_total is not None:
-        err_tkd2 = max(float(norm_t**2 - norm_core**2), 0.0)
+        err_tkd2 = max(float(norm_t**2 - core.norm**2), 0.0)
         if err_tkd2 > delta_total**2 * (1 + 1e-9) + 1e-12 * norm_t**2:
             raise InfeasibleBoundError(
                 "the Tucker stage alone already exceeds the total budget; "
@@ -125,11 +126,11 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
 
     r1, r2 = tkd.ranks
     res = cpd_als(core, rank, seed=seed, delta=delta_core)
-    err_core = res.rel_error * norm_core
+    err_core = res.rel_error * core.norm
     model = res.model
-    if delta_core is not None and err_core > delta_core + 1e-9 * norm_core:
+    if delta_core is not None and err_core > delta_core + 1e-9 * core.norm:
         if rank >= r1 * r2:
-            model = _exact_core_model(core, rank)
+            model = _exact_core_model(core.tensor, rank)
         else:
             share = "" if ranks else " or give the Tucker stage a smaller share (theta)"
             raise InfeasibleBoundError(

@@ -30,14 +30,15 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
 
     Every CP fit is ``cpd_als(..., seed=seed)`` and every correction
     ``epc_correct(..., delta=...)``; the solvers' settings are their module
-    constants.  `delta_rel` is the error bound of cpd-epc and tkd-cpd-epc
-    as a fraction of the tensor norm.  The bound goes to both solvers: ALS
-    stops at its first sweep inside it and EPC trades what is left of it
-    for lower sensitivity.  When omitted, ALS runs to convergence and EPC
-    preserves the error the fit achieved.  `ranks` shapes tkd-cpd-epc alone,
-    `theta` (None: the hybrid's default) only its free ranks, and an
-    argument the method would ignore, such as these or `delta_rel` for cpd
-    or svd, raises ValueError.
+    constants, and they take the tensor as checked here, once.  `delta_rel`
+    is the error bound of cpd-epc and tkd-cpd-epc as a fraction of the
+    tensor norm, in [0, 1] (ValueError otherwise, NaN included).  The bound
+    goes to both solvers: ALS stops at its first sweep inside it and EPC
+    trades what is left of it for lower sensitivity.  When omitted, ALS runs
+    to convergence and EPC preserves the error the fit achieved.  `ranks`
+    shapes tkd-cpd-epc alone, `theta` (None: the hybrid's default) only its
+    free ranks, and an argument the method would ignore, such as these or
+    `delta_rel` for cpd or svd, raises ValueError.
 
     Returns (model, report): the model :func:`decompose_to_block` ships, and
     the kind of its block as ``report["block"]``.  That is a HybridModel
@@ -60,12 +61,14 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
         raise ValueError("rank must be >= 1")
     if delta_rel is not None and method in ("cpd", "svd"):
         raise ValueError(f"{method} takes no error bound (--delta)")
+    if delta_rel is not None and not 0 <= delta_rel <= 1:  # rejects NaN
+        raise ValueError(f"--delta must lie in [0, 1], got {delta_rel:g}")
     if ranks is not None and method != "tkd-cpd-epc":
         raise ValueError(f"{method} takes no multilinear ranks (--ranks)")
     if theta is not None and (method != "tkd-cpd-epc" or ranks is not None):
         what = method if ranks is None else f"{method} with fixed ranks"
         raise ValueError(f"{what} takes no budget share (--theta)")
-    tensor, norm_t = _finite_norm(tensor)
+    tensor, norm_t = checked = _finite_norm(tensor)
     delta = None if delta_rel is None else float(delta_rel) * norm_t
     report = {"method": method, "rank": int(rank),
               "block": "svd" if method == "svd" else "cpd"}
@@ -80,19 +83,19 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
         model = CPModel(s_vals[None, :rank], vt[:rank].T * signs, u[:, :rank] * signs)
 
     elif method == "cpd":
-        model = cpd_als(tensor, rank, seed=seed).model
+        model = cpd_als(checked, rank, seed=seed).model
 
     else:  # the bounded methods
         try:
             if method == "cpd-epc":
-                res = cpd_als(tensor, rank, seed=seed, delta=delta)
+                res = cpd_als(checked, rank, seed=seed, delta=delta)
                 report["before"] = {"rel_error": res.rel_error,
                                     "sensitivity": sensitivity(res.model),
                                     "intensity": intensity(res.model)}
-                model, _ = epc_correct(tensor, res.model, delta=delta)
+                model, _ = epc_correct(checked, res.model, delta=delta)
             else:  # tkd-cpd-epc
                 share = {} if theta is None else {"theta": theta}
-                model = tkd_cpd_epc(tensor, delta, rank, ranks=ranks, seed=seed,
+                model = tkd_cpd_epc(checked, delta, rank, ranks=ranks, seed=seed,
                                     **share)
                 report["ranks"] = model.ranks
                 report["merged"] = should_merge(model.ranks)

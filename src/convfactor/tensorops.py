@@ -1,4 +1,4 @@
-"""Dense tensor primitives: unfolding, Khatri-Rao, Kruskal and Tucker algebra.
+"""Dense tensor primitives: Khatri-Rao and Kruskal algebra, the CP sweep.
 
 Tensors are plain numpy arrays in C (row-major) memory order.  The mode-n
 unfolding ``T_(n)`` has one row per index of mode n and enumerates the other
@@ -20,6 +20,8 @@ reconstruction (:func:`cp_residual_sq`; Kolda & Bader, SIAM Rev. 2009,
 sec. 3.4).
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "reconstruct_cp",
     "cp_sweep",
     "cp_residual_sq",
-    "mode_product",
     "reshape_kernel",
     "restore_kernel",
 ]
@@ -93,11 +94,21 @@ _ROUNDOFF = 16 * np.finfo(np.float64).eps
 _NORM_RANGE = (1e-50, 1e50)
 
 
+class _Checked(NamedTuple):
+    """A tensor that passed :func:`_finite_norm`, and its norm."""
+
+    tensor: np.ndarray
+    norm: float
+
+
 def _finite_norm(tensor):
-    """``(tensor, ||tensor||_F)`` with `tensor` as a C-contiguous float64
-    array, or ValueError when it is not of order 3, its norm is not finite
-    (nan, inf or overflow) or, nonzero, outside ``_NORM_RANGE`` (underflow
-    included): the one input check every solver entry makes."""
+    """``_Checked(tensor, ||tensor||_F)`` with `tensor` as a C-contiguous
+    float64 array, or ValueError when it is not of order 3, its norm is not
+    finite (nan, inf or overflow) or, nonzero, outside ``_NORM_RANGE``
+    (underflow included): the one input check of a solver entry.  A
+    ``_Checked`` argument, which one entry hands another, comes back as is."""
+    if isinstance(tensor, _Checked):
+        return tensor
     tensor = np.ascontiguousarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
@@ -107,7 +118,7 @@ def _finite_norm(tensor):
     if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1] and (norm > 0 or tensor.any()):
         raise ValueError(f"tensor norm {norm:.3g} of a nonzero tensor is outside "
                          f"{_NORM_RANGE}; rescale it")
-    return tensor, norm
+    return _Checked(tensor, norm)
 
 
 def _column_signs(f):
@@ -168,25 +179,6 @@ def cp_residual_sq(norm_t2, m_c, c, grams):
     e2 = norm_t2 - 2.0 * inner + float(np.sum(had))
     slack = _ROUNDOFF * (norm_t2 + 2.0 * abs(inner) + float(np.sum(np.abs(had))))
     return e2, slack
-
-
-def mode_product(tensor, matrix, mode):
-    """Mode-`mode` product ``tensor x_mode matrix``.
-
-    Contracts the `mode` axis of `tensor` (extent n) with the columns of
-    `matrix` (shape m x n); the result has extent m at `mode`.
-    """
-    tensor = np.asarray(tensor)
-    matrix = np.asarray(matrix)
-    if not 0 <= mode < tensor.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
-    if matrix.ndim != 2 or matrix.shape[1] != tensor.shape[mode]:
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match extent "
-            f"{tensor.shape[mode]} at mode {mode}"
-        )
-    out = np.tensordot(matrix, tensor, axes=(1, mode))
-    return np.ascontiguousarray(np.moveaxis(out, 0, mode))
 
 
 def reshape_kernel(kernel4):

@@ -1,10 +1,10 @@
-"""Shared test helpers: unfolding oracles, synthetic tensors and degenerate
-CP starts."""
+"""Shared test helpers: unfolding and mode-product oracles, synthetic
+tensors and degenerate CP starts."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from convfactor import CPModel, mode_product, reconstruct_cp
+from convfactor import CPModel, reconstruct_cp
 
 
 def unfold(tensor, mode):
@@ -49,6 +49,25 @@ def fold(matrix, mode, shape):
         )
     moved = np.reshape(matrix, (shape[mode],) + other, order="F")
     return np.ascontiguousarray(np.moveaxis(moved, 0, mode))
+
+
+def mode_product(tensor, matrix, mode):
+    """Mode-`mode` product ``tensor x_mode matrix``.
+
+    Contracts the `mode` axis of `tensor` (extent n) with the columns of
+    `matrix` (shape m x n); the result has extent m at `mode`.
+    """
+    tensor = np.asarray(tensor)
+    matrix = np.asarray(matrix)
+    if not 0 <= mode < tensor.ndim:
+        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
+    if matrix.ndim != 2 or matrix.shape[1] != tensor.shape[mode]:
+        raise ValueError(
+            f"matrix shape {matrix.shape} does not match extent "
+            f"{tensor.shape[mode]} at mode {mode}"
+        )
+    out = np.tensordot(matrix, tensor, axes=(1, mode))
+    return np.ascontiguousarray(np.moveaxis(out, 0, mode))
 
 
 def random_cp_tensor(rng, dims, rank):

@@ -12,6 +12,7 @@ import numpy as np
 from conftest import (
     degenerate_pair,
     hybrid_structured_tensor,
+    mode_product,
     random_cp_tensor,
     random_tucker2_tensor,
 )
@@ -31,7 +32,6 @@ from convfactor import (
     emit_svd_block,
     emit_tkd_cpd_block,
     epc_correct,
-    mode_product,
     monte_carlo_sensitivity,
     restore_kernel,
     sensitivity,

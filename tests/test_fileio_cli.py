@@ -1139,6 +1139,19 @@ class TestCliArgumentValues:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("delta", ["-0.1", "1.5", "inf", "nan"])
+    @pytest.mark.parametrize("method", ["cpd-epc", "tkd-cpd-epc"])
+    def test_delta_outside_the_unit_interval_exits_1(self, files, capsys, method,
+                                                     delta):
+        # both bounded methods take one domain for --delta; past 1, cpd-epc
+        # shipped the zero model while tkd-cpd-epc raised
+        tmp, kpath, _ = files
+        with pytest.raises(ValueError, match=r"^--delta must lie in \[0, 1\]"):
+            fit(reshape_kernel(read_tensor(kpath)), method, 2, delta_rel=float(delta))
+        assert main(["decompose", "--input", str(kpath), "--method", method,
+                     "--rank", "2", "--delta", delta, "--out", str(tmp / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: --delta must lie in [0, 1]")
+
     @pytest.mark.parametrize("scale", [1e-200, 1e-60, 1e60])
     @pytest.mark.parametrize("argv", [
         ["decompose", "--method", "cpd-epc", "--rank", "2", "--delta", "0.5"],

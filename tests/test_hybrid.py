@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hybrid_structured_tensor, random_tucker2_tensor
+from conftest import hybrid_structured_tensor, mode_product, random_tucker2_tensor
 from convfactor import (
     CPModel,
     core_closed_form,
     cpd_als,
     epc_correct,
-    mode_product,
     sensitivity,
     should_merge,
     tkd_cpd_epc,
@@ -66,7 +65,7 @@ class TestTkdCpdEpc:
 
         def zero_fit(core, rank, seed, delta):
             seen.append(core)
-            d2, r1, r2 = core.shape
+            d2, r1, r2 = core.tensor.shape
             zero = CPModel(np.zeros((d2, rank)), np.zeros((r1, rank)),
                            np.zeros((r2, rank)))
             return AlsResult(zero, 1.0, [1.0])
@@ -83,7 +82,7 @@ class TestTkdCpdEpc:
         assert len(seen) == 1
         core, start = corrected[0]
         assert core is seen[0] and start.rank == 7
-        assert np.array_equal(start.to_tensor(), core)
+        assert np.array_equal(start.to_tensor(), core.tensor)
         assert np.linalg.norm(t - model.to_tensor()) <= delta_total * (1 + 1e-9)
 
     @pytest.mark.parametrize("delta_rel", [None, 0.3])
@@ -187,6 +186,8 @@ class TestTkdCpdEpc:
             tkd_cpd_epc(np.zeros((2, 2)), 0.0, 1)
         with pytest.raises(ValueError):
             tkd_cpd_epc(t, -0.5, 1)
+        with pytest.raises(ValueError, match="finite"):
+            tkd_cpd_epc(t, np.inf, 1, theta=0.0)
         with pytest.raises(ValueError):
             tkd_cpd_epc(t, 0.0, 0)
 

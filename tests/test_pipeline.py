@@ -16,17 +16,20 @@ from conftest import hybrid_structured_tensor, random_cp_tensor
 from convfactor import (
     ConvSpec,
     CPModel,
+    cpd,
     cpd_als,
+    epc,
     epc_correct,
     hybrid,
     pipeline,
     tkd_cpd_epc,
+    tucker2,
     tucker2_bounded,
 )
 from convfactor.cpd import sign_components
 from convfactor.errors import InfeasibleBoundError
 from convfactor.pipeline import METHODS, decompose_to_block, fit
-from convfactor.tensorops import _NORM_RANGE
+from convfactor.tensorops import _NORM_RANGE, _Checked, _finite_norm
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -242,9 +245,8 @@ except ValueError as e:
     assert "ValueError:" in proc.stdout and "not finite" in proc.stdout
 
 
-# one setting per method; the hybrid's core keeps at least 0.977 of ||t||
-# at this bound, and 2^_K_MIN is 1.07e-50, so the core's norm, which the core
-# solvers check too, is within the range wherever the kernel's is here
+# one setting per method; the hybrid's core solvers take the core as a
+# projection of the checked kernel and do not check its norm again
 _SCALED_FITS = {"cpd": (9, {}), "cpd-epc": (9, {"delta_rel": 0.3}),
                 "tkd-cpd-epc": (9, {"delta_rel": 0.3}), "svd": (1, {})}
 # the powers of two inside the norm range: 2^k t has norm 2^k
@@ -282,3 +284,42 @@ def test_fit_is_scale_free_across_the_norm_range(method, k, seed):
     for outside in (_K_MIN - 1, _K_MAX + 1):
         with pytest.raises(ValueError, match="outside"):
             fit(2.0**outside * t, method, 3, **kwargs)
+
+
+def test_hybrid_fits_an_in_range_kernel_whose_core_is_below_the_range():
+    # at 2^-166 = 1.07e-50 the kernel is inside the range and its Tucker core,
+    # of norm 5.3e-51, is not; the core is a projection of the checked kernel
+    t = np.random.default_rng(0).standard_normal((9, 6, 5))
+    t /= np.linalg.norm(t)
+    _, want = fit(t, "tkd-cpd-epc", 12, delta_rel=0.9, theta=1.0)
+    _, got = fit(2.0**-166 * t, "tkd-cpd-epc", 12, delta_rel=0.9, theta=1.0)
+    assert want["ranks"] == got["ranks"] == (1, 2, 12)
+    assert abs(got["rel_error"] - want["rel_error"]) <= 1e-10
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: fit(t, "cpd", 2),
+    lambda t: fit(t, "cpd-epc", 2, delta_rel=0.3),
+    lambda t: fit(t, "tkd-cpd-epc", 2, delta_rel=0.3),
+    lambda t: fit(t[:1], "svd", 2),
+    lambda t: cpd_als(t, 2),
+    lambda t: epc_correct(t, CPModel(*(np.ones((n, 2)) for n in t.shape)), delta=None),
+    lambda t: tucker2_bounded(t, 0.3 * np.linalg.norm(t)),
+    lambda t: tkd_cpd_epc(t, 0.3 * np.linalg.norm(t), 2),
+], ids=["fit-cpd", "fit-cpd-epc", "fit-tkd-cpd-epc", "fit-svd", "cpd_als",
+        "epc_correct", "tucker2_bounded", "tkd_cpd_epc"])
+def test_one_input_check_per_call(monkeypatch, call):
+    # each entry checks a plain array once and hands the checked pair on
+    plain = []
+
+    def spy(tensor):
+        if not isinstance(tensor, _Checked):
+            plain.append(np.shape(tensor))
+        return _finite_norm(tensor)
+
+    for module in (pipeline, hybrid, cpd, epc, tucker2):
+        monkeypatch.setattr(module, "_finite_norm", spy)
+    t = hybrid_structured_tensor(np.random.default_rng(2), (9, 6, 5), (3, 3), 3,
+                                 noise=0.1)
+    call(t)
+    assert len(plain) == 1

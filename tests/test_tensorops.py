@@ -6,10 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fold, unfold
+from conftest import fold, mode_product, unfold
 from convfactor import (
     CPModel,
-    mode_product,
     reconstruct_cp,
     reshape_kernel,
     restore_kernel,

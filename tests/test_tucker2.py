@@ -3,12 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tucker2_tensor, unfold
+from conftest import mode_product, random_tucker2_tensor, unfold
 from convfactor import (
     build_q1,
     build_q2,
     core_closed_form,
-    mode_product,
     tucker2_bounded,
 )
 from convfactor.errors import InfeasibleBoundError
