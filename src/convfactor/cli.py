@@ -29,7 +29,7 @@ from .cpd import rel_error
 from .errors import TensorFileError
 from .pipeline import METHODS, decompose_to_block
 from .ranksearch import Evaluator, EvaluatorError, binary_search_rank
-from .tensorops import reshape_kernel
+from .tensorops import _finite_norm, _norm, reshape_kernel
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -74,36 +74,50 @@ def _check_kernel_shape(path, shape):
             f"{path}: expected a D x D x S x T kernel, got shape {shape}")
 
 
-def _finite(path, array):
-    """`array` as float64; TensorFileError if any entry is non-finite."""
-    if not np.isfinite(array).all():
-        raise TensorFileError(f"{path}: kernel contains non-finite values")
-    return array.astype(np.float64, copy=False)
+def _finite(path, check, array):
+    """`check(array)`, a check that takes `array`'s norm in one pass and
+    raises ValueError when that norm is not finite, or is out of range.  Only
+    a failed check makes ``np.isfinite`` scan `array`, to tell a non-finite
+    entry (TensorFileError, exit 2) from a norm that overflows (ValueError,
+    exit 1)."""
+    try:
+        return check(array)
+    except ValueError:
+        if not np.isfinite(array).all():
+            raise TensorFileError(
+                f"{path}: kernel contains non-finite values") from None
+        raise
 
 
-def _load_kernel(path):
-    kernel = fileio.read_tensor(path)
-    _check_kernel_shape(path, kernel.shape)
-    return _finite(path, kernel)
+def _tap_float64(tap):
+    """`tap` as float64; ValueError when its norm is not finite."""
+    tap = tap.astype(np.float64, copy=False)
+    if not np.isfinite(_norm(tap)):
+        raise ValueError("tensor norm of a kernel tap is not finite; rescale it")
+    return tap
 
 
 def _kernel_taps(path, shape):
-    """The kernel file's (S, T) taps as float64, drawn one at a time, once its
-    shape is checked to be `shape`."""
+    """The kernel file's (S, T) taps as float64, drawn and checked one at a
+    time, once its shape is checked to be `shape`."""
     found, taps = fileio.read_tensor_matrices(path)
     _check_kernel_shape(path, found)
     if found != shape:
         raise TensorFileError(f"{path}: kernel shape {found}, the block's spec {shape}")
-    return (_finite(path, tap) for tap in taps)
+    return (_finite(path, _tap_float64, tap) for tap in taps)
 
 
 def _load_tensor_and_spec(args):
-    """The ``--input`` kernel as a (D^2, S, T) tensor and its ConvSpec."""
-    kernel = _load_kernel(args.input)
+    """The ``--input`` kernel as a checked (D^2, S, T) tensor, the
+    ``_Checked`` pair of :func:`~convfactor.tensorops._finite_norm`, and its
+    ConvSpec."""
+    kernel = fileio.read_tensor(args.input)
+    _check_kernel_shape(args.input, kernel.shape)
+    checked = _finite(args.input, _finite_norm, reshape_kernel(kernel))
     d, _, s, t = kernel.shape
     spec = ConvSpec(in_channels=s, out_channels=t, kernel_size=d,
                     stride=args.stride, pad=args.pad)
-    return reshape_kernel(kernel), spec
+    return checked, spec
 
 
 def cmd_decompose(args):
@@ -138,7 +152,7 @@ def cmd_decompose(args):
 
 
 def cmd_rank_search(args):
-    tensor, spec = _load_tensor_and_spec(args)
+    (tensor, _), spec = _load_tensor_and_spec(args)
     result = binary_search_rank(
         tensor,
         args.method,

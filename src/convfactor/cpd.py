@@ -98,6 +98,9 @@ _COND_MAX = 1e10
 # Eigenvalues of a PSD Gram below this fraction of the largest are null, in
 # the pseudo-inverse here and in EPC's secular solve.
 _NULL_RTOL = 1e-12
+# Entries of rel_error's residual buffer (256 KB): a slice with more is
+# summed in blocks of rows
+_RESIDUAL_BLOCK = 32768
 
 
 def _pinv_psd(g):
@@ -331,18 +334,35 @@ def _gram_error(e2, slack):
     return np.sqrt(max(e2, 0.0)), hi - lo
 
 
+def _residual_sq(product, t_d):
+    """``||product - t_d||^2``, the difference built in place of `product`."""
+    product -= t_d
+    return float(np.vdot(product, product))
+
+
 def rel_error(slices, model):
     """``||T - [[A, B, C]]|| / ||T||``, one first-mode slice at a time.
 
-    `slices` yields ``T[0], T[1], ...`` (an order-3 array will do), each
-    compared with ``(B a_d) C'`` in one slice-sized buffer, so no dense model
-    or difference is built.  A zero T has error 0.
+    `slices` yields ``T[0], T[1], ...`` (an order-3 array will do).  Each
+    slice's residual ``(B a_d) C' - T[d]`` is one product when the slice
+    has at most ``_RESIDUAL_BLOCK`` entries, and otherwise is built in
+    blocks of rows in one reused buffer of that size, so neither a dense
+    model nor a slice-sized difference is built.  A zero T has error 0.
     """
+    ct = model.C.T
+    s, t = model.B.shape[0], ct.shape[1]
+    rows = max(_RESIDUAL_BLOCK // max(t, 1), 1)
+    buf = np.empty((rows, t)) if rows < s else None
     err2 = norm2 = 0.0
     for t_d, a_d in zip(slices, model.A, strict=True):
-        diff = (model.B * a_d) @ model.C.T
-        diff -= t_d
-        err2 += float(np.vdot(diff, diff))
+        b_d = model.B * a_d
+        if buf is None:  # the slice is one block
+            err2 += _residual_sq(b_d @ ct, t_d)
+        else:
+            for i in range(0, s, rows):
+                block = b_d[i:i + rows]
+                err2 += _residual_sq(np.matmul(block, ct, out=buf[:len(block)]),
+                                     t_d[i:i + rows])
         norm2 += float(np.vdot(t_d, t_d))
     return float(np.sqrt(err2 / norm2)) if norm2 else 0.0
 

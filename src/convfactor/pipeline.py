@@ -30,7 +30,9 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
 
     Every CP fit is ``cpd_als(..., seed=seed)`` and every correction
     ``epc_correct(..., delta=...)``; the solvers' settings are their module
-    constants, and they take the tensor as checked here, once.  `delta_rel`
+    constants, and they take the tensor as checked here, once (a
+    ``_Checked`` pair of :func:`~convfactor.tensorops._finite_norm`, as the
+    CLI's ``decompose`` hands on, is not checked again).  `delta_rel`
     is the error bound of cpd-epc and tkd-cpd-epc as a fraction of the
     tensor norm, in [0, 1] (ValueError otherwise, NaN included).  The bound
     goes to both solvers: ALS stops at its first sweep inside it and EPC

@@ -101,6 +101,13 @@ class _Checked(NamedTuple):
     norm: float
 
 
+def _norm(a):
+    """``||a||_F``, inf when it overflows, without numpy's overflow warning:
+    the caller reports a norm that is not finite."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(a)
+
+
 def _finite_norm(tensor):
     """``_Checked(tensor, ||tensor||_F)`` with `tensor` as a C-contiguous
     float64 array, or ValueError when it is not of order 3, its norm is not
@@ -112,7 +119,7 @@ def _finite_norm(tensor):
     tensor = np.ascontiguousarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
-    norm = np.linalg.norm(tensor)
+    norm = _norm(tensor)
     if not np.isfinite(norm):
         raise ValueError("tensor norm is not finite (nan, inf or overflow)")
     if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1] and (norm > 0 or tensor.any()):

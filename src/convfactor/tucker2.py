@@ -9,12 +9,15 @@ stacked slices ``V' K(d)'`` or ``U' K(d)``; each keeps as few eigenvectors
 as the whole bound allows, so the ranks need not give the smallest model.
 The tensor is read only through its slices ``K(d)``, and each step works at
 the size of the stack's thin side.  A tall ``P`` sums its n x n Gram over
-them (``sum_d K(d) K(d)'`` when V = I, with no copy); with a free cut, a
-block subspace iteration finds the kept eigenvectors and certifies that its
-cut is the one the full spectrum gives, and only an uncertified result
-takes a full ``eigh``.  A wide one takes ``eigh`` of the small m x m
-``P P'`` and one QR of ``P' u``.  numpy does all of it: importing
-``scipy.linalg`` would double the peak memory of a ``convfactor`` process.
+them in place (``sum_d K(d) K(d)'`` when V = I, with no copy); with a free
+cut, a block subspace iteration finds the kept eigenvectors and certifies
+that its cut is the one the full spectrum gives, and only an uncertified
+result takes a full ``eigh``.  A wide one takes ``eigh`` of the small m x m
+``P P'`` and one QR of ``P' u``.  The core is the last V-step's stack
+``U' K(d)`` times V (Kolda & Bader, SIAM Rev. 2009, sec. 4.2), the product
+:func:`core_closed_form` computes, so no pass over the tensor makes it.
+numpy does all of it: importing ``scipy.linalg`` would double the peak
+memory of a ``convfactor`` process.
 """
 
 from dataclasses import dataclass, field
@@ -98,8 +101,12 @@ def _projected_slices(tensor, basis, mode):
 
 
 def _gram(stack):
-    """``P' P`` for ``P`` the slices of `stack` stacked by rows, slice by slice."""
-    return sum((p.T @ p for p in stack), np.zeros((stack.shape[2],) * 2))
+    """``P' P`` for ``P`` the slices of `stack` stacked by rows, summed slice
+    by slice in place into the first slice's product."""
+    q = stack[0].T @ stack[0]
+    for p in stack[1:]:
+        q += p.T @ p
+    return q
 
 
 def _projected_gram(tensor, basis, mode):
@@ -302,7 +309,9 @@ def tucker2_bounded(tensor, delta, ranks=None):
       full ``eigh``.
 
     Each kept column's largest-magnitude entry is positive, so U and V do
-    not depend on the signs LAPACK picks.
+    not depend on the signs LAPACK picks.  The core G is the last V-step's
+    stack ``U' K(d)`` times V: bitwise :func:`core_closed_form` of U and V,
+    without another pass over the tensor.
 
     Returns a :class:`Tucker2Model`; ``model.history`` holds per-step
     records ``{"step", "ranks", "energy", "sq_error"}``, where energy is
@@ -336,7 +345,8 @@ def tucker2_bounded(tensor, delta, ranks=None):
     v = None  # V = I: the first U-step reads the tensor's slices through a view
     for _ in range(_ALTERNATIONS):
         u = step(_projected_slices(tensor, v, 2), "U", t if v is None else v.shape[1])
-        v = step(_projected_slices(tensor, u, 1), "V", u.shape[1])
+        projected = _projected_slices(tensor, u, 1)
+        v = step(projected, "V", u.shape[1])
 
-    g = core_closed_form(tensor, u, v)
-    return Tucker2Model(g, u, v, history=history)
+    # the last V-step's stack U' K(d) times V: core_closed_form's product
+    return Tucker2Model(projected @ v, u, v, history=history)

@@ -16,7 +16,8 @@ from convfactor import (
     sensitivity,
 )
 from convfactor.cpd import _pinv_psd, _solve_psd, balance_components
-from convfactor.tensorops import khatri_rao, reconstruct_cp
+from convfactor.fileio import read_tensor_matrices, write_tensor
+from convfactor.tensorops import khatri_rao, reconstruct_cp, restore_kernel
 
 
 def reference_als(tensor, a, b, c, sweeps, tol=0.0):
@@ -437,6 +438,40 @@ class TestSolvePsd:
         m = rng.standard_normal((2, 3))
         monkeypatch.setattr(np.linalg, "inv", lambda a: -np.eye(a.shape[0]))
         assert np.array_equal(_solve_psd(m, g), m @ _pinv_psd(g))
+
+
+class TestRelError:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # slices of 300 x 200 entries: row blocks of 163 rows, then 137
+        rng = np.random.default_rng(11)
+        model = CPModel(*(rng.standard_normal((n, 5)) for n in (9, 300, 200)))
+        t = model.to_tensor() + 0.1 * rng.standard_normal((9, 300, 200))
+        assert 200 * 300 > cpd._RESIDUAL_BLOCK >= 200 * 150
+        return t, model, dense_rel_error(t, model)
+
+    def test_slices_in_several_row_blocks(self, wide):
+        t, model, dense = wide
+        assert cpd.rel_error(t, model) == pytest.approx(dense, rel=1e-12)
+
+    def test_taps_drawn_from_a_file(self, wide, tmp_path):
+        # as verify reads a kernel
+        t, model, dense = wide
+        write_tensor(tmp_path / "k.kten", restore_kernel(t, 3))
+        _, taps = read_tensor_matrices(tmp_path / "k.kten")
+        assert cpd.rel_error(taps, model) == pytest.approx(dense, rel=1e-12)
+
+    def test_slice_within_one_block_is_one_product(self):
+        # the 64- and 128-channel kernels' scores stay bitwise what they were
+        rng = np.random.default_rng(12)
+        model = CPModel(*(rng.standard_normal((n, 24)) for n in (9, 128, 128)))
+        t = model.to_tensor() + 0.1 * rng.standard_normal((9, 128, 128))
+        err2 = norm2 = 0.0
+        for t_d, a_d in zip(t, model.A):
+            diff = (model.B * a_d) @ model.C.T - t_d
+            err2 += float(np.vdot(diff, diff))
+            norm2 += float(np.vdot(t_d, t_d))
+        assert cpd.rel_error(t, model) == np.sqrt(err2 / norm2)
 
 
 class TestIntensity:

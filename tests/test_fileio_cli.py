@@ -26,7 +26,7 @@ from convfactor import (
     restore_kernel,
     sensitivity,
 )
-from convfactor import cli, convblocks
+from convfactor import cli, convblocks, cpd, epc, hybrid, pipeline, tucker2
 from convfactor.cli import main
 from convfactor.convblocks import block_factors, block_to_kernel
 from convfactor.cpd import balance_components, rel_error
@@ -41,6 +41,7 @@ from convfactor.fileio import (
     write_tensor,
 )
 from convfactor.pipeline import decompose_to_block, fit
+from convfactor.tensorops import _Checked, _finite_norm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -858,9 +859,13 @@ class TestCliVerify:
 class TestPeakMemory:
     """Traced peak of 256-channel jobs, in units of the kernel's bytes.
     Every job holds one kernel-sized array at a time.  ``decompose`` holds
-    the kernel, whose (D^2, S, T) tensor is a view of it: the Tucker-2
-    steps and the core read it through its slices, the CP solvers through
-    views, and every error check sums over its slices.  ``verify`` holds
+    the kernel, whose (D^2, S, T) tensor is a view of it: its check is one
+    norm, with no boolean copy; the Tucker-2 steps read it through its
+    slices, the first summing its S x S Gram in place, one slice's product
+    at a time, and the core is the last step's small projection times V;
+    the CP solvers read it through views, and every error check sums over
+    its slices in row blocks of 256 KB.  So the hybrid's peak is the kernel,
+    its Gram and one slice-sized product, 1 + 2/9 kernels.  ``verify`` holds
     no kernel-sized array: it reads the kernel one tap at a time for
     ``rel_error`` and runs its forward trials in the block's factor basis,
     so it never builds the dense kernel the block realizes.  Copying an
@@ -911,6 +916,11 @@ class TestPeakMemory:
                                          "decompose-cpd-epc"])
     def test_at_most_two_kernels_alive(self, peaks, command):
         assert peaks[command] < self.BOUND
+
+    def test_hybrid_decompose_holds_the_kernel_its_gram_and_one_product(self, peaks):
+        # a second slice-sized array, such as the sum of the Gram and a
+        # product, or a slice's residual next to them, adds 1/9 of a kernel
+        assert peaks["decompose"] < 1 + 2.5 / 9
 
     def test_verify_holds_no_kernel_sized_array(self, peaks):
         # a tap, its difference from the model and the trials' arrays; the
@@ -1077,6 +1087,38 @@ class TestDegenerateKernels:
         assert main([command, "--input", str(kpath), *args]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, extra", [
+        ("cpd", []),
+        ("cpd-epc", ["--delta", "0.3"]),
+        ("tkd-cpd-epc", ["--delta", "0.3"]),
+    ])
+    def test_decompose_checks_a_finite_kernel_in_one_pass(self, tmp_path, monkeypatch,
+                                                          method, extra):
+        # the norm decides; np.isfinite scans the kernel only when the norm
+        # is not finite, and the checked pair goes on to the solvers
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(25), dims=(9, 6, 5))
+        plain = []
+
+        def spy(tensor):
+            if not isinstance(tensor, _Checked):
+                plain.append(np.shape(tensor))
+            return _finite_norm(tensor)
+
+        for module in (cli, pipeline, hybrid, cpd, epc, tucker2):
+            monkeypatch.setattr(module, "_finite_norm", spy)
+        sizes = []
+        isfinite = np.isfinite
+
+        def sized(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", sized)
+        assert main(["decompose", "--input", str(kpath), "--method", method,
+                     "--rank", "3", *extra, "--out", str(tmp_path / "o")]) == 0
+        assert plain == [(9, 6, 5)]
+        assert max(sizes, default=0) <= 6 * 5
+
 
 class TestCliArgumentValues:
     @pytest.fixture(scope="class")
@@ -1152,7 +1194,7 @@ class TestCliArgumentValues:
                      "--rank", "2", "--delta", delta, "--out", str(tmp / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: --delta must lie in [0, 1]")
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e-60, 1e60])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-60, 1e60, 1e200])
     @pytest.mark.parametrize("argv", [
         ["decompose", "--method", "cpd-epc", "--rank", "2", "--delta", "0.5"],
         ["decompose", "--method", "tkd-cpd-epc", "--rank", "2", "--delta", "0.5"],
@@ -1160,7 +1202,8 @@ class TestCliArgumentValues:
     ], ids=" ".join)
     def test_kernel_outside_the_norm_range_exits_1(self, files, capsys, scale, argv):
         # at 1e-200 the norm underflows to 0, and the solvers would ship a
-        # zero model; outside the range their tolerances no longer scale
+        # zero model; outside the range their tolerances no longer scale.  At
+        # 1e200 every entry is finite but the norm overflows, with no warning
         tmp, kpath, _ = files
         scaled = tmp / f"scaled-{scale:g}.kten"
         write_tensor(scaled, scale * read_tensor(kpath))

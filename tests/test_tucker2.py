@@ -10,6 +10,7 @@ from convfactor import (
     core_closed_form,
     tucker2_bounded,
 )
+from convfactor import tucker2
 from convfactor.errors import InfeasibleBoundError
 from convfactor.tucker2 import (
     _ALTERNATIONS,
@@ -393,6 +394,26 @@ def test_fixed_ranks_above_the_wide_side_kept():
     assert np.max(np.abs(model.V.T @ model.V - np.eye(5))) < 1e-12
     sq_error = np.sum((t - model.to_tensor()) ** 2)
     assert sq_error == pytest.approx(np.sum(t**2) - np.sum(model.G**2), rel=1e-10)
+
+
+@pytest.mark.parametrize("dims, ranks, tall", [
+    ((9, 12, 10), None, True),
+    ((2, 12, 40), None, False),
+    ((4, 12, 10), (2, 3), False),
+], ids=["tall", "wide", "fixed"])
+def test_core_is_the_closed_form_without_calling_it(monkeypatch, dims, ranks, tall):
+    # the core is the last V-step's stack U' K(d) times V, the product
+    # core_closed_form computes; the solver makes no extra pass for it
+    rng = np.random.default_rng(0)
+    t, _ = random_tucker2_tensor(rng, dims, (3, 3))
+    t += 0.05 * np.linalg.norm(t) * rng.standard_normal(t.shape) / np.sqrt(t.size)
+    calls = []
+    monkeypatch.setattr(tucker2, "core_closed_form", lambda *args: calls.append(args))
+    model = tucker2_bounded(t, 0.1 * np.linalg.norm(t), ranks=ranks)
+    assert calls == []
+    # the last V-step's stack has D2 R1 rows and T columns
+    assert (dims[0] * model.ranks[0] >= dims[2]) is tall
+    assert np.array_equal(model.G, core_closed_form(t, model.U, model.V))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 4])
