@@ -152,9 +152,9 @@ def cmd_decompose(args):
 
 
 def cmd_rank_search(args):
-    (tensor, _), spec = _load_tensor_and_spec(args)
+    checked, spec = _load_tensor_and_spec(args)
     result = binary_search_rank(
-        tensor,
+        checked,
         args.method,
         Evaluator(eps=args.eps, command=args.evaluator),
         args.rmin,

@@ -98,8 +98,8 @@ _COND_MAX = 1e10
 # Eigenvalues of a PSD Gram below this fraction of the largest are null, in
 # the pseudo-inverse here and in EPC's secular solve.
 _NULL_RTOL = 1e-12
-# Entries of rel_error's residual buffer (256 KB): a slice with more is
-# summed in blocks of rows
+# Entries of rel_error's residual buffer (256 KB): a slice is summed in
+# blocks of rows that fit it
 _RESIDUAL_BLOCK = 32768
 
 
@@ -135,12 +135,6 @@ def _solve_psd(m, g):
     if not 0 < sum(g.diagonal().tolist()) * sum(inv.diagonal().tolist()) <= _COND_MAX:
         return m @ _pinv_psd(g)
     return m @ inv
-
-
-def _ls_update(m, g1, g2, name):
-    """ALS's factor update for :func:`~convfactor.tensorops.cp_sweep`: the
-    least-squares solve ``m pinv(g1 * g2)``."""
-    return _solve_psd(m, g1 * g2)
 
 
 def _init_factors(tensor, rank, svd, rng):
@@ -242,7 +236,8 @@ def cpd_als(tensor, rank, seed=0, delta=None):
         stop = "cap"
         for sweep in range(_MAX_SWEEPS):
             prev = (a, b, c)
-            a, b, c, e2, slack = cp_sweep(tensor, norm_t2, b, c, _ls_update)
+            a, b, c, e2, slack = cp_sweep(tensor, norm_t2, b, c,
+                                          lambda m, g1, g2, _: _solve_psd(m, g1 * g2))
             if not dense:
                 err, margin = (x / norm_t for x in _gram_error(e2, slack))
                 # switch for good where the Gram form cannot resolve this step
@@ -334,36 +329,29 @@ def _gram_error(e2, slack):
     return np.sqrt(max(e2, 0.0)), hi - lo
 
 
-def _residual_sq(product, t_d):
-    """``||product - t_d||^2``, the difference built in place of `product`."""
-    product -= t_d
-    return float(np.vdot(product, product))
-
-
 def rel_error(slices, model):
     """``||T - [[A, B, C]]|| / ||T||``, one first-mode slice at a time.
 
     `slices` yields ``T[0], T[1], ...`` (an order-3 array will do).  Each
-    slice's residual ``(B a_d) C' - T[d]`` is one product when the slice
-    has at most ``_RESIDUAL_BLOCK`` entries, and otherwise is built in
-    blocks of rows in one reused buffer of that size, so neither a dense
-    model nor a slice-sized difference is built.  A zero T has error 0.
+    slice's residual ``(B a_d) C' - T[d]`` is built in blocks of rows in one
+    reused buffer of at most ``_RESIDUAL_BLOCK`` entries, so neither a dense
+    model nor a slice-sized difference is built.  A zero T has error 0;
+    ValueError when ``||T||`` is not finite (nan, inf or overflow).
     """
     ct = model.C.T
     s, t = model.B.shape[0], ct.shape[1]
     rows = max(_RESIDUAL_BLOCK // max(t, 1), 1)
-    buf = np.empty((rows, t)) if rows < s else None
+    buf = np.empty((min(rows, s), t))
     err2 = norm2 = 0.0
     for t_d, a_d in zip(slices, model.A, strict=True):
         b_d = model.B * a_d
-        if buf is None:  # the slice is one block
-            err2 += _residual_sq(b_d @ ct, t_d)
-        else:
-            for i in range(0, s, rows):
-                block = b_d[i:i + rows]
-                err2 += _residual_sq(np.matmul(block, ct, out=buf[:len(block)]),
-                                     t_d[i:i + rows])
+        for i in range(0, s, rows):
+            diff = np.matmul(b_d[i:i + rows], ct, out=buf[:min(rows, s - i)])
+            diff -= t_d[i:i + rows]
+            err2 += float(np.vdot(diff, diff))
         norm2 += float(np.vdot(t_d, t_d))
+    if not np.isfinite(norm2):
+        raise ValueError("tensor norm is not finite (nan, inf or overflow)")
     return float(np.sqrt(err2 / norm2)) if norm2 else 0.0
 
 

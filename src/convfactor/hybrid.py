@@ -19,6 +19,8 @@ from .tucker2 import tucker2_bounded
 
 __all__ = ["HybridModel", "tkd_cpd_epc", "should_merge", "to_equivalent_cp"]
 
+_BOUND_RTOL = 1e-9  # relative slack by which an error counts as within its bound
+
 
 @dataclass
 class HybridModel:
@@ -50,21 +52,13 @@ class HybridModel:
 def _exact_core_model(core, rank):
     """Exact CP model of a core tensor from its mode-0 slices.
 
-    Component (p, q) is ``core[:, p, q] o e_p o e_q``; needs
-    ``rank >= R1 * R2``.  Extra components are zero columns.
+    Component (p, q), column ``q R1 + p``, is ``core[:, p, q] o e_p o e_q``;
+    needs ``rank >= R1 * R2``.  Extra components are zero columns.
     """
     d2, r1, r2 = core.shape
-    a = np.zeros((d2, rank))
-    b = np.zeros((r1, rank))
-    c = np.zeros((r2, rank))
-    idx = 0
-    for q in range(r2):
-        for p in range(r1):
-            a[:, idx] = core[:, p, q]
-            b[p, idx] = 1.0
-            c[q, idx] = 1.0
-            idx += 1
-    return CPModel(a, b, c)
+    factors = (core.transpose(0, 2, 1).reshape(d2, r1 * r2), np.tile(np.eye(r1), r2),
+               np.repeat(np.eye(r2), r1, axis=1))
+    return CPModel(*(np.pad(f, ((0, 0), (0, rank - r1 * r2))) for f in factors))
 
 
 def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
@@ -115,7 +109,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     delta_core = None  # no budget: EPC keeps the core fit's error
     if delta_total is not None:
         err_tkd2 = max(float(norm_t**2 - core.norm**2), 0.0)
-        if err_tkd2 > delta_total**2 * (1 + 1e-9) + 1e-12 * norm_t**2:
+        if err_tkd2 > delta_total**2 * (1 + _BOUND_RTOL) + 1e-12 * norm_t**2:
             raise InfeasibleBoundError(
                 "the Tucker stage alone already exceeds the total budget; "
                 "use larger fixed multilinear ranks",
@@ -128,7 +122,7 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     res = cpd_als(core, rank, seed=seed, delta=delta_core)
     err_core = res.rel_error * core.norm
     model = res.model
-    if delta_core is not None and err_core > delta_core + 1e-9 * core.norm:
+    if delta_core is not None and err_core > delta_core + _BOUND_RTOL * core.norm:
         if rank >= r1 * r2:
             model = _exact_core_model(core.tensor, rank)
         else:

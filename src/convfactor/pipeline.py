@@ -17,7 +17,8 @@ from .cpd import CPModel, cpd_als, intensity, rel_error, sensitivity, sign_compo
 from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .fileio import Block
-from .hybrid import HybridModel, should_merge, tkd_cpd_epc, to_equivalent_cp
+from .hybrid import (_BOUND_RTOL, HybridModel, should_merge, tkd_cpd_epc,
+                     to_equivalent_cp)
 from .tensorops import _column_signs, _finite_norm
 
 __all__ = ["decompose_to_block", "fit", "METHODS"]
@@ -36,11 +37,13 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
     is the error bound of cpd-epc and tkd-cpd-epc as a fraction of the
     tensor norm, in [0, 1] (ValueError otherwise, NaN included).  The bound
     goes to both solvers: ALS stops at its first sweep inside it and EPC
-    trades what is left of it for lower sensitivity.  When omitted, ALS runs
-    to convergence and EPC preserves the error the fit achieved.  `ranks`
-    shapes tkd-cpd-epc alone, `theta` (None: the hybrid's default) only its
-    free ranks, and an argument the method would ignore, such as these or
-    `delta_rel` for cpd or svd, raises ValueError.
+    trades what is left of it for lower sensitivity; the fit delivers at
+    most ``delta_rel (1 + 1e-9)`` or raises InfeasibleBoundError in its
+    units.  When omitted, ALS runs to convergence and EPC preserves the
+    error the fit achieved.  `ranks` shapes tkd-cpd-epc alone, `theta`
+    (None: the hybrid's default) only its free ranks, and an argument the
+    method would ignore, such as these or `delta_rel` for cpd or svd,
+    raises ValueError.
 
     Returns (model, report): the model :func:`decompose_to_block` ships, and
     the kind of its block as ``report["block"]``.  That is a HybridModel
@@ -120,7 +123,12 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
         report["block"] = "cpd" if report["merged"] else "tkd-cpd"
     elif method != "svd":  # the svd pairs took their signs above
         model = cp = sign_components(model)
-    report["rel_error"] = rel_error(tensor, cp)
+    err = report["rel_error"] = rel_error(tensor, cp)
+    if delta_rel is not None and err > delta_rel * (1 + _BOUND_RTOL):
+        # EPC's exact-fit limit may pass its bound by _QP_TOL ||T||^2; --delta may not
+        raise InfeasibleBoundError(
+            f"--delta {delta_rel:g} cannot be met (relative error {err:.3g} reached, "
+            f"{delta_rel:g} allowed)", min_residual=(err * norm_t) ** 2, bound=delta**2)
     return (model if report["block"] == "tkd-cpd" else cp), report
 
 

@@ -22,6 +22,7 @@ from . import fileio
 from .cpd import cpd_als  # noqa: F401
 from .epc import epc_correct  # noqa: F401
 from .pipeline import decompose_to_block, fit
+from .tensorops import _finite_norm
 
 __all__ = [
     "Evaluator",
@@ -127,11 +128,13 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
     hybrid's fixed multilinear ranks, else (S, T).  Uses bisection with
     memoized scores, so the evaluator runs at most
     ``ceil(log2(r_max - r_min + 1)) + 1`` times.  If no rank qualifies the
-    result carries ``met=False`` and ``rank=r_max``.
+    result carries ``met=False`` and ``rank=r_max``.  `tensor` is checked
+    once, and every evaluation gets the checked pair.
     """
-    ranks = _search_ranks(tensor, method, ranks)
+    checked = _finite_norm(tensor)
+    ranks = _search_ranks(checked.tensor, method, ranks)
     if r_max is None:
-        d2, s, t = np.shape(tensor)
+        d2, s, t = checked.tensor.shape
         r1, r2 = ranks or (s, t)
         r_max = min(d2 * r1, d2 * r2, r1 * r2)
     if r_min < 1 or r_min > r_max:
@@ -145,11 +148,11 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
         if rank not in scores:
             if evaluator.command:
                 scores[rank] = _external_score(
-                    evaluator.command, rank, tensor, method, seed, ranks,
+                    evaluator.command, rank, checked, method, seed, ranks,
                     kernel_path, conv_spec,
                 )
             else:
-                scores[rank] = approx_error_proxy(tensor, method, rank, seed=seed,
+                scores[rank] = approx_error_proxy(checked, method, rank, seed=seed,
                                                   ranks=ranks)
         return scores[rank]
 

@@ -34,13 +34,6 @@ __all__ = [
 ]
 
 
-def _as_f64(a):
-    a = np.asarray(a)
-    if not np.issubdtype(a.dtype, np.floating):
-        a = a.astype(np.float64)
-    return np.ascontiguousarray(a, dtype=np.float64) if a.dtype != np.float64 else a
-
-
 def khatri_rao(a, b):
     """Column-wise Kronecker (Khatri-Rao) product of two matrices.
 
@@ -72,9 +65,7 @@ def reconstruct_cp(a, b, c):
     """Rebuild the dense tensor of the Kruskal model ``[[A, B, C]]``:
     ``t[i, j, k] = sum_r A[i, r] * B[j, r] * C[k, r]``.
     """
-    a = _as_f64(a)
-    b = _as_f64(b)
-    c = _as_f64(c)
+    a, b, c = (np.asarray(f, dtype=np.float64) for f in (a, b, c))
     if a.ndim != 2 or b.ndim != 2 or c.ndim != 2:
         raise ValueError("factors must be matrices")
     if not (a.shape[1] == b.shape[1] == c.shape[1]):
@@ -110,15 +101,18 @@ def _norm(a):
 
 def _finite_norm(tensor):
     """``_Checked(tensor, ||tensor||_F)`` with `tensor` as a C-contiguous
-    float64 array, or ValueError when it is not of order 3, its norm is not
-    finite (nan, inf or overflow) or, nonzero, outside ``_NORM_RANGE``
-    (underflow included): the one input check of a solver entry.  A
-    ``_Checked`` argument, which one entry hands another, comes back as is."""
+    float64 array, or ValueError when it is not of order 3, has an empty
+    mode, or its norm is not finite (nan, inf or overflow) or, nonzero,
+    outside ``_NORM_RANGE`` (underflow included): the one input check of a
+    solver entry.  A ``_Checked`` argument, which one entry hands another,
+    comes back as is."""
     if isinstance(tensor, _Checked):
         return tensor
     tensor = np.ascontiguousarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
+    if 0 in tensor.shape:
+        raise ValueError(f"tensor of shape {tensor.shape} has an empty mode")
     norm = _norm(tensor)
     if not np.isfinite(norm):
         raise ValueError("tensor norm is not finite (nan, inf or overflow)")

@@ -26,7 +26,7 @@ from convfactor import (
     restore_kernel,
     sensitivity,
 )
-from convfactor import cli, convblocks, cpd, epc, hybrid, pipeline, tucker2
+from convfactor import cli, convblocks, cpd, epc, hybrid, pipeline, ranksearch, tucker2
 from convfactor.cli import main
 from convfactor.convblocks import block_factors, block_to_kernel
 from convfactor.cpd import balance_components, rel_error
@@ -1118,6 +1118,47 @@ class TestDegenerateKernels:
                      "--rank", "3", *extra, "--out", str(tmp_path / "o")]) == 0
         assert plain == [(9, 6, 5)]
         assert max(sizes, default=0) <= 6 * 5
+
+    @pytest.mark.parametrize("method", ["cpd", "cpd-epc", "tkd-cpd-epc"])
+    def test_rank_search_checks_the_kernel_once(self, tmp_path, monkeypatch, capsys,
+                                                method):
+        # the command's checked pair goes on to every evaluation
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(25), dims=(9, 6, 5))
+        plain = []
+
+        def spy(tensor):
+            if not isinstance(tensor, _Checked):
+                plain.append(np.shape(tensor))
+            return _finite_norm(tensor)
+
+        for module in (cli, ranksearch, pipeline, hybrid, cpd, epc, tucker2):
+            monkeypatch.setattr(module, "_finite_norm", spy)
+        assert main(["rank-search", "--input", str(kpath), "--method", method,
+                     "--eps", "1e-8", "--rmax", "8", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["evaluations"] > 1
+        assert plain == [(9, 6, 5)]
+
+    def test_verify_of_a_kernel_whose_norm_overflows_exits_1(self, tmp_path, capsys):
+        # every tap's norm is finite and their sum of squares is not: verify
+        # reports what decompose does for the file, not a nan rel_error
+        rng = np.random.default_rng(26)
+        good = make_kernel_file(tmp_path, rng, dims=(9, 8, 6), name="good.kten")
+        out = tmp_path / "blk"
+        assert main(["decompose", "--input", str(good), "--method", "cpd",
+                     "--rank", "3", "--out", str(out)]) == 0
+        kernel = read_tensor(good)
+        kernel *= 0.7e154 / np.linalg.norm(kernel, axis=(2, 3), keepdims=True)
+        huge = tmp_path / "huge.kten"
+        write_tensor(huge, kernel)
+        capsys.readouterr()
+        for args in (["decompose", "--method", "cpd", "--rank", "3",
+                      "--out", str(tmp_path / "o")],
+                     ["verify", "--block", str(out / "block.json")]):
+            assert main([*args, "--input", str(huge)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ("error: tensor norm is not finite "
+                                    "(nan, inf or overflow)\n")
+            assert captured.out == ""
 
 
 class TestCliArgumentValues:

@@ -16,12 +16,15 @@ from conftest import hybrid_structured_tensor, random_cp_tensor
 from convfactor import (
     ConvSpec,
     CPModel,
+    Evaluator,
+    binary_search_rank,
     cpd,
     cpd_als,
     epc,
     epc_correct,
     hybrid,
     pipeline,
+    ranksearch,
     tkd_cpd_epc,
     tucker2,
     tucker2_bounded,
@@ -149,6 +152,28 @@ def test_unreachable_hybrid_bound_is_restated_relative_to_the_norm(
     assert f"{np.sqrt(e.bound) / norm_t:.3g}" == allowed
 
 
+def noise_floor_kernel():
+    """A rank-3 CP kernel (9 x 8 x 7) plus noise of relative norm 8e-6, the
+    generator's fourth noise draw: its rank-3 fits end at a relative error
+    of about 7.65e-6."""
+    rng = np.random.default_rng(20)
+    t = np.einsum("dr,sr,tr->dst", *(rng.standard_normal((n, 3)) for n in (9, 8, 7)))
+    noise = [rng.standard_normal(t.shape) for _ in range(4)][-1]
+    return t + 8e-6 * np.linalg.norm(t) * noise / np.linalg.norm(noise)
+
+
+@pytest.mark.parametrize("method", ["cpd-epc", "tkd-cpd-epc"])
+def test_delta_below_the_noise_floor_is_refused_by_both_methods(method):
+    # EPC alone lets its exact-fit limit pass the bound by _QP_TOL ||T||^2;
+    # --delta is met to 1e-9 relative by either method, or refused in its units
+    t = noise_floor_kernel()
+    with pytest.raises(InfeasibleBoundError, match=r"^--delta 1e-06 cannot be met "
+                       r"\(relative error 7.65e-06 reached, 1e-06 allowed\)"):
+        fit(t, method, 3, delta_rel=1e-6)
+    _, report = fit(t, method, 3, delta_rel=1e-5)
+    assert report["rel_error"] <= 1e-5
+
+
 @pytest.mark.parametrize("method, rank, kwargs", [
     ("cpd", 3, {}),
     ("cpd-epc", 3, {"delta_rel": 0.2}),
@@ -218,6 +243,22 @@ def test_non_finite_tensor_rejected_at_every_entry(entry, bad):
     t[0, 2, 3] = bad
     with pytest.raises(ValueError, match="not finite"):
         entry(t)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0), (0, 3, 3), (0, 0, 5)])
+@pytest.mark.parametrize("entry", [
+    lambda t: cpd_als(t, 2),
+    lambda t: _epc(t, None),
+    lambda t: tucker2_bounded(t, 0.0),
+    lambda t: tkd_cpd_epc(t, 0.0, 2),
+    lambda t: binary_search_rank(t, "cpd", Evaluator(), 1, 2),
+    *(lambda t, m=m: fit(t, m, 2) for m in METHODS),
+], ids=["cpd_als", "epc_correct", "tucker2_bounded", "tkd_cpd_epc",
+        "binary_search_rank", *(f"fit-{m}" for m in METHODS)])
+def test_empty_mode_rejected_at_every_entry(entry, shape):
+    # one error from the one input check, whichever extent is zero
+    with pytest.raises(ValueError, match=r"^tensor of shape .* has an empty mode$"):
+        entry(np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -306,8 +347,9 @@ def test_hybrid_fits_an_in_range_kernel_whose_core_is_below_the_range():
     lambda t: epc_correct(t, CPModel(*(np.ones((n, 2)) for n in t.shape)), delta=None),
     lambda t: tucker2_bounded(t, 0.3 * np.linalg.norm(t)),
     lambda t: tkd_cpd_epc(t, 0.3 * np.linalg.norm(t), 2),
+    lambda t: binary_search_rank(t, "cpd-epc", Evaluator(eps=1e-8), 1, 8),
 ], ids=["fit-cpd", "fit-cpd-epc", "fit-tkd-cpd-epc", "fit-svd", "cpd_als",
-        "epc_correct", "tucker2_bounded", "tkd_cpd_epc"])
+        "epc_correct", "tucker2_bounded", "tkd_cpd_epc", "binary_search_rank"])
 def test_one_input_check_per_call(monkeypatch, call):
     # each entry checks a plain array once and hands the checked pair on
     plain = []
@@ -317,7 +359,7 @@ def test_one_input_check_per_call(monkeypatch, call):
             plain.append(np.shape(tensor))
         return _finite_norm(tensor)
 
-    for module in (pipeline, hybrid, cpd, epc, tucker2):
+    for module in (ranksearch, pipeline, hybrid, cpd, epc, tucker2):
         monkeypatch.setattr(module, "_finite_norm", spy)
     t = hybrid_structured_tensor(np.random.default_rng(2), (9, 6, 5), (3, 3), 3,
                                  noise=0.1)

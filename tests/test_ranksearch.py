@@ -17,6 +17,10 @@ from convfactor.fileio import write_tensor
 from convfactor.pipeline import decompose_to_block
 from convfactor.ranksearch import EvaluatorError, approx_error_proxy
 
+# the searched tensor of the tests whose scores are faked: it only has to pass
+# the search's input check
+ZERO = np.zeros((2, 2, 2))
+
 
 def patch_scores(monkeypatch, fn):
     calls = []
@@ -38,26 +42,26 @@ class TestBinarySearch:
             return table[max(keys)] if keys else 1.0
 
         patch_scores(monkeypatch, step)
-        result = binary_search_rank(None, "cpd", Evaluator(eps=0.05), 10, 40)
+        result = binary_search_rank(ZERO, "cpd", Evaluator(eps=0.05), 10, 40)
         assert result.rank == 30
         assert result.met
 
     def test_eps_larger_than_everything(self, monkeypatch):
         patch_scores(monkeypatch, lambda r: 0.9)
-        result = binary_search_rank(None, "cpd", Evaluator(eps=1.0), 3, 17)
+        result = binary_search_rank(ZERO, "cpd", Evaluator(eps=1.0), 3, 17)
         assert result.rank == 3
         assert result.met
 
     def test_never_met_flag(self, monkeypatch):
         patch_scores(monkeypatch, lambda r: 1.0)
-        result = binary_search_rank(None, "cpd", Evaluator(eps=0.5), 1, 9)
+        result = binary_search_rank(ZERO, "cpd", Evaluator(eps=0.5), 1, 9)
         assert result.rank == 9
         assert not result.met
 
     def test_eval_budget(self, monkeypatch):
         calls = patch_scores(monkeypatch, lambda r: 1.0 / r)
         r_min, r_max = 1, 16
-        binary_search_rank(None, "cpd", Evaluator(eps=0.11), r_min, r_max)
+        binary_search_rank(ZERO, "cpd", Evaluator(eps=0.11), r_min, r_max)
         assert len(set(calls)) <= math.ceil(math.log2(r_max - r_min)) + 1
 
     @pytest.mark.parametrize("threshold", [2, 5, 11, 13])
@@ -66,7 +70,7 @@ class TestBinarySearch:
             return 0.0 if rank >= threshold else 1.0
 
         patch_scores(monkeypatch, step)
-        result = binary_search_rank(None, "cpd", Evaluator(eps=0.5), 1, 13)
+        result = binary_search_rank(ZERO, "cpd", Evaluator(eps=0.5), 1, 13)
         linear = min(r for r in range(1, 14) if step(r) <= 0.5)
         assert result.rank == linear == threshold
 
@@ -80,7 +84,7 @@ class TestBinarySearch:
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
-            binary_search_rank(None, "cpd", Evaluator(), 5, 4)
+            binary_search_rank(ZERO, "cpd", Evaluator(), 5, 4)
 
     def test_default_r_max_follows_fixed_ranks(self):
         # the 9 x 6 x 5 core has an exact CP of rank 30 = R1 R2, the default
@@ -108,7 +112,7 @@ def test_evaluator_rejects_non_positive_eps(eps):
 def test_empty_command_selects_the_proxy(monkeypatch):
     # rank-search --evaluator '' scores with the proxy, as with no command
     calls = patch_scores(monkeypatch, lambda r: 0.0 if r >= 3 else 1.0)
-    result = binary_search_rank(None, "cpd", Evaluator(eps=0.5, command=""), 1, 4)
+    result = binary_search_rank(ZERO, "cpd", Evaluator(eps=0.5, command=""), 1, 4)
     assert result.rank == 3 and calls
 
 
