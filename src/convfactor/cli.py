@@ -6,11 +6,14 @@ rank) and ``verify`` (check a block against its source kernel).
 
 Exit codes: 0 success, 1 infeasible bound, usage error or invalid
 argument value (a rank too large to allocate or a kernel norm out of
-range included), invalid method/shape combination or an output that
-cannot be written, 2
-malformed or inconsistent input files, 3 external evaluator contract
-violations.  The commands raise; :func:`main` alone maps an exception to
-its exit code.
+range or overflowing included), invalid method/shape combination or an
+output that cannot be written, 2 malformed or inconsistent input files
+(NaN or inf in a kernel or in a block's weights or bias included), 3
+external evaluator contract violations (an evaluator must print one
+finite decimal score).  The commands raise; :func:`main` alone maps an
+exception to its exit code.  Every command checks a kernel by one norm
+over the whole kernel: only a norm that is not finite makes
+``np.isfinite`` scan it, to tell exit 2 from exit 1.
 """
 
 import argparse
@@ -29,7 +32,7 @@ from .cpd import rel_error
 from .errors import TensorFileError
 from .pipeline import METHODS, decompose_to_block
 from .ranksearch import Evaluator, EvaluatorError, binary_search_rank
-from .tensorops import _finite_norm, _norm, reshape_kernel
+from .tensorops import _finite_norm, reshape_kernel
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -74,37 +77,29 @@ def _check_kernel_shape(path, shape):
             f"{path}: expected a D x D x S x T kernel, got shape {shape}")
 
 
-def _finite(path, check, array):
-    """`check(array)`, a check that takes `array`'s norm in one pass and
-    raises ValueError when that norm is not finite, or is out of range.  Only
-    a failed check makes ``np.isfinite`` scan `array`, to tell a non-finite
-    entry (TensorFileError, exit 2) from a norm that overflows (ValueError,
-    exit 1)."""
+def _finite(path, check, kernel):
+    """`check()`, a check that takes the kernel's norm in one pass and raises
+    ValueError when that norm is not finite, or is out of range.  Only a
+    failed check calls `kernel()`, which draws the kernel's taps again, for
+    ``np.isfinite`` to tell a non-finite entry (TensorFileError, exit 2) from
+    a norm that overflows (ValueError, exit 1)."""
     try:
-        return check(array)
+        return check()
     except ValueError:
-        if not np.isfinite(array).all():
+        if not all(np.isfinite(tap).all() for tap in kernel()):
             raise TensorFileError(
                 f"{path}: kernel contains non-finite values") from None
         raise
 
 
-def _tap_float64(tap):
-    """`tap` as float64; ValueError when its norm is not finite."""
-    tap = tap.astype(np.float64, copy=False)
-    if not np.isfinite(_norm(tap)):
-        raise ValueError("tensor norm of a kernel tap is not finite; rescale it")
-    return tap
-
-
 def _kernel_taps(path, shape):
-    """The kernel file's (S, T) taps as float64, drawn and checked one at a
-    time, once its shape is checked to be `shape`."""
+    """The kernel file's (S, T) taps as float64, drawn one at a time, once
+    its shape is checked to be `shape`."""
     found, taps = fileio.read_tensor_matrices(path)
     _check_kernel_shape(path, found)
     if found != shape:
         raise TensorFileError(f"{path}: kernel shape {found}, the block's spec {shape}")
-    return (_finite(path, _tap_float64, tap) for tap in taps)
+    return (tap.astype(np.float64, copy=False) for tap in taps)
 
 
 def _load_tensor_and_spec(args):
@@ -113,7 +108,8 @@ def _load_tensor_and_spec(args):
     ConvSpec."""
     kernel = fileio.read_tensor(args.input)
     _check_kernel_shape(args.input, kernel.shape)
-    checked = _finite(args.input, _finite_norm, reshape_kernel(kernel))
+    tensor = reshape_kernel(kernel)
+    checked = _finite(args.input, lambda: _finite_norm(tensor), lambda: tensor)
     d, _, s, t = kernel.shape
     spec = ConvSpec(in_channels=s, out_channels=t, kernel_size=d,
                     stride=args.stride, pad=args.pad)
@@ -210,8 +206,12 @@ def cmd_verify(args):
         chain_hw = _out_hw(*chain_hw, *layer.kernel, layer.stride, layer.pad)
     d = spec.kernel_size
     conv_hw = _out_hw(h, w, d, d, spec.stride, spec.pad)
-    taps = _kernel_taps(args.input, (d, d, spec.in_channels, spec.out_channels))
-    rel = rel_error(taps, block_factors(block.layers, block.kind))
+    shape = (d, d, spec.in_channels, spec.out_channels)
+    taps = _kernel_taps(args.input, shape)
+    factors = block_factors(block.layers, block.kind)
+    # the norm rel_error sums is the kernel's one check, as in decompose
+    rel = _finite(args.input, lambda: rel_error(taps, factors),
+                  lambda: _kernel_taps(args.input, shape))
     metrics = block_metrics(block.layers, block.kind, block.metrics["input_hw"])
     recorded = block.metrics.get("rel_error")
     shown = f"{recorded:.6e}" if type(recorded) is float else recorded

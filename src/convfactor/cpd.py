@@ -272,9 +272,9 @@ def cpd_als(tensor, rank, seed=0, delta=None):
             return result
         if (
             best is None
-            or final < best.rel_error - 1e-12
+            or final < best.rel_error - _TOL
             or (
-                abs(final - best.rel_error) <= 1e-12
+                abs(final - best.rel_error) <= _TOL
                 and sensitivity(model) < sensitivity(best.model)
             )
         ):

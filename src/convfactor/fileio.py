@@ -213,7 +213,8 @@ def read_block(path):
     not a float or a boolean.  The layer chain must fit
     ``metrics["input_hw"]`` (56x56 when absent) and realize the block's
     kind and its spec: the (D^2, S, T) shape, the product of the strides
-    and the sum of the pads.
+    and the sum of the pads.  No layer's weights or bias may hold NaN or
+    inf.
     """
     try:
         with open(path, "rb") as fh:
@@ -247,6 +248,12 @@ def read_block(path):
             )
             for entry in doc["layers"]
         ]
+        for i, layer in enumerate(layers):
+            for key in ("weights", "bias"):
+                array = getattr(layer, key)
+                if array is not None and not np.isfinite(array).all():
+                    raise TensorFileError(
+                        f"{path}: layers[{i}] {key} hold non-finite values")
         metrics = doc.get("metrics", {})
         if not isinstance(metrics, dict):
             raise TypeError("metrics is not a JSON object")

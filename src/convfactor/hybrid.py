@@ -15,7 +15,7 @@ from .cpd import CPModel, cpd_als
 from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .tensorops import _Checked, _finite_norm
-from .tucker2 import tucker2_bounded
+from .tucker2 import _CUT_SLACK, tucker2_bounded
 
 __all__ = ["HybridModel", "tkd_cpd_epc", "should_merge", "to_equivalent_cp"]
 
@@ -109,7 +109,8 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
     delta_core = None  # no budget: EPC keeps the core fit's error
     if delta_total is not None:
         err_tkd2 = max(float(norm_t**2 - core.norm**2), 0.0)
-        if err_tkd2 > delta_total**2 * (1 + _BOUND_RTOL) + 1e-12 * norm_t**2:
+        # a free cut may stop _CUT_SLACK·tr(Q) ≤ _CUT_SLACK·‖T‖² short of its bound
+        if err_tkd2 > delta_total**2 * (1 + _BOUND_RTOL) + _CUT_SLACK * norm_t**2:
             raise InfeasibleBoundError(
                 "the Tucker stage alone already exceeds the total budget; "
                 "use larger fixed multilinear ranks",

@@ -48,7 +48,7 @@ class Evaluator:
     A rank qualifies when its score is at most `eps`.  Without a `command`
     (None or "") the score is :func:`approx_error_proxy`; otherwise
     `command` is invoked as ``command <block.json> <kernel.kten>`` and
-    prints one decimal score.
+    prints one finite decimal score.
     """
 
     eps: float = 1e-3
@@ -110,11 +110,13 @@ def _external_score(command, rank, tensor, method, seed, ranks, kernel_path, con
                 captured=proc.stderr or proc.stdout,
             )
         try:
-            return float(proc.stdout.strip().split()[-1])
+            score = float(proc.stdout.strip().split()[-1])
         except (ValueError, IndexError):
+            score = math.nan
+        if not math.isfinite(score):
             raise EvaluatorError(
-                "evaluator printed no parsable score", captured=proc.stdout
-            ) from None
+                "evaluator printed no finite decimal score", captured=proc.stdout)
+        return score
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -92,13 +92,6 @@ class _Checked(NamedTuple):
     norm: float
 
 
-def _norm(a):
-    """``||a||_F``, inf when it overflows, without numpy's overflow warning:
-    the caller reports a norm that is not finite."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(a)
-
-
 def _finite_norm(tensor):
     """``_Checked(tensor, ||tensor||_F)`` with `tensor` as a C-contiguous
     float64 array, or ValueError when it is not of order 3, has an empty
@@ -113,7 +106,8 @@ def _finite_norm(tensor):
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     if 0 in tensor.shape:
         raise ValueError(f"tensor of shape {tensor.shape} has an empty mode")
-    norm = _norm(tensor)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        norm = np.linalg.norm(tensor)
     if not np.isfinite(norm):
         raise ValueError("tensor norm is not finite (nan, inf or overflow)")
     if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1] and (norm > 0 or tensor.any()):

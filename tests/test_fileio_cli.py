@@ -510,6 +510,28 @@ class TestCliVerify:
         assert code == 0
         assert "trials: 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, layer", [("layer_02_bias.kten", "layers[2] bias"),
+                                             ("layer_01.kten", "layers[1] weights")])
+    def test_non_finite_block_tensor_exits_2(self, tmp_path, capsys, name, layer, bad):
+        # read_block rejects it: a NaN bias passed every recomputed metric and
+        # the forward trials' max(), and an inf weight raised a numpy warning
+        rng = np.random.default_rng(15)
+        t, _ = random_cp_tensor(rng, (9, 8, 6), 3)
+        kpath = tmp_path / "k.kten"
+        write_tensor(kpath, restore_kernel(t, 3))
+        spec = ConvSpec(8, 6, 3, bias=rng.standard_normal(6))
+        block, _ = decompose_to_block(t, "cpd", 3, spec)
+        bpath = write_block(tmp_path / "blk", block)
+        path = bpath.parent / name
+        arr = read_tensor(path)
+        arr.flat[1] = bad
+        write_tensor(path, arr)
+        assert main(["verify", "--block", str(bpath), "--input", str(kpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bpath}: {layer} hold non-finite values\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "unparsable"])
     def test_unreadable_block_file_exits_2(self, tmp_path, capsys, text):
         kpath = make_kernel_file(tmp_path, np.random.default_rng(14))
@@ -1138,16 +1160,22 @@ class TestDegenerateKernels:
         assert json.loads(capsys.readouterr().out)["evaluations"] > 1
         assert plain == [(9, 6, 5)]
 
-    def test_verify_of_a_kernel_whose_norm_overflows_exits_1(self, tmp_path, capsys):
-        # every tap's norm is finite and their sum of squares is not: verify
-        # reports what decompose does for the file, not a nan rel_error
+    @pytest.mark.parametrize("scaled", ["every tap", "one tap"])
+    def test_verify_of_a_kernel_whose_norm_overflows_exits_1(self, tmp_path, capsys,
+                                                             scaled):
+        # every tap's norm finite and their sum of squares not, or one tap's
+        # own norm overflowing: verify reports what decompose does for the
+        # file, not a nan rel_error or a message of its own
         rng = np.random.default_rng(26)
         good = make_kernel_file(tmp_path, rng, dims=(9, 8, 6), name="good.kten")
         out = tmp_path / "blk"
         assert main(["decompose", "--input", str(good), "--method", "cpd",
                      "--rank", "3", "--out", str(out)]) == 0
         kernel = read_tensor(good)
-        kernel *= 0.7e154 / np.linalg.norm(kernel, axis=(2, 3), keepdims=True)
+        if scaled == "every tap":
+            kernel *= 0.7e154 / np.linalg.norm(kernel, axis=(2, 3), keepdims=True)
+        else:
+            kernel[1, 2] *= 1e200
         huge = tmp_path / "huge.kten"
         write_tensor(huge, kernel)
         capsys.readouterr()
@@ -1159,6 +1187,26 @@ class TestDegenerateKernels:
             assert captured.err == ("error: tensor norm is not finite "
                                     "(nan, inf or overflow)\n")
             assert captured.out == ""
+
+    def test_verify_checks_the_kernel_in_one_pass(self, tmp_path, monkeypatch, capsys):
+        # rel_error's norm of the kernel is verify's check: no (S, T) tap gets
+        # a norm or an np.isfinite scan of its own
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(27), dims=(9, 8, 6))
+        out = tmp_path / "blk"
+        assert main(["decompose", "--input", str(kpath), "--method", "cpd",
+                     "--rank", "3", "--out", str(out)]) == 0
+        shapes = []
+        for module, name in ((np, "isfinite"), (np.linalg, "norm")):
+            def spy(x, *args, real=getattr(module, name), **kwargs):
+                shapes.append(np.shape(x))
+                return real(x, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        capsys.readouterr()
+        assert main(["verify", "--block", str(out / "block.json"), "--input",
+                     str(kpath), "--trials", "0"]) == 0
+        assert "verify: OK" in capsys.readouterr().out
+        assert (8, 6) not in shapes
 
 
 class TestCliArgumentValues:

@@ -228,10 +228,13 @@ class TestExternalEvaluator:
             )
         assert "boom" in e.value.captured
 
-    def test_unparsable_output_raises(self, tmp_path):
+    @pytest.mark.parametrize("output", ["not a number", "nan", "inf", "-inf"])
+    def test_unparsable_output_raises(self, tmp_path, output):
+        # a score that is not finite breaks the contract too: --json would
+        # print it as NaN or Infinity, which is not JSON
         rng = np.random.default_rng(7)
         t, kpath = self.make_kernel(tmp_path, rng)
-        cmd = self.write_script(tmp_path, "print('not a number')\n")
+        cmd = self.write_script(tmp_path, f"print({output!r})\n")
         with pytest.raises(EvaluatorError):
             binary_search_rank(
                 t,
