@@ -5,10 +5,12 @@ directory), ``rank-search`` (binary search for the smallest acceptable
 rank) and ``verify`` (check a block against its source kernel).
 
 Exit codes: 0 success, 1 infeasible bound, usage error or invalid
-argument value (a rank too large to allocate or a kernel norm out of
-range or overflowing included), invalid method/shape combination or an
-output that cannot be written, 2 malformed or inconsistent input files
-(NaN or inf in a kernel or in a block's weights or bias included), 3
+argument value (a rank too large to allocate, an ``--eps`` that is not
+positive and finite, or a kernel norm out of range or overflowing
+included), invalid method/shape combination or an output that cannot be
+written, 2 malformed or inconsistent input files (NaN or inf in a kernel,
+and a block's weights or bias with NaN or inf or a norm outside the
+kernel norm range, included), 3
 external evaluator contract violations (an evaluator must print one
 finite decimal score).  The commands raise; :func:`main` alone maps an
 exception to its exit code.  Every command checks a kernel by one norm

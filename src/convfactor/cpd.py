@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np  # numpy only: importing scipy.linalg adds ~0.4 s to CLI start-up
 
 from .tensorops import _column_signs, _finite_norm, cp_sweep, reconstruct_cp
+from .tucker2 import _leading_right_vecs, _projected_slices
 # not used here: the benchmark's span tracer (benchmarks/tracing.py) wraps this name
 from .tensorops import khatri_rao  # noqa: F401
 
@@ -138,24 +139,18 @@ def _solve_psd(m, g):
 
 
 def _init_factors(tensor, rank, svd, rng):
-    if not svd:
-        return [rng.standard_normal((n, rank)) for n in tensor.shape]
-    i, j, k = tensor.shape
-    t_i, t_k = tensor.reshape(i, j * k), tensor.reshape(i * j, k)
-    # the J x J Gram summed over slices: no (I*K, J) unfolding is copied
-    g_j = sum(t_d @ t_d.T for t_d in tensor)
-    grams = (t_i @ t_i.T, g_j, t_k.T @ t_k)
+    """A restart's starting ``(B, C)``; the first sweep computes A from them.
+    With `svd`, each is the leading left singular vectors of its unfolding,
+    the Tucker-2 step of that mode, padded with random columns where the
+    rank exceeds them; without, all of its columns are random."""
     factors = []
-    for n, other, gram in zip(tensor.shape, (j * k, i * k, i * j), grams):
-        # leading left singular vectors of the unfolding, as the eigenvectors
-        # of its Gram: no unfolding copy and no SVD workspace
-        u = np.linalg.eigh(gram)[1][:, ::-1][:, : min(n, other)]
-        if u.shape[1] >= rank:
-            factors.append(np.ascontiguousarray(u[:, :rank]))
-        else:
-            # more components than singular vectors: pad with random columns
-            pad = rng.standard_normal((n, rank - u.shape[1]))
-            factors.append(np.hstack([u, pad]))
+    for mode in (1, 2):
+        stack = _projected_slices(tensor, None, 3 - mode)  # a view; P'P is its Gram
+        n = stack.shape[2]
+        u = np.empty((n, 0))
+        if svd:
+            u = _leading_right_vecs(stack, 0.0, min(rank, n, stack.size // n))[0]
+        factors.append(np.hstack([u, rng.standard_normal((n, rank - u.shape[1]))]))
     return factors
 
 
@@ -177,8 +172,10 @@ def cpd_als(tensor, rank, seed=0, delta=None):
     Every fit has the settings of the module constants: up to
     ``_RESTARTS = 3`` restarts of at most ``_MAX_SWEEPS = 1000`` sweeps,
     each stopping once a sweep changes the error by less than
-    ``_TOL = 1e-12``.  Restart 0 starts from the leading left singular
-    vectors of each unfolding (padded with random columns where the rank
+    ``_TOL = 1e-12``.  A restart starts from B and C alone, and its first
+    sweep computes A from them.  Restart 0 takes the leading left singular
+    vectors of the two channel unfoldings, by the Tucker-2 step of
+    :mod:`~convfactor.tucker2` (padded with random columns where the rank
     exceeds them); restart ``n`` draws its random values from
     ``np.random.default_rng((seed, n))``.  Two rules end the fit early,
     once more sweeps cannot improve what the caller gets:
@@ -228,14 +225,12 @@ def cpd_als(tensor, rank, seed=0, delta=None):
     best = None
     for restart in range(_RESTARTS):
         rng = np.random.default_rng((seed, restart))
-        a, b, c = _init_factors(tensor, rank, restart == 0, rng)
+        b, c = _init_factors(tensor, rank, restart == 0, rng)
         errors = []
         prev_err = np.inf
         dense = False
-        n_iters = 0
         stop = "cap"
-        for sweep in range(_MAX_SWEEPS):
-            prev = (a, b, c)
+        for _ in range(_MAX_SWEEPS):
             a, b, c, e2, slack = cp_sweep(tensor, norm_t2, b, c,
                                           lambda m, g1, g2, _: _solve_psd(m, g1 * g2))
             if not dense:
@@ -248,20 +243,19 @@ def cpd_als(tensor, rank, seed=0, delta=None):
             if dense:
                 err = rel_error(tensor, CPModel(a, b, c))
             errors.append(err)
-            n_iters = sweep + 1
             if err <= bound:
                 stop = "bound"
                 break
             if abs(prev_err - err) < _TOL:
                 stop = "tol"
                 break
-            prev_err = err
+            prev, prev_err = (a, b, c), err
 
         magnitude = np.prod([np.linalg.norm(f, axis=0) for f in (a, b, c)], axis=0)
         order = np.argsort(-magnitude, kind="stable")
         model = balance_components(CPModel(a[:, order], b[:, order], c[:, order]))
         final = errors[-1] = rel_error(tensor, model)
-        result = AlsResult(model, final, errors, n_iters=n_iters, stop=stop)
+        result = AlsResult(model, final, errors, n_iters=len(errors), stop=stop)
         if stop == "bound" or (
             restart == 0
             and stop == "tol"
@@ -314,9 +308,10 @@ def sign_components(model):
     largest-magnitude entry is positive, and A takes the flips, so the
     reconstruction, the balance and the sensitivity are unchanged.
 
-    ALS inherits its components' signs from the ``eigh`` seed of restart 0,
-    and LAPACK picks those signs differently with the BLAS thread count;
-    after this rule the model does not depend on them.
+    ALS inherits its components' signs from its start.  Restart 0's seed
+    has them fixed by ``_column_signs``, the Tucker-2 step's rule, so they
+    do not depend on the signs LAPACK picks; this rule puts the fitted
+    model, from any restart, in the same form.
     """
     sb, sc = _column_signs(model.B), _column_signs(model.C)
     return CPModel(model.A * (sb * sc), model.B * sb, model.C * sc)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .convblocks import ConvSpec, LayerDescriptor, block_factors, count_params_flops
 from .errors import TensorFileError
+from .tensorops import _norm_in_range
 
 __all__ = ["Block", "read_tensor", "read_tensor_matrices", "write_tensor", "read_block",
            "write_block"]
@@ -213,8 +214,10 @@ def read_block(path):
     not a float or a boolean.  The layer chain must fit
     ``metrics["input_hw"]`` (56x56 when absent) and realize the block's
     kind and its spec: the (D^2, S, T) shape, the product of the strides
-    and the sum of the pads.  No layer's weights or bias may hold NaN or
-    inf.
+    and the sum of the pads.  Each layer's weights and bias are held to a
+    kernel's rule, :func:`~convfactor.tensorops._norm_in_range`: they may
+    not hold NaN or inf, and a nonzero one's norm must be finite and inside
+    ``_NORM_RANGE``.
     """
     try:
         with open(path, "rb") as fh:
@@ -251,9 +254,14 @@ def read_block(path):
         for i, layer in enumerate(layers):
             for key in ("weights", "bias"):
                 array = getattr(layer, key)
-                if array is not None and not np.isfinite(array).all():
-                    raise TensorFileError(
-                        f"{path}: layers[{i}] {key} hold non-finite values")
+                try:  # one norm; only a norm that is not finite scans the entries
+                    if array is not None:
+                        _norm_in_range(array.astype(np.float64, copy=False))
+                except ValueError as e:
+                    where = f"{path}: layers[{i}] {key}"
+                    if np.isfinite(array).all():
+                        raise TensorFileError(f"{where}: {e}") from None
+                    raise TensorFileError(f"{where} hold non-finite values") from None
         metrics = doc.get("metrics", {})
         if not isinstance(metrics, dict):
             raise TypeError("metrics is not a JSON object")

@@ -45,18 +45,19 @@ class EvaluatorError(RuntimeError):
 class Evaluator:
     """Scoring hook for the rank search.
 
-    A rank qualifies when its score is at most `eps`.  Without a `command`
-    (None or "") the score is :func:`approx_error_proxy`; otherwise
-    `command` is invoked as ``command <block.json> <kernel.kten>`` and
-    prints one finite decimal score.
+    A rank qualifies when its score is at most `eps`, which must be
+    positive and finite.  Without a `command` (None or "") the score is
+    :func:`approx_error_proxy`; otherwise `command` is invoked as
+    ``command <block.json> <kernel.kten>`` and prints one finite decimal
+    score.
     """
 
     eps: float = 1e-3
     command: str | None = None
 
     def __post_init__(self):
-        if not self.eps > 0:  # rejects NaN
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:  # rejects NaN
+            raise ValueError("eps must be positive and finite")
 
 
 @dataclass

@@ -95,10 +95,9 @@ class _Checked(NamedTuple):
 def _finite_norm(tensor):
     """``_Checked(tensor, ||tensor||_F)`` with `tensor` as a C-contiguous
     float64 array, or ValueError when it is not of order 3, has an empty
-    mode, or its norm is not finite (nan, inf or overflow) or, nonzero,
-    outside ``_NORM_RANGE`` (underflow included): the one input check of a
-    solver entry.  A ``_Checked`` argument, which one entry hands another,
-    comes back as is."""
+    mode, or fails :func:`_norm_in_range`: the one input check of a solver
+    entry.  A ``_Checked`` argument, which one entry hands another, comes
+    back as is."""
     if isinstance(tensor, _Checked):
         return tensor
     tensor = np.ascontiguousarray(tensor, dtype=np.float64)
@@ -106,14 +105,22 @@ def _finite_norm(tensor):
         raise ValueError(f"expected an order-3 tensor, got order {tensor.ndim}")
     if 0 in tensor.shape:
         raise ValueError(f"tensor of shape {tensor.shape} has an empty mode")
+    return _Checked(tensor, _norm_in_range(tensor))
+
+
+def _norm_in_range(array):
+    """``||array||_F`` in one pass, or ValueError when it is not finite (nan,
+    inf or overflow) or, for a nonzero array, outside ``_NORM_RANGE``
+    (underflow included).  Only a zero norm reads the array again.  The rule
+    of a kernel, and of a block file's layer weights and biases."""
     with np.errstate(over="ignore"):  # an overflow is reported below
-        norm = np.linalg.norm(tensor)
+        norm = np.linalg.norm(array)
     if not np.isfinite(norm):
         raise ValueError("tensor norm is not finite (nan, inf or overflow)")
-    if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1] and (norm > 0 or tensor.any()):
+    if not _NORM_RANGE[0] <= norm <= _NORM_RANGE[1] and (norm > 0 or array.any()):
         raise ValueError(f"tensor norm {norm:.3g} of a nonzero tensor is outside "
                          f"{_NORM_RANGE}; rescale it")
-    return _Checked(tensor, norm)
+    return norm
 
 
 def _column_signs(f):

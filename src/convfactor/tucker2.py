@@ -16,6 +16,8 @@ result takes a full ``eigh``.  A wide one takes ``eigh`` of the small m x m
 ``P P'`` and one QR of ``P' u``.  The core is the last V-step's stack
 ``U' K(d)`` times V (Kolda & Bader, SIAM Rev. 2009, sec. 4.2), the product
 :func:`core_closed_form` computes, so no pass over the tensor makes it.
+The same step, at a fixed rank with V = I or U = I, seeds CP-ALS: restart 0
+of :func:`~convfactor.cpd.cpd_als` starts B and C from it.
 numpy does all of it: importing ``scipy.linalg`` would double the peak
 memory of a ``convfactor`` process.
 """

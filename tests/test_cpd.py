@@ -14,18 +14,19 @@ from convfactor import (
     intensity,
     monte_carlo_sensitivity,
     sensitivity,
+    tucker2,
 )
 from convfactor.cpd import _pinv_psd, _solve_psd, balance_components
 from convfactor.fileio import read_tensor_matrices, write_tensor
 from convfactor.tensorops import khatri_rao, reconstruct_cp, restore_kernel
 
 
-def reference_als(tensor, a, b, c, sweeps, tol=0.0):
+def reference_als(tensor, b, c, sweeps, tol=0.0):
     """Textbook ALS on materialized Khatri-Rao matrices (oracle).
 
-    Runs at most `sweeps` sweeps, stopping once the dense relative error
-    changes by less than `tol`; returns the factors and the error after
-    each sweep.
+    Starts from B and C, runs at most `sweeps` sweeps, stopping once the
+    dense relative error changes by less than `tol`; returns the factors
+    and the error after each sweep.
     """
     norm_t = np.linalg.norm(tensor)
     units = [unfold(tensor, m) for m in range(3)]
@@ -42,12 +43,13 @@ def reference_als(tensor, a, b, c, sweeps, tol=0.0):
 
 
 def svd_init(tensor, rank, seed):
-    """The documented start of restart 0: the leading left singular vectors
-    of each unfolding, padded where the rank exceeds them with Gaussian
-    columns drawn from ``default_rng((seed, 0))`` in mode order."""
+    """The documented start of restart 0, B and C: the leading left
+    singular vectors of the mode-1 and mode-2 unfoldings, padded where the
+    rank exceeds them with Gaussian columns drawn from
+    ``default_rng((seed, 0))``, B's first."""
     rng = np.random.default_rng((seed, 0))
     factors = []
-    for mode in range(3):
+    for mode in (1, 2):
         u = np.linalg.svd(unfold(tensor, mode), full_matrices=False)[0][:, :rank]
         pad = rng.standard_normal((u.shape[0], rank - u.shape[1]))
         factors.append(np.hstack([u, pad]))
@@ -268,6 +270,38 @@ class TestStopRules:
         errors = res.rel_errors
         assert all(e1 <= e0 + cpd._TOL for e0, e1 in zip(errors, errors[1:]))
         assert res.rel_error < 1e-9
+
+
+class TestSeed:
+    @pytest.mark.parametrize("dims, rank", [
+        ((9, 6, 7), 3),   # both stacks tall
+        ((1, 12, 4), 3),  # mode 1's stack is 4 x 12, wide
+        ((2, 3, 5), 4),   # rank beyond mode 1's extent: one pad column
+    ])
+    def test_restart_zero_seeds_b_and_c_by_the_tucker_step(self, dims, rank):
+        t = np.random.default_rng(40).standard_normal(dims)
+        got = cpd._init_factors(t, rank, True, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        want = []
+        for stack in (np.swapaxes(t, 1, 2), t):  # the slices of modes 1 and 2
+            m, n = stack.shape[0] * stack.shape[1], stack.shape[2]
+            u = tucker2._leading_right_vecs(stack, 0.0, min(rank, n, m))[0]
+            want.append(np.hstack([u, rng.standard_normal((n, rank - u.shape[1]))]))
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_restart_zero_takes_no_first_mode_eigh(self, monkeypatch):
+        # A is the first sweep's update from B and C, so no D^2 x D^2 Gram
+        # of the first mode is decomposed
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda g, *args: shapes.append(g.shape) or eigh(g, *args))
+        monkeypatch.setattr(cpd, "_RESTARTS", 1)
+        t, _ = random_cp_tensor(np.random.default_rng(41), (9, 16, 16), 3)
+        assert cpd_als(t, 3).rel_error <= 1e-8
+        assert (16, 16) in shapes and (9, 9) not in shapes
 
 
 class TestAlsMatchesKhatriRaoReference:

@@ -532,6 +532,27 @@ class TestCliVerify:
         assert captured.err == f"error: {bpath}: {layer} hold non-finite values\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("scale", [1e300, 1e160])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_block_weights_outside_the_norm_range_exit_2(self, tmp_path, capsys, index,
+                                                         scale):
+        # finite weights whose squares overflow ended verify in a numpy
+        # overflow warning from cpd.sensitivity; read_block holds each layer
+        # to a kernel's norm rule
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(16), dims=(9, 8, 6))
+        out = tmp_path / "blk"
+        assert main(["decompose", "--input", str(kpath), "--method", "cpd",
+                     "--rank", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        path = out / f"layer_{index:02d}.kten"
+        write_tensor(path, scale * read_tensor(path))
+        bpath = out / "block.json"
+        assert main(["verify", "--block", str(bpath), "--input", str(kpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {bpath}: layers[{index}] weights: tensor norm ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "unparsable"])
     def test_unreadable_block_file_exits_2(self, tmp_path, capsys, text):
         kpath = make_kernel_file(tmp_path, np.random.default_rng(14))

@@ -103,7 +103,7 @@ class TestBinarySearch:
         assert not result.met and result.rank == 5
 
 
-@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
 def test_evaluator_rejects_non_positive_eps(eps):
     with pytest.raises(ValueError):
         Evaluator(eps=eps)
