@@ -2,8 +2,9 @@
 
 A total error budget splits between the Tucker stage and the CP fit of
 the core; orthonormal Tucker factors make the two stage errors add like
-orthogonal components.  When the CP rank undercuts both multilinear
-ranks the five-layer form should be merged back into a plain CP block.
+orthogonal components.  The five-layer form and the plain CP block of its
+equivalent CP realize the same kernel; `decompose` ships the one with fewer
+weights.
 """
 
 import numpy as np
@@ -11,10 +12,10 @@ import numpy as np
 from convfactor import (
     core_closed_form,
     reconstruct_cp,
-    should_merge,
     tkd_cpd_epc,
     to_equivalent_cp,
 )
+from convfactor.pipeline import fit
 
 rng = np.random.default_rng(4)
 
@@ -49,6 +50,7 @@ print(f"Pythagorean gap |total^2 - tkd^2 - core^2| / ||t||^2 = "
 print(f"five-layer parameter count: {model.param_count()}")
 flat = to_equivalent_cp(model)
 print(f"merged three-layer count:   {flat.A.size + flat.B.size + flat.C.size}")
-print(f"merge recommended for ranks {model.ranks}: {should_merge(model.ranks)}")
+_, report = fit(tensor, "tkd-cpd-epc", 5, delta_rel=0.2)
+print(f"block fit ships for ranks {report['ranks']}: {report['block']}")
 print(f"(merging is exact: reconstruction gap "
       f"{np.max(np.abs(flat.to_tensor() - model.to_tensor())):.2e})")

@@ -20,7 +20,7 @@ from .convblocks import (
 )
 from .cpd import CPModel, cpd_als, intensity, monte_carlo_sensitivity, sensitivity
 from .epc import epc_correct
-from .hybrid import should_merge, tkd_cpd_epc, to_equivalent_cp
+from .hybrid import tkd_cpd_epc, to_equivalent_cp
 from .ranksearch import Evaluator, binary_search_rank
 from .tensorops import reconstruct_cp, reshape_kernel, restore_kernel
 from .tucker2 import build_q1, build_q2, core_closed_form, tucker2_bounded

@@ -268,9 +268,10 @@ def emit_tkd_cpd_block(model, spec):
     """Five-layer hybrid realization: 1x1 S->R1 from U, the CP block of the
     core (R1->R2), 1x1 R2->T from V with the original bias.
 
-    Exact at any ranks; when the CP rank is below both multilinear ranks
-    the merged CP block (:func:`convfactor.hybrid.to_equivalent_cp`) is
-    smaller.
+    Exact at any ranks, as is the 3-layer CP block of the equivalent CP
+    (:func:`convfactor.hybrid.to_equivalent_cp`);
+    :func:`convfactor.pipeline.fit` ships this one only when it has fewer
+    weights.
     """
     r1, r2, _ = model.ranks
     core = ConvSpec(r1, r2, spec.kernel_size, stride=spec.stride, pad=spec.pad)

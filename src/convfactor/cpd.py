@@ -71,17 +71,21 @@ class AlsResult:
     """Outcome of :func:`cpd_als`: the restart it returned.
 
     ``rel_errors`` is the per-sweep relative error trace of the returned
-    restart (non-increasing up to roundoff), and ``stop`` says why that
-    restart ended: ``"bound"`` (its error reached the bound), ``"tol"``
-    (a sweep changed the error by less than ``_TOL``) or ``"cap"``
-    (``_MAX_SWEEPS`` sweeps ran).
+    restart (non-increasing up to roundoff; empty for a zero tensor, where
+    no sweep runs), and ``stop`` says why that restart ended: ``"bound"``
+    (its error reached the bound), ``"tol"`` (a sweep changed the error by
+    less than ``_TOL``) or ``"cap"`` (``_MAX_SWEEPS`` sweeps ran).
     """
 
     model: CPModel
     rel_error: float
     rel_errors: list = field(repr=False)
-    n_iters: int = 0
     stop: str = "cap"
+
+    @property
+    def n_iters(self):
+        """The sweeps the returned restart ran, one per trace entry."""
+        return len(self.rel_errors)
 
     @property
     def converged(self):
@@ -215,9 +219,9 @@ def cpd_als(tensor, rank, seed=0, delta=None):
         raise ValueError("delta must be >= 0")
 
     if norm_t == 0.0:
-        # Zero-tensor convention: rel_error 0, zero model.
+        # Zero-tensor convention: rel_error 0, zero model, no sweep.
         zero = CPModel(*(np.zeros((n, rank)) for n in tensor.shape))
-        return AlsResult(zero, 0.0, [0.0], n_iters=0, stop="tol")
+        return AlsResult(zero, 0.0, [], stop="tol")
 
     norm_t2 = norm_t**2
     bound = -np.inf if delta is None else delta / norm_t
@@ -255,7 +259,7 @@ def cpd_als(tensor, rank, seed=0, delta=None):
         order = np.argsort(-magnitude, kind="stable")
         model = balance_components(CPModel(a[:, order], b[:, order], c[:, order]))
         final = errors[-1] = rel_error(tensor, model)
-        result = AlsResult(model, final, errors, n_iters=len(errors), stop=stop)
+        result = AlsResult(model, final, errors, stop=stop)
         if stop == "bound" or (
             restart == 0
             and stop == "tol"

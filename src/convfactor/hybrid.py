@@ -5,6 +5,12 @@ the Tucker stage consumes ``sqrt(theta) * delta_total`` and the core CPD
 gets whatever the Tucker stage left over.  Because U and V are orthonormal
 the two stage errors add Pythagorean-style, so the total error stays
 within ``delta_total``.
+
+A hybrid model has two exact layer blocks: the 5-layer one (1x1 of U, the
+core's CP block, 1x1 of V; :meth:`HybridModel.param_count` weights) and the
+3-layer CP block of :func:`to_equivalent_cp`, ``R (D^2 + S + T)`` weights.
+Both realize the same kernel, so they share its error and sensitivity;
+:func:`convfactor.pipeline.fit` ships the one with fewer weights.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,7 @@ from .errors import InfeasibleBoundError
 from .tensorops import _Checked, _finite_norm
 from .tucker2 import _CUT_SLACK, tucker2_bounded
 
-__all__ = ["HybridModel", "tkd_cpd_epc", "should_merge", "to_equivalent_cp"]
+__all__ = ["HybridModel", "tkd_cpd_epc", "to_equivalent_cp"]
 
 _BOUND_RTOL = 1e-9  # relative slack by which an error counts as within its bound
 
@@ -40,7 +46,8 @@ class HybridModel:
         return (self.core_cp.shape[0], self.U.shape[0], self.V.shape[0])
 
     def param_count(self):
-        """Weight count of the 5-layer factorized form."""
+        """Weight count of the 5-layer factorized form, the size
+        :func:`convfactor.pipeline.fit` weighs against the 3-layer block."""
         r1, r2, r = self.ranks
         d2, s, t = self.shape
         return r1 * s + r2 * t + r * (d2 + r1 + r2)
@@ -136,18 +143,6 @@ def tkd_cpd_epc(tensor, delta_total, rank, theta=0.5, ranks=None, seed=0):
 
     corrected, _ = epc_correct(core, model, delta=delta_core)
     return HybridModel(tkd.U, tkd.V, corrected)
-
-
-def should_merge(ranks):
-    """True when the CP rank is below both multilinear ranks.
-
-    In that case the back-to-back 1x1 convolutions of the 5-layer hybrid
-    block can be merged, so the plain 3-layer CP block is smaller.
-    """
-    r1, r2, r = ranks
-    if min(r1, r2, r) < 1:
-        raise ValueError("ranks must be positive")
-    return r < r1 and r < r2
 
 
 def to_equivalent_cp(model):

@@ -17,8 +17,7 @@ from .cpd import CPModel, cpd_als, intensity, rel_error, sensitivity, sign_compo
 from .epc import epc_correct
 from .errors import InfeasibleBoundError
 from .fileio import Block
-from .hybrid import (_BOUND_RTOL, HybridModel, should_merge, tkd_cpd_epc,
-                     to_equivalent_cp)
+from .hybrid import _BOUND_RTOL, HybridModel, tkd_cpd_epc, to_equivalent_cp
 from .tensorops import _column_signs, _finite_norm
 
 __all__ = ["decompose_to_block", "fit", "METHODS"]
@@ -46,7 +45,12 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
     raises ValueError.
 
     Returns (model, report): the model :func:`decompose_to_block` ships, and
-    the kind of its block as ``report["block"]``.  That is a HybridModel
+    the kind of its block as ``report["block"]``.  A tkd-cpd-epc hybrid has
+    two exact blocks with the same error and sensitivity: the 5-layer one
+    (:meth:`~convfactor.hybrid.HybridModel.param_count` weights) and the
+    3-layer block of its equivalent CP, ``R (D^2 + S + T)`` weights.  It
+    ships the one with fewer weights, the 3-layer one on a tie, and
+    ``report["merged"]`` says which.  So the model is a HybridModel
     ("tkd-cpd") for an unmerged tkd-cpd-epc and a CPModel ("cpd")
     otherwise: the equivalent CP (:func:`~convfactor.hybrid.to_equivalent_cp`)
     of a merged hybrid, or ("svd") the truncated SVD of the 1x1 kernel's
@@ -103,7 +107,10 @@ def fit(tensor, method, rank, seed=0, ranks=None, theta=None, delta_rel=None):
                 model = tkd_cpd_epc(checked, delta, rank, ranks=ranks, seed=seed,
                                     **share)
                 report["ranks"] = model.ranks
-                report["merged"] = should_merge(model.ranks)
+                # the 3-layer block of the equivalent CP unless the 5-layer
+                # one has fewer weights
+                report["merged"] = (model.core_cp.rank * sum(model.shape)
+                                    <= model.param_count())
         except InfeasibleBoundError as e:
             if delta_rel is None:
                 raise

@@ -10,6 +10,7 @@ terminates but the result is only a heuristic.
 """
 
 import math
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -47,9 +48,10 @@ class Evaluator:
 
     A rank qualifies when its score is at most `eps`, which must be
     positive and finite.  Without a `command` (None or "") the score is
-    :func:`approx_error_proxy`; otherwise `command` is invoked as
-    ``command <block.json> <kernel.kten>`` and prints one finite decimal
-    score.
+    :func:`approx_error_proxy`; otherwise `command`, split into words as a
+    POSIX shell does (:func:`shlex.split`, so a quoted path may hold
+    spaces), is invoked as ``command <block.json> <kernel.kten>`` and
+    prints one finite decimal score.
     """
 
     eps: float = 1e-3
@@ -99,7 +101,7 @@ def _external_score(command, rank, tensor, method, seed, ranks, kernel_path, con
         block_path = fileio.write_block(workdir, block)
         try:
             proc = subprocess.run(
-                [*command.split(), str(block_path), str(kernel_path)],
+                [*shlex.split(command), str(block_path), str(kernel_path)],
                 capture_output=True,
                 text=True,
             )

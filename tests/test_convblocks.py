@@ -458,7 +458,7 @@ class TestBlockBasis:
             spec = ConvSpec(5, 7, 1, stride=stride, pad=pad, bias=bias)
             return emit_svd_block(svd_model(rng.standard_normal((7, 5)), 3), spec), spec
         spec = ConvSpec(6, 7, 3, stride=stride, pad=pad, bias=bias)
-        if kind == "tkd-cpd":  # CP rank 4 not below both ranks: unmerged
+        if kind == "tkd-cpd":  # the 5-layer block, emitted directly
             h = TestTkdCpdBlock().make_hybrid(rng, 3, 6, 7, 2, 3, 4)
             return emit_tkd_cpd_block(h, spec), spec
         rank = {"cpd": 4, "cpd-over-rank": 9}[kind]

@@ -98,6 +98,10 @@ class TestAls:
         assert res.rel_error == 0.0
         assert all(np.all(f == 0.0) for f in (res.model.A, res.model.B, res.model.C))
         assert np.all(res.model.to_tensor() == 0.0)
+        # no sweep runs, so the trace is empty and n_iters, its length, is 0
+        assert (res.rel_errors, res.n_iters, res.stop) == ([], 0, "tol")
+        with pytest.raises(AttributeError):
+            res.n_iters = 1
 
     def test_per_sweep_monotone(self):
         rng = np.random.default_rng(2)

@@ -3,8 +3,10 @@ import dataclasses
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from convfactor import cli, convblocks, cpd, epc, hybrid, pipeline, ranksearch, 
 from convfactor.cli import main
 from convfactor.convblocks import block_factors, block_to_kernel
 from convfactor.cpd import balance_components, rel_error
-from convfactor.errors import TensorFileError
+from convfactor.errors import InfeasibleBoundError, TensorFileError
 from convfactor.fileio import (
     MAGIC,
     Block,
@@ -40,7 +42,7 @@ from convfactor.fileio import (
     write_block,
     write_tensor,
 )
-from convfactor.pipeline import decompose_to_block, fit
+from convfactor.pipeline import METHODS, decompose_to_block, fit
 from convfactor.tensorops import _Checked, _finite_norm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1004,6 +1006,23 @@ class TestCliRankSearch:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("escape", [shlex.quote, lambda p: p.replace(" ", "\\ ")],
+                             ids=["quoted", "backslash"])
+    def test_evaluator_path_with_a_space(self, tmp_path, capsys, escape):
+        # the command splits into words as a shell would
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(18))
+        script = tmp_path / "a b" / "score.py"
+        script.parent.mkdir()
+        script.write_text("print(0.25)\n")
+        code = main([
+            "rank-search", "--input", str(kpath), "--method", "cpd",
+            "--eps", "0.5", "--rmax", "4", "--json",
+            "--evaluator", f"{shlex.quote(sys.executable)} {escape(str(script))}",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["rank"], doc["score"], doc["met"]) == (1, 0.25, True)
+
     def test_external_evaluator_tkd_without_ranks(self, tmp_path, capsys):
         # the multilinear ranks default to (S, T) for both evaluators
         rng = np.random.default_rng(20)
@@ -1050,7 +1069,7 @@ class TestCliRankSearch:
     ("cpd", (3, 3, 6, 5), 3, (), "cpd", 3),
     ("cpd-epc", (3, 3, 6, 5), 3, (), "cpd", 3),
     ("tkd-cpd-epc", (3, 3, 6, 5), 3, ("--ranks", "4,4"), "cpd", 3),
-    ("tkd-cpd-epc", (3, 3, 6, 5), 4, ("--ranks", "3,3"), "tkd-cpd", 5),
+    ("tkd-cpd-epc", (3, 3, 6, 5), 4, ("--ranks", "2,2"), "tkd-cpd", 5),
     ("svd", (1, 1, 6, 5), 3, (), "svd", 2),
 ], ids=["cpd", "cpd-epc", "tkd-cpd-epc-merged", "tkd-cpd-epc-5-layer", "svd"])
 def test_recorded_sensitivity_is_that_of_the_shipped_layers(
@@ -1075,6 +1094,63 @@ def test_recorded_sensitivity_is_that_of_the_shipped_layers(
         assert recorded == pytest.approx(
             sensitivity(balance_components(model)), rel=1e-12
         )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=st.integers(1, 3), s=st.integers(1, 8), t=st.integers(1, 8),
+       stride=st.integers(1, 2), pad=st.integers(0, 1), data=st.data())
+def test_any_kernel_through_decompose_and_verify(tmp_path, capsys, d, s, t, stride,
+                                                  pad, data):
+    # a valid combination of method, rank and options ships a block that
+    # verifies and records fit's rel_error; a hybrid ships its block with
+    # fewer weights.  A --delta is met, or refused with exit 1
+    method = data.draw(st.sampled_from([m for m in METHODS if m != "svd" or d == 1]))
+    kwargs = {}
+    if method == "tkd-cpd-epc":
+        kwargs["ranks"] = data.draw(st.none() | st.tuples(st.integers(1, s),
+                                                          st.integers(1, t)))
+        if kwargs["ranks"] is None:
+            kwargs["theta"] = data.draw(st.none() | st.sampled_from([0.1, 0.5, 1.0]))
+    if method in ("cpd-epc", "tkd-cpd-epc"):
+        deltas = st.sampled_from([0.2, 0.5, 0.9])
+        # free hybrid ranks need a budget
+        free = method == "tkd-cpd-epc" and kwargs["ranks"] is None
+        kwargs["delta_rel"] = data.draw(deltas if free else st.none() | deltas)
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    rank = data.draw(st.integers(1, min(s, t) if method == "svd" else 8))
+    kpath = tmp_path / "k.kten"
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    write_tensor(kpath, rng.standard_normal((d, d, s, t)))
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    options = {"ranks": lambda v: f"{v[0]},{v[1]}", "theta": str, "delta_rel": str}
+    argv = [f"--{k.removesuffix('_rel')}={options[k](v)}" for k, v in kwargs.items()]
+    capsys.readouterr()
+    code = main([
+        "decompose", "--input", str(kpath), "--method", method, "--rank", str(rank),
+        "--stride", str(stride), "--pad", str(pad), "--out", str(out), *argv,
+    ])
+    tensor = reshape_kernel(read_tensor(kpath))
+    if code == 1 and "delta_rel" in kwargs:
+        assert capsys.readouterr().err.startswith("error: --delta")
+        with pytest.raises(InfeasibleBoundError):
+            fit(tensor, method, rank, **kwargs)
+        return
+    assert code == 0
+    block = read_block(out / "block.json")
+    _, report = fit(tensor, method, rank, **kwargs)
+    assert block.metrics["rel_error"] == report["rel_error"]
+    if "delta_rel" in kwargs:
+        assert report["rel_error"] <= kwargs["delta_rel"] * (1 + 1e-9)
+    if method == "tkd-cpd-epc":
+        r1, r2, r = report["ranks"]
+        five, three = r1 * s + r2 * t + r * (d * d + r1 + r2), r * (d * d + s + t)
+        assert block.kind == ("cpd" if three <= five else "tkd-cpd")
+        assert block.metrics["params"] == min(five, three)
+    capsys.readouterr()
+    assert main(["verify", "--block", str(out / "block.json"),
+                 "--input", str(kpath)]) == 0
+    assert "verify: OK" in capsys.readouterr().out
 
 
 class TestDegenerateKernels:

@@ -10,7 +10,6 @@ from convfactor import (
     cpd_als,
     epc_correct,
     sensitivity,
-    should_merge,
     tkd_cpd_epc,
     to_equivalent_cp,
     tucker2_bounded,
@@ -215,17 +214,6 @@ def test_hybrid_pythagorean_identity(dims, cp_rank, core_scale, seed):
     err_total, err_tkd, err_core = stage_errors(tensor, HybridModel(u, v, core_cp))
     scale = np.sum(tensor**2) + err_core**2
     assert abs(err_total**2 - err_tkd**2 - err_core**2) <= 1e-10 * scale
-
-
-class TestShouldMerge:
-    def test_merge_rule_cases(self):
-        assert should_merge((64, 64, 110)) is False
-        assert should_merge((8, 8, 4)) is True
-        assert should_merge((8, 4, 6)) is False
-
-    def test_positive_ranks_required(self):
-        with pytest.raises(ValueError):
-            should_merge((0, 2, 2))
 
 
 class TestToEquivalentCp:

@@ -20,15 +20,19 @@ from convfactor import (
     binary_search_rank,
     cpd,
     cpd_als,
+    emit_cpd_block,
+    emit_tkd_cpd_block,
     epc,
     epc_correct,
     hybrid,
     pipeline,
     ranksearch,
     tkd_cpd_epc,
+    to_equivalent_cp,
     tucker2,
     tucker2_bounded,
 )
+from convfactor.convblocks import block_factors
 from convfactor.cpd import sign_components
 from convfactor.errors import InfeasibleBoundError
 from convfactor.pipeline import METHODS, decompose_to_block, fit
@@ -117,9 +121,11 @@ def test_infeasible_correction_without_delta_keeps_the_solvers_message(
     ("cpd", 2, {}, None),
     ("cpd-epc", 2, {"delta_rel": 0.3}, None),
     ("tkd-cpd-epc", 2, {"ranks": (3, 3)}, True),
-    ("tkd-cpd-epc", 4, {"ranks": (3, 3)}, False),
+    ("tkd-cpd-epc", 4, {"ranks": (2, 2)}, False),
+    # 44 weights in either block: a tie ships the 3-layer one
+    ("tkd-cpd-epc", 2, {"ranks": (2, 1)}, True),
     ("tkd-cpd-epc", 2, {"delta_rel": 0.15}, True),
-], ids=["cpd", "cpd-epc", "tkd-merged", "tkd-unmerged", "tkd-delta"])
+], ids=["cpd", "cpd-epc", "tkd-merged", "tkd-unmerged", "tkd-tie", "tkd-delta"])
 def test_rel_error_is_that_of_the_dense_model(method, rank, kwargs, merged):
     # fit sums the error slice by slice from the factors; the dense
     # difference is the oracle
@@ -130,6 +136,34 @@ def test_rel_error_is_that_of_the_dense_model(method, rank, kwargs, merged):
     dense = np.linalg.norm(t - model.to_tensor()) / np.linalg.norm(t)
     assert dense > 1e-3
     assert report["rel_error"] == pytest.approx(dense, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), s=st.integers(1, 8), t=st.integers(1, 8),
+       data=st.data())
+def test_hybrid_ships_the_block_with_fewer_weights(d, s, t, data):
+    # the 5-layer block and the 3-layer block of the equivalent CP realize
+    # one kernel; the one with fewer weights ships, the 3-layer one on a tie
+    r1, r2 = data.draw(st.integers(1, s)), data.draw(st.integers(1, t))
+    rank = data.draw(st.integers(1, r1 * r2 + 1))
+    tensor = np.random.default_rng(data.draw(st.integers(0, 2**16))).standard_normal(
+        (d * d, s, t))
+    spec = ConvSpec(s, t, d, pad=d // 2)
+    block, report = decompose_to_block(tensor, "tkd-cpd-epc", rank, spec,
+                                       ranks=(r1, r2))
+    model = tkd_cpd_epc(tensor, None, rank, ranks=(r1, r2))
+    five, three = model.param_count(), rank * (d * d + s + t)
+    assert report["merged"] is (three <= five)
+    assert block.kind == ("cpd" if three <= five else "tkd-cpd")
+    assert block.metrics["params"] == min(five, three)
+    shipped = block_factors(block.layers, block.kind)
+    for kind, emit, m in (("tkd-cpd", emit_tkd_cpd_block, model),
+                          ("cpd", emit_cpd_block, to_equivalent_cp(model))):
+        factors = block_factors(emit(m, spec), kind)
+        assert cpd.rel_error(tensor, factors) == pytest.approx(
+            report["rel_error"], rel=1e-12, abs=1e-15)
+        assert cpd.sensitivity(factors) == pytest.approx(
+            cpd.sensitivity(shipped), rel=1e-12)
 
 
 @pytest.mark.parametrize("kwargs, reached, allowed", [
@@ -178,7 +212,7 @@ def test_delta_below_the_noise_floor_is_refused_by_both_methods(method):
     ("cpd", 3, {}),
     ("cpd-epc", 3, {"delta_rel": 0.2}),
     ("tkd-cpd-epc", 3, {"delta_rel": 0.2}),
-    ("tkd-cpd-epc", 4, {"ranks": (3, 3)}),
+    ("tkd-cpd-epc", 4, {"ranks": (2, 2)}),
     ("svd", 3, {}),
 ], ids=["cpd", "cpd-epc", "tkd-merged", "tkd-unmerged", "svd"])
 def test_blocks_do_not_depend_on_the_seeds_lapack_signs(monkeypatch, method, rank,
@@ -219,7 +253,7 @@ def test_delivered_cp_components_have_positive_peaks_in_b_and_c():
     t = hybrid_structured_tensor(np.random.default_rng(3), (9, 7, 6), (4, 4), 3,
                                  noise=0.05)
     for model in (fit(t, "cpd-epc", 3, delta_rel=0.2)[0],
-                  fit(t, "tkd-cpd-epc", 4, ranks=(3, 3))[0].core_cp):
+                  fit(t, "tkd-cpd-epc", 4, ranks=(2, 2))[0].core_cp):
         for f in (model.B, model.C):
             assert np.all(f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])] > 0)
 
