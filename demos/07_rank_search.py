@@ -3,7 +3,8 @@
 The evaluator scores each candidate rank (here, with no command given:
 the deterministic approximation-error proxy) and the search bisects for
 the smallest rank whose score is within the threshold, using a
-logarithmic number of evaluations.
+logarithmic number of evaluations.  No rank below the floor that the
+tensor's channel spectra set can meet the threshold.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ result = binary_search_rank(tensor, "cpd", evaluator, 1, 16)
 
 print(f"true rank {TRUE_RANK}, search over [1, 16] with eps = {evaluator.eps}")
 print(f"found rank {result.rank} (score {result.score:.2e}, met={result.met}) "
-      f"in {result.n_evals} evaluations\n")
+      f"in {result.n_evals} evaluations; the channel spectra rule out ranks "
+      f"below {result.floor}\n")
 
 print("visited ranks and their scores:")
 for rank in sorted(result.scores):

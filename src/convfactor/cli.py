@@ -150,11 +150,13 @@ def cmd_decompose(args):
 
 
 def cmd_rank_search(args):
+    # ValueError for a bad --eps or --evaluator, before any file is read
+    evaluator = Evaluator(eps=args.eps, command=args.evaluator)
     checked, spec = _load_tensor_and_spec(args)
     result = binary_search_rank(
         checked,
         args.method,
-        Evaluator(eps=args.eps, command=args.evaluator),
+        evaluator,
         args.rmin,
         args.rmax,
         seed=args.seed,
@@ -170,6 +172,7 @@ def cmd_rank_search(args):
                     "score": result.score,
                     "met": result.met,
                     "evaluations": result.n_evals,
+                    "floor": result.floor,
                     "eps": args.eps,
                 }
             )

@@ -7,6 +7,12 @@ external command that receives an emitted block descriptor and the
 original kernel file and prints a score.  Scores are assumed
 non-increasing in rank; with a non-monotone evaluator the search still
 terminates but the result is only a heuristic.
+
+With the proxy, the search first rules out the ranks that the kernel's
+channel spectra forbid (:func:`_rank_floor`): a rank-R CP model has
+channel unfoldings of rank at most R, so by Eckart-Young its error is at
+least the tail of their spectra beyond R (the truncated-HOSVD bound of De
+Lathauwer, De Moor & Vandewalle, SIMAX 2000).
 """
 
 import math
@@ -24,6 +30,7 @@ from .cpd import cpd_als  # noqa: F401
 from .epc import epc_correct  # noqa: F401
 from .pipeline import decompose_to_block, fit
 from .tensorops import _finite_norm
+from .tucker2 import _gram_eigvals, _projected_slices
 
 __all__ = [
     "Evaluator",
@@ -51,15 +58,25 @@ class Evaluator:
     :func:`approx_error_proxy`; otherwise `command`, split into words as a
     POSIX shell does (:func:`shlex.split`, so a quoted path may hold
     spaces), is invoked as ``command <block.json> <kernel.kten>`` and
-    prints one finite decimal score.
+    prints one finite decimal score.  A command that does not split (an
+    unclosed quote) or names no program raises ValueError here, before any
+    rank is fitted.
     """
 
     eps: float = 1e-3
     command: str | None = None
+    argv: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         if not 0 < self.eps < math.inf:  # rejects NaN
             raise ValueError("eps must be positive and finite")
+        if self.command:
+            try:
+                self.argv = shlex.split(self.command)
+            except ValueError as e:
+                raise ValueError(f"--evaluator {self.command!r}: {e}") from None
+            if not self.argv:
+                raise ValueError(f"--evaluator {self.command!r} names no program")
 
 
 @dataclass
@@ -69,6 +86,7 @@ class RankSearchResult:
     met: bool
     n_evals: int
     scores: dict = field(repr=False, default_factory=dict)
+    floor: int | None = None
 
 
 def _search_ranks(tensor, method, ranks):
@@ -92,7 +110,31 @@ def approx_error_proxy(tensor, method, rank, seed=0, ranks=None):
     return report["rel_error"]
 
 
-def _external_score(command, rank, tensor, method, seed, ranks, kernel_path, conv_spec):
+def _rank_floor(checked, eps):
+    """The smallest rank R >= 1 whose relative error can be at most `eps`.
+
+    A rank-R CP model of the (D^2, S, T) tensor has S- and T-mode
+    unfoldings of rank at most R, so its squared error is at least the tail
+    of either mode Gram's eigenvalues beyond R (clipped at 0).  R is the
+    smallest rank at which, for both modes, that tail less a roundoff
+    allowance of ``8 n^2 eps_mach tr(Q)`` (n the Gram's order, ``tr(Q) =
+    ||T||^2``) is within ``eps^2 ||T||^2``; every smaller rank scores above
+    `eps` whatever the fit.  The eigenvalues come from the Tucker-2 step's spectrum
+    (:func:`~convfactor.tucker2._gram_eigvals`).  `checked` is a pair of
+    :func:`~convfactor.tensorops._finite_norm`.
+    """
+    tensor, norm = checked
+    bound = (eps * norm) ** 2
+    floor = 1
+    for mode in (2, 1):  # the S-mode Gram, then the T-mode one
+        w = np.maximum(_gram_eigvals(_projected_slices(tensor, None, mode)), 0.0)
+        allow = 8 * w.size**2 * np.finfo(np.float64).eps * norm**2
+        tails = np.cumsum(w[::-1])[::-1]  # tails[r] = sum(w[r:])
+        floor = max(floor, 1 + int(np.count_nonzero(tails[1:] - allow > bound)))
+    return floor
+
+
+def _external_score(argv, rank, tensor, method, seed, ranks, kernel_path, conv_spec):
     """Emit a block for `rank` into a scratch dir and run the command."""
     workdir = tempfile.mkdtemp(prefix="convfactor-ranksearch-")
     try:
@@ -101,7 +143,7 @@ def _external_score(command, rank, tensor, method, seed, ranks, kernel_path, con
         block_path = fileio.write_block(workdir, block)
         try:
             proc = subprocess.run(
-                [*shlex.split(command), str(block_path), str(kernel_path)],
+                [*argv, str(block_path), str(kernel_path)],
                 capture_output=True,
                 text=True,
             )
@@ -135,6 +177,14 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
     ``ceil(log2(r_max - r_min + 1)) + 1`` times.  If no rank qualifies the
     result carries ``met=False`` and ``rank=r_max``.  `tensor` is checked
     once, and every evaluation gets the checked pair.
+
+    With the built-in proxy no rank below :func:`_rank_floor` can qualify,
+    so the search starts at ``lo = min(max(r_min, floor), r_max)``.  When
+    ``[lo, r_max]`` is at most half of ``[r_min, r_max]``, `lo` is scored
+    first: it is the answer if it qualifies, else the bisection runs on
+    ``[lo + 1, r_max]``, within the same budget.  The result's `floor` is
+    that rank floor, None with an evaluator command, whose score is not a
+    relative error.
     """
     checked = _finite_norm(tensor)
     ranks = _search_ranks(checked.tensor, method, ranks)
@@ -153,7 +203,7 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
         if rank not in scores:
             if evaluator.command:
                 scores[rank] = _external_score(
-                    evaluator.command, rank, checked, method, seed, ranks,
+                    evaluator.argv, rank, checked, method, seed, ranks,
                     kernel_path, conv_spec,
                 )
             else:
@@ -162,6 +212,15 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
         return scores[rank]
 
     lo, hi = r_min, r_max
+    floor = None
+    if not evaluator.command:
+        floor = _rank_floor(checked, evaluator.eps)
+        start = min(max(r_min, floor), r_max)
+        if 2 * (r_max - start + 1) <= r_max - r_min + 1:
+            if score(start) <= evaluator.eps:
+                lo = hi = start
+            else:
+                lo = min(start + 1, r_max)
     while lo < hi:
         mid = (lo + hi) // 2
         if score(mid) <= evaluator.eps:
@@ -172,4 +231,4 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
     met = bool(final <= evaluator.eps)
     budget = math.ceil(math.log2(r_max - r_min + 1)) + 1 if r_max > r_min else 2
     assert len(scores) <= budget, "evaluation budget exceeded"
-    return RankSearchResult(int(lo), final, met, len(scores), scores)
+    return RankSearchResult(int(lo), final, met, len(scores), scores, floor)

@@ -254,11 +254,30 @@ def _leading_right_vecs(stack, energy_bound, rank=None):
                 return found
         return _leading_eigvecs(q, energy_bound, rank)
     p = stack.reshape(m, n)
-    w, u = _eigh_desc(p @ p.T)
-    rank, energy = _cut(np.concatenate([w, np.zeros(n - m)]), energy_bound, rank)
+    w, u = _wide_eigh(p)
+    rank, energy = _cut(w, energy_bound, rank)
     mode = "complete" if rank > m else "reduced"
     vecs = np.linalg.qr(p.T @ u[:, :rank], mode=mode)[0][:, :rank]
     return vecs * _column_signs(vecs), energy
+
+
+def _wide_eigh(p):
+    """``eigh`` of the m x m ``P P'`` of a wide m x n ``P``, descending, its
+    eigenvalues padded with n - m zeros to those of the n x n ``P' P``."""
+    m, n = p.shape
+    w, u = _eigh_desc(p @ p.T)
+    return np.concatenate([w, np.zeros(n - m)]), u
+
+
+def _gram_eigvals(stack):
+    """The n descending eigenvalues of ``P' P`` for ``P`` the slices of
+    `stack` stacked by rows, m x n, as :func:`_leading_right_vecs` takes
+    them: of the summed n x n Gram when tall or square, of the m x m
+    ``P P'`` padded with zeros when wide."""
+    m, n = stack.shape[0] * stack.shape[1], stack.shape[2]
+    if m >= n:
+        return _eigh_desc(_gram(stack))[0]
+    return _wide_eigh(stack.reshape(m, n))[0]
 
 
 def minimal_rank_eigvecs(q, energy_bound):

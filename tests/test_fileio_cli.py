@@ -1006,6 +1006,39 @@ class TestCliRankSearch:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("evaluator", ["python 'score.py", "   "],
+                             ids=["unclosed-quote", "blank"])
+    def test_malformed_evaluator_exits_1_before_any_fit(self, tmp_path, capsys,
+                                                        monkeypatch, evaluator):
+        # a command that does not split, or names no program, is an invalid
+        # argument value: no rank is fitted and no block is run as a program
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(18))
+        fits = []
+        for module in (pipeline, ranksearch):
+            monkeypatch.setattr(module, "fit",
+                                lambda *a, **k: fits.append(1) or fit(*a, **k))
+        code = main([
+            "rank-search", "--input", str(kpath), "--method", "cpd",
+            "--eps", "0.5", "--rmax", "4", "--evaluator", evaluator,
+        ])
+        err = capsys.readouterr().err
+        assert (code, fits) == (1, [])
+        assert err.startswith("error: --evaluator") and err.count("\n") == 1
+
+    def test_json_reports_the_rank_floor(self, tmp_path, capsys):
+        # an exact rank-3 kernel: the spectra rule out ranks 1 and 2, and an
+        # external score has no floor
+        kpath = make_kernel_file(tmp_path, np.random.default_rng(18))
+        script = tmp_path / "score.py"
+        script.write_text("print(0.25)\n")
+        docs = []
+        for evaluator in ([], ["--evaluator", f"{sys.executable} {script}"]):
+            assert main(["rank-search", "--input", str(kpath), "--method", "cpd",
+                         "--eps", "1e-6", "--rmax", "4", "--json", *evaluator]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert [d["floor"] for d in docs] == [3, None]
+        assert (docs[0]["rank"], docs[0]["evaluations"]) == (3, 1)
+
     @pytest.mark.parametrize("escape", [shlex.quote, lambda p: p.replace(" ", "\\ ")],
                              ids=["quoted", "backslash"])
     def test_evaluator_path_with_a_space(self, tmp_path, capsys, escape):

@@ -1,8 +1,11 @@
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convfactor.ranksearch as rs
 from conftest import random_cp_tensor
@@ -15,7 +18,8 @@ from convfactor import (
 )
 from convfactor.fileio import write_tensor
 from convfactor.pipeline import decompose_to_block
-from convfactor.ranksearch import EvaluatorError, approx_error_proxy
+from convfactor.ranksearch import EvaluatorError, _rank_floor, approx_error_proxy
+from convfactor.tensorops import _finite_norm
 
 # the searched tensor of the tests whose scores are faked: it only has to pass
 # the search's input check
@@ -114,6 +118,110 @@ def test_empty_command_selects_the_proxy(monkeypatch):
     calls = patch_scores(monkeypatch, lambda r: 0.0 if r >= 3 else 1.0)
     result = binary_search_rank(ZERO, "cpd", Evaluator(eps=0.5, command=""), 1, 4)
     assert result.rank == 3 and calls
+
+
+@pytest.mark.parametrize("command", ["python 'score.py", "   ", "\t\n"])
+def test_evaluator_rejects_a_command_that_names_no_program(command):
+    with pytest.raises(ValueError, match="^--evaluator"):
+        Evaluator(command=command)
+
+
+def orthogonal_cp_kernel(seed, channels=16, rank=8, decay=0.9, noise=0.02):
+    """A (9, S, S) tensor of the rank-search-64 family: unit first-mode
+    columns, orthonormal channel factors, weights decay**r, 2% noise."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((9, rank))
+    a /= np.linalg.norm(a, axis=0)
+    b, c = (np.linalg.qr(rng.standard_normal((channels, rank)))[0] for _ in range(2))
+    t = np.einsum("ir,jr,kr->ijk", a * decay ** np.arange(rank), b, c)
+    bump = rng.standard_normal(t.shape)
+    return t + noise * np.linalg.norm(t) * bump / np.linalg.norm(bump)
+
+
+@st.composite
+def floor_problems(draw):
+    """(tensor, method, ranks, eps): a small CP-plus-noise or Gaussian
+    tensor, with every method the proxy scores."""
+    method = draw(st.sampled_from(["cpd", "cpd-epc", "tkd-cpd-epc", "svd"]))
+    d2 = 1 if method == "svd" else draw(st.integers(1, 9))
+    s, t = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        tensor, _ = random_cp_tensor(rng, (d2, s, t), draw(st.integers(1, 6)))
+        bump = rng.standard_normal(tensor.shape)
+        noise = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+        tensor += noise * np.linalg.norm(tensor) * bump / np.linalg.norm(bump)
+    else:
+        tensor = rng.standard_normal((d2, s, t))
+    ranks = None
+    if method == "tkd-cpd-epc":
+        ranks = (draw(st.integers(1, s)), draw(st.integers(1, t)))
+    return tensor, method, ranks, draw(st.sampled_from([1e-6, 0.02, 0.1, 0.3]))
+
+
+class TestRankFloor:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(problem=floor_problems())
+    def test_no_rank_below_the_floor_meets_eps(self, problem):
+        # a rank-R CP model's channel unfoldings have rank <= R: no fit at a
+        # rank below the floor, of any method, gets within eps
+        tensor, method, ranks, eps = problem
+        floor = _rank_floor(_finite_norm(tensor), eps)
+        assert 1 <= floor <= max(tensor.shape[1:])
+        for rank in range(1, floor):
+            assert approx_error_proxy(tensor, method, rank, ranks=ranks) > eps
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(r_min=st.integers(1, 20), width=st.integers(0, 25),
+           scores=st.lists(st.floats(0.0, 1.0), min_size=50, max_size=50),
+           eps=st.floats(0.01, 0.99), data=st.data())
+    def test_matches_linear_scan_within_budget(self, r_min, width, scores, eps, data):
+        # non-increasing faked scores, and any floor that rules out only
+        # ranks that miss eps
+        scores = sorted(scores, reverse=True)
+        r_max = r_min + width
+        first = next((r for r in range(1, 51) if scores[r - 1] <= eps), 51)
+        floor = data.draw(st.integers(1, first))
+        calls = []
+
+        def fake(tensor, method, rank, seed=0, ranks=None):
+            calls.append(rank)
+            return scores[rank - 1]
+
+        with mock.patch.object(rs, "approx_error_proxy", fake), \
+                mock.patch.object(rs, "_rank_floor", lambda checked, eps: floor):
+            result = binary_search_rank(ZERO, "cpd", Evaluator(eps=eps), r_min, r_max)
+        linear = next((r for r in range(r_min, r_max + 1) if scores[r - 1] <= eps),
+                      r_max)
+        assert (result.rank, result.met) == (linear, scores[linear - 1] <= eps)
+        assert result.floor == floor
+        budget = math.ceil(math.log2(width + 1)) + 1 if width else 2
+        assert len(calls) == len(set(calls)) <= budget
+
+    @pytest.mark.parametrize("method", ["cpd", "cpd-epc"])
+    def test_a_tight_floor_takes_one_evaluation(self, monkeypatch, method):
+        # rank 8 over ranks 1 to 12: the spectra rule out ranks 1 to 7, and
+        # rank 8 meets eps, so one fit decides; the search without the floor
+        # scores 4 ranks to reach the same rank and score
+        t = orthogonal_cp_kernel(0)
+        result = binary_search_rank(t, method, Evaluator(eps=0.05), 1, 12)
+        monkeypatch.setattr(rs, "_rank_floor", lambda checked, eps: 1)
+        plain = binary_search_rank(t, method, Evaluator(eps=0.05), 1, 12)
+        assert (result.floor, result.n_evals) == (8, 1)
+        assert (result.rank, result.score, result.met) == (plain.rank, plain.score,
+                                                           plain.met)
+        assert plain.n_evals == 4
+
+    def test_svd_floor_is_the_truncated_svd_rank(self):
+        # on a 1x1 kernel the floor is exact: the smallest rank whose
+        # truncated SVD is within eps, found in one evaluation
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal((1, 12, 16)) * 0.7 ** np.arange(12)[:, None]
+        sv = np.linalg.svd(t[0], compute_uv=False)
+        tails = np.sqrt(np.cumsum(sv[::-1] ** 2)[::-1] / np.sum(sv**2))
+        expected = next(r for r in range(1, 13) if r == 12 or tails[r] <= 0.05)
+        result = binary_search_rank(t, "svd", Evaluator(eps=0.05), 1)
+        assert (result.rank, result.floor, result.n_evals) == (expected, expected, 1)
 
 
 class TestApproxErrorProxy:
