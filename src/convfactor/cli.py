@@ -58,13 +58,13 @@ def _parse_pair(text, what):
 def _differs(value, recorded):
     """True when a recomputed metric disagrees with its recorded value.
 
-    Integers must match exactly and floats within 1e-8 + 1e-6 relative; a
-    missing, non-numeric or non-finite recorded value never agrees.
+    An integer must be recorded as an equal JSON integer, a float within
+    1e-8 + 1e-6 relative; a missing, non-numeric or non-finite one never agrees.
     """
     if type(recorded) not in (int, float):
         return True
     if type(value) is int:
-        return value != recorded
+        return type(recorded) is not int or value != recorded
     try:
         recorded = float(recorded)
     except OverflowError:  # an integer beyond the float range
@@ -194,8 +194,9 @@ def cmd_verify(args):
     block's factor basis (:func:`~convfactor.convblocks.block_basis`):
     ``conv2d_reference(x @ Q_B, G) @ Q_Cᵀ + bias``.  So no kernel-sized
     array is held: neither the kernel read nor the kernel the block
-    realizes.  A chain whose output size at `--hw` is not the block conv's
-    fails before any trial.
+    realizes.  A trial fails when the chain's output deviates from the
+    reference by more than 1e-8 of its norm.  A chain whose output size at
+    `--hw` is not the block conv's fails before any trial.
     """
     # ValueError for a negative --trials or --seed, before any file is read
     if args.trials < 0:
@@ -245,8 +246,8 @@ def cmd_verify(args):
             if bias is not None:
                 ref += bias
             got = compose_forward(block.layers, x)
-            dev = float(np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(x)))
-            max_dev = max(max_dev, dev)
+            size = max(float(np.linalg.norm(ref)), 1e-300)  # a zero reference too
+            max_dev = max(max_dev, float(np.linalg.norm(got - ref)) / size)
         print(f"trials: {args.trials}, max forward deviation: {max_dev:.6e}")
         if args.trials and max_dev > 1e-8:
             failures.append(f"forward deviation {max_dev:.3e} exceeds 1e-8")

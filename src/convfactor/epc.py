@@ -79,7 +79,7 @@ def _secular_solve(yz, gram, norm_y2, delta):
         raise ValueError("delta must be >= 0")
     delta2 = delta**2
 
-    if norm_y2 <= delta2 * (1 + 1e-15) or norm_y2 == 0.0:
+    if norm_y2 <= delta2 * (1 + 1e-15):
         return np.zeros(yz.shape), 0.0
 
     ev, q = np.linalg.eigh((gram + gram.T) / 2)
@@ -257,23 +257,22 @@ def epc_correct(tensor, model, delta=None):
     rejected = 0
     for _ in range(_MAX_SWEEPS):
         beta = (points - 1) / (points + 2)
-        if beta > 0:
-            try:
-                balanced, ss, e2, slack = sweep(b + beta * (b - b_old),
-                                                c + beta * (c - c_old))
-            except InfeasibleBoundError:
-                ss = np.inf
-            if not ss < prev_ss:
-                # restart: the next sweep is a plain one from the accepted point
-                rejected += 1
-                points = 1
-                continue
-        else:
-            balanced, ss, e2, slack = sweep(b, c)
-            if ss > prev_ss:
-                # an error-preserving start at an ALS optimum leaves no room
-                # in the bound: keep the accepted point
-                break
+        try:
+            balanced, ss, e2, slack = sweep(b + beta * (b - b_old),
+                                            c + beta * (c - c_old))
+        except InfeasibleBoundError:
+            if not beta:  # a plain sweep: the bound is infeasible
+                raise
+            ss = np.inf
+        if beta > 0 and not ss < prev_ss:
+            # restart: the next sweep is a plain one from the accepted point
+            rejected += 1
+            points = 1
+            continue
+        if ss > prev_ss:
+            # an error-preserving start at an ALS optimum leaves no room
+            # in the bound: keep the accepted point
+            break
         b_old, c_old = b, c
         a, b, c = balanced.A, balanced.B, balanced.C
         err, margin = _gram_error(e2, slack)

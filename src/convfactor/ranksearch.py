@@ -8,11 +8,12 @@ original kernel file and prints a score.  Scores are assumed
 non-increasing in rank; with a non-monotone evaluator the search still
 terminates but the result is only a heuristic.
 
-With the proxy, the search first rules out the ranks that the kernel's
-channel spectra forbid (:func:`_rank_floor`): a rank-R CP model has
-channel unfoldings of rank at most R, so by Eckart-Young its error is at
-least the tail of their spectra beyond R (the truncated-HOSVD bound of De
-Lathauwer, De Moor & Vandewalle, SIMAX 2000).
+With the proxy, the search takes the kernel's rank floor
+(:func:`_rank_floor`): a rank-R CP model has channel unfoldings of rank
+at most R, so by Eckart-Young its error is at least the tail of their
+spectra beyond R (the truncated-HOSVD bound of De Lathauwer, De Moor &
+Vandewalle, SIMAX 2000).  It starts from the floor only when that halves
+the range; otherwise it may score ranks below the floor.
 """
 
 import math
@@ -178,13 +179,13 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
     result carries ``met=False`` and ``rank=r_max``.  `tensor` is checked
     once, and every evaluation gets the checked pair.
 
-    With the built-in proxy no rank below :func:`_rank_floor` can qualify,
-    so the search starts at ``lo = min(max(r_min, floor), r_max)``.  When
-    ``[lo, r_max]`` is at most half of ``[r_min, r_max]``, `lo` is scored
-    first: it is the answer if it qualifies, else the bisection runs on
-    ``[lo + 1, r_max]``, within the same budget.  The result's `floor` is
-    that rank floor, None with an evaluator command, whose score is not a
-    relative error.
+    With the built-in proxy no rank below :func:`_rank_floor` can qualify.
+    When ``[start, r_max]``, with ``start = min(max(r_min, floor), r_max)``,
+    is at most half of ``[r_min, r_max]``, the bisection runs on it and
+    takes `start` as its first midpoint; otherwise it runs on ``[r_min,
+    r_max]`` as without the floor, and may score ranks below it.  The
+    result's `floor` is that rank floor, None with an evaluator command,
+    whose score is not a relative error.
     """
     checked = _finite_norm(tensor)
     ranks = _search_ranks(checked.tensor, method, ranks)
@@ -212,23 +213,20 @@ def binary_search_rank(tensor, method, evaluator, r_min, r_max=None, seed=0,
         return scores[rank]
 
     lo, hi = r_min, r_max
-    floor = None
+    probe = floor = None
     if not evaluator.command:
         floor = _rank_floor(checked, evaluator.eps)
         start = min(max(r_min, floor), r_max)
         if 2 * (r_max - start + 1) <= r_max - r_min + 1:
-            if score(start) <= evaluator.eps:
-                lo = hi = start
-            else:
-                lo = min(start + 1, r_max)
+            lo = probe = start  # > r_min >= 1, so never falsy
     while lo < hi:
-        mid = (lo + hi) // 2
+        mid, probe = probe or (lo + hi) // 2, None
         if score(mid) <= evaluator.eps:
             hi = mid
         else:
             lo = mid + 1
     final = float(score(lo))
     met = bool(final <= evaluator.eps)
-    budget = math.ceil(math.log2(r_max - r_min + 1)) + 1 if r_max > r_min else 2
+    budget = math.ceil(math.log2(r_max - r_min + 1)) + 1
     assert len(scores) <= budget, "evaluation budget exceeded"
     return RankSearchResult(int(lo), final, met, len(scores), scores, floor)

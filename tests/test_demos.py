@@ -20,8 +20,9 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
+    # warnings as errors, as the CI runs the installed entry point
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     if demo.stem.startswith("01_"):
         assert "per-sweep error is non-increasing: True" in proc.stdout

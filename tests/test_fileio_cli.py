@@ -4,10 +4,12 @@ import io
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -855,9 +857,9 @@ class TestCliVerify:
         want = 0.0
         for _ in range(5):
             x = rng.standard_normal((16, 16, 5))
-            diff = (compose_forward(block.layers, x)
-                    - conv2d_reference(x, block.spec, dense))
-            want = max(want, np.linalg.norm(diff) / (1.0 + np.linalg.norm(x)))
+            ref = conv2d_reference(x, block.spec, dense)
+            diff = compose_forward(block.layers, x) - ref
+            want = max(want, np.linalg.norm(diff) / np.linalg.norm(ref))
         got = float(out.split("max forward deviation: ")[1].split()[0])
         assert got == pytest.approx(want, rel=1e-6)
         assert want > 1.0
@@ -1137,7 +1139,9 @@ def test_any_kernel_through_decompose_and_verify(tmp_path, capsys, d, s, t, stri
                                                   pad, data):
     # a valid combination of method, rank and options ships a block that
     # verifies and records fit's rel_error; a hybrid ships its block with
-    # fewer weights.  A --delta is met, or refused with exit 1
+    # fewer weights.  A --delta is met, or refused with exit 1.  The kernel
+    # is scaled by 2^k, its norm kept inside _NORM_RANGE, and a second
+    # decompose of it writes the same bytes
     method = data.draw(st.sampled_from([m for m in METHODS if m != "svd" or d == 1]))
     kwargs = {}
     if method == "tkd-cpd-epc":
@@ -1154,15 +1158,23 @@ def test_any_kernel_through_decompose_and_verify(tmp_path, capsys, d, s, t, stri
     rank = data.draw(st.integers(1, min(s, t) if method == "svd" else 8))
     kpath = tmp_path / "k.kten"
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    write_tensor(kpath, rng.standard_normal((d, d, s, t)))
+    # a Gaussian kernel of 1 to 576 entries has a norm in [1e-4, 30] but for
+    # odds below 1e-4, so a scale within 2^±150 keeps it inside _NORM_RANGE
+    scale = 2.0 ** data.draw(st.integers(-150, 150))
+    write_tensor(kpath, scale * rng.standard_normal((d, d, s, t)))
     out = Path(tempfile.mkdtemp(dir=tmp_path))
     options = {"ranks": lambda v: f"{v[0]},{v[1]}", "theta": str, "delta_rel": str}
     argv = [f"--{k.removesuffix('_rel')}={options[k](v)}" for k, v in kwargs.items()]
     capsys.readouterr()
-    code = main([
-        "decompose", "--input", str(kpath), "--method", method, "--rank", str(rank),
-        "--stride", str(stride), "--pad", str(pad), "--out", str(out), *argv,
-    ])
+
+    def decompose(out):
+        return main([
+            "decompose", "--input", str(kpath), "--method", method,
+            "--rank", str(rank), "--stride", str(stride), "--pad", str(pad),
+            "--out", str(out), *argv,
+        ])
+
+    code = decompose(out)
     tensor = reshape_kernel(read_tensor(kpath))
     if code == 1 and "delta_rel" in kwargs:
         assert capsys.readouterr().err.startswith("error: --delta")
@@ -1170,6 +1182,10 @@ def test_any_kernel_through_decompose_and_verify(tmp_path, capsys, d, s, t, stri
             fit(tensor, method, rank, **kwargs)
         return
     assert code == 0
+    again = Path(tempfile.mkdtemp(dir=tmp_path))
+    assert decompose(again) == 0
+    assert ({p.name: p.read_bytes() for p in out.iterdir()}
+            == {p.name: p.read_bytes() for p in again.iterdir()})
     block = read_block(out / "block.json")
     _, report = fit(tensor, method, rank, **kwargs)
     assert block.metrics["rel_error"] == report["rel_error"]
@@ -1184,6 +1200,98 @@ def test_any_kernel_through_decompose_and_verify(tmp_path, capsys, d, s, t, stri
     assert main(["verify", "--block", str(out / "block.json"),
                  "--input", str(kpath)]) == 0
     assert "verify: OK" in capsys.readouterr().out
+
+
+# method, kernel shape, rank and options of the blocks the mutation
+# property copies, one per block kind
+_PRISTINE = {
+    "cpd": ("cpd", (3, 3, 6, 5), 3, ()),
+    "tkd-cpd": ("tkd-cpd-epc", (3, 3, 6, 5), 4, ("--ranks", "2,2")),
+    "svd": ("svd", (1, 1, 6, 5), 3, ()),
+}
+
+
+@pytest.fixture(scope="module")
+def pristine_blocks(tmp_path_factory):
+    """(kernel path, block directory) of a decomposed kernel, per block kind."""
+    root = tmp_path_factory.mktemp("pristine")
+    blocks = {}
+    for kind, (method, shape, rank, extra) in _PRISTINE.items():
+        kpath = root / f"{kind}.kten"
+        write_tensor(kpath, np.random.default_rng(27).standard_normal(shape))
+        out = root / kind
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["decompose", "--input", str(kpath), "--method", method,
+                         "--rank", str(rank), "--out", str(out), *extra]) == 0
+        assert read_block(out / "block.json").kind == kind
+        blocks[kind] = kpath, out
+    return blocks
+
+
+def _mutate(data, out):
+    """Make one drawn change to the block in `out` that verify must catch."""
+    bpath = out / "block.json"
+    doc = json.loads(bpath.read_text())
+    layers = doc["layers"]
+    what = data.draw(st.sampled_from(["weight", "metric", "integer", "truncate"]))
+    if what == "weight":
+        # the largest entry of a layer, scaled toward zero or overflow
+        path = out / data.draw(st.sampled_from([layer["weights"] for layer in layers]))
+        w = read_tensor(path)
+        w.flat[np.argmax(np.abs(w))] *= data.draw(
+            st.sampled_from([-1.0, 0.0, 1e-3, 2.0, 1e3, 1e160, 1e300]))
+        write_tensor(path, w)
+        return
+    if what == "truncate":
+        # block.json ends in "}\n", so no shorter prefix of it is a document
+        path = out / data.draw(st.sampled_from(
+            ["block.json", *(layer["weights"] for layer in layers)]))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-data.draw(st.integers(2, len(raw)))])
+        return
+    if what == "metric":
+        metrics = doc["metrics"]
+        key = data.draw(st.sampled_from(
+            ["rel_error", "sensitivity", "intensity", "params", "flops"]))
+        if type(metrics[key]) is int:
+            metrics[key] = data.draw(st.sampled_from(
+                [metrics[key] + 1, metrics[key] - 1, float(metrics[key]), True]))
+        else:  # well beyond verify's 1e-8 + 1e-6 relative
+            metrics[key] = metrics[key] * (1 + 1e-3) + 1e-3
+    else:  # an integer field of the spec or a layer, made a float or a bool
+        owner = data.draw(st.sampled_from([doc["spec"], *layers]))
+        if owner is doc["spec"]:
+            key = data.draw(st.sampled_from(
+                ["in_channels", "out_channels", "kernel_size", "stride", "pad"]))
+        else:
+            key = data.draw(st.sampled_from(["in", "out", "groups", "stride", "pad",
+                                             "kernel"]))
+            if key == "kernel":
+                owner, key = owner["kernel"], data.draw(st.integers(0, 1))
+        owner[key] = data.draw(st.sampled_from([float, bool]))(owner[key])
+    bpath.write_text(json.dumps(doc))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_PRISTINE)), data=st.data())
+def test_a_mutated_block_fails_verify(tmp_path, capsys, pristine_blocks, kind,
+                                      data):
+    # one changed field of block.json or number in a layer file: verify
+    # reports it with exit 1 or 2, raises nothing and warns nothing
+    kpath, pristine = pristine_blocks[kind]
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "blk"
+    shutil.copytree(pristine, out)
+    _mutate(data, out)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--block", str(out / "block.json"),
+                     "--input", str(kpath)])
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert ("verify: FAILED" in captured.out if code == 1
+            else captured.err.startswith("error: "))
 
 
 class TestDegenerateKernels:

@@ -67,6 +67,10 @@ class TestBinarySearch:
         r_min, r_max = 1, 16
         binary_search_rank(ZERO, "cpd", Evaluator(eps=0.11), r_min, r_max)
         assert len(set(calls)) <= math.ceil(math.log2(r_max - r_min)) + 1
+        # a one-rank range: the budget ceil(log2(1)) + 1 is the one evaluation
+        calls.clear()
+        result = binary_search_rank(ZERO, "cpd", Evaluator(eps=0.11), 7, 7)
+        assert calls == [7] and result.n_evals == 1
 
     @pytest.mark.parametrize("threshold", [2, 5, 11, 13])
     def test_matches_linear_scan(self, monkeypatch, threshold):
@@ -195,7 +199,7 @@ class TestRankFloor:
                       r_max)
         assert (result.rank, result.met) == (linear, scores[linear - 1] <= eps)
         assert result.floor == floor
-        budget = math.ceil(math.log2(width + 1)) + 1 if width else 2
+        budget = math.ceil(math.log2(width + 1)) + 1
         assert len(calls) == len(set(calls)) <= budget
 
     @pytest.mark.parametrize("method", ["cpd", "cpd-epc"])
